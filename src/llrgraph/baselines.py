@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
 
 from .data import validate_data_matrix
-from .llr import HyperParams, build_llr_graph
+from .llr import HyperParams, build_llr_graph, neighbour_table
 
 
 @dataclass(frozen=True)
@@ -40,27 +39,23 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:
     n = X.shape[0]
     params.validate(n)
 
-    dists = cdist(X, X)
-    d = dists.copy()
-    np.fill_diagonal(d, np.inf)
-    # k_nn nearest per row, ties broken by smaller global index.
-    col_idx = np.arange(n)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.lexsort((col_idx, d[i]))[: params.k_nn]
-        adj[i, order] = True
-    edges = adj | adj.T
-
-    iu, ju = np.nonzero(np.triu(edges, k=1))
+    # Union of the directed kNN pattern, keyed by (min, max) vertex pair. The
+    # pattern is unioned rather than the distances, which are 0.0 between
+    # duplicate points and would vanish from a sparse union.
+    idx, dist = neighbour_table(X, params.k_nn)
+    rows = np.repeat(np.arange(n), params.k_nn)
+    cols = idx.ravel()
+    keys, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), return_index=True)
+    iu, ju = np.divmod(keys, n)
+    retained = dist.ravel()[first]
     if isinstance(params.sigma, str):
-        retained = dists[iu, ju]
         sigma = float(np.median(retained))
         if sigma <= 0:
             raise ValueError("auto sigma failed: median retained distance is zero")
     else:
         sigma = float(params.sigma)
 
-    weights = np.exp(-(dists[iu, ju] ** 2) / (2.0 * sigma**2))
+    weights = np.exp(-(retained**2) / (2.0 * sigma**2))
     rows = np.concatenate([iu, ju])
     cols = np.concatenate([ju, iu])
     data = np.concatenate([weights, weights])

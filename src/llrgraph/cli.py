@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+from scipy.sparse import triu
 
-from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
+from .baselines import heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .data import (
     LabeledDataset,
     SyntheticSpec,
@@ -33,13 +34,12 @@ from .data import (
 )
 from .embedding import save_projection
 from .graphio import read_graph, read_labels, write_graph, write_labels
-from .llr import HyperParams, build_llr_graph
+from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
-from .runs import classify_run, cluster_graph, evaluate_clustering, preset_spec, resolve_d_dict, sweep_run
+from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, resolve_d_dict, sweep_run
 
 SCHEMA_VERSION = 1
 
-GRAPH_METHODS = ("llr", "heat", "lle")
 EMBED_METHODS = ("npe", "lpp")
 PRESETS = ("fig1",)
 
@@ -424,54 +424,34 @@ def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> 
     )
 
 
-def _build_graph(X: np.ndarray, resolved: dict[str, Any]):
-    method = resolved["method"]
-    n = X.shape[0]
-    if method == "llr":
-        params = HyperParams(
-            lam=resolved["lambda"],
-            k_keep=resolved["k_keep"],
-            d_dict=resolve_d_dict(_auto(resolved["d_dict"]), n),
-            epsilon=resolved["epsilon"],
+def _graph_from_csv(resolved: dict[str, Any], stages: Stages) -> tuple[LabeledDataset, Any, dict[str, Any]]:
+    """Load --input, validate the graph parameters against its size, then
+    apply the optional PCA and build the graph with --method."""
+    with stages.stage("load"):
+        ds = _load_dataset(resolved["input"], resolved["label_column"])
+    try:
+        build, derived = graph_builder(
+            resolved["method"], ds.n, lam=resolved["lambda"], d_dict=_auto(resolved["d_dict"]),
+            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")},
         )
-        try:
-            params.validate(n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return build_llr_graph(X, params), {"d_dict": params.d_dict}
-    if method == "heat":
-        hk = HeatKernelParams(k_nn=resolved["k_nn"], sigma=resolved["sigma"])
-        try:
-            hk.validate(n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return heat_kernel_graph(X, hk), {}
-    if not 1 <= resolved["k_nn"] <= n - 1:
-        raise UsageError(f"--k-nn must lie in [1, n-1={n - 1}], got {resolved['k_nn']}")
-    return lle_graph(X, k_nn=resolved["k_nn"], epsilon=resolved["epsilon"]), {}
-
-
-def _maybe_pca(X: np.ndarray, energy: float | None) -> tuple[np.ndarray, dict[str, Any]]:
-    if energy is None:
-        return X, {}
-    model = pca_fit(X, energy=energy)
-    return pca_transform(model, X), {"pca_dim": model.d}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    X = ds.X
+    with stages.stage("pca"):
+        if resolved["pca_energy"] is not None:
+            model = pca_fit(X, energy=resolved["pca_energy"])
+            X = pca_transform(model, X)
+            derived["pca_dim"] = model.d
+    with stages.stage("graph"):
+        W = build(X)
+    return ds, W, derived
 
 
 def _cmd_build_graph(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
     _validate_common(resolved)
     _require_file("--input", resolved["input"])
     _check_output_dir(Param("output", "path"), resolved["output"])
-    with stages.stage("load"):
-        ds = _load_dataset(resolved["input"], resolved["label_column"])
-
-    derived: dict[str, Any] = {}
-    with stages.stage("pca"):
-        X, pca_info = _maybe_pca(ds.X, resolved["pca_energy"])
-        derived.update(pca_info)
-    with stages.stage("graph"):
-        W, info = _build_graph(X, resolved)
-        derived.update(info)
+    ds, W, derived = _graph_from_csv(resolved, stages)
     with stages.stage("write"):
         write_graph(resolved["output"], W)
 
@@ -503,15 +483,8 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
         _reject_explicit(explicit, ["truth_labels"], "with --input (labels come from --label-column)")
         resolved = {k: v for k, v in resolved.items() if k not in ("graph", "truth_labels")}
         _require_file("--input", resolved["input"])
-        with stages.stage("load"):
-            ds = _load_dataset(resolved["input"], resolved["label_column"])
+        ds, W, derived = _graph_from_csv(resolved, stages)
         truth = ds.labels
-        with stages.stage("pca"):
-            X, pca_info = _maybe_pca(ds.X, resolved["pca_energy"])
-            derived.update(pca_info)
-        with stages.stage("graph"):
-            W, info = _build_graph(X, resolved)
-            derived.update(info)
     else:
         _reject_explicit(explicit, _GRAPH_ONLY_KEYS, "with --graph (the graph is already built)")
         resolved = {k: v for k, v in resolved.items() if k not in _GRAPH_ONLY_KEYS}
@@ -521,6 +494,11 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
                 W = read_graph(resolved["graph"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
+            if W.nnz and W.data.min() < 0:
+                upper = triu(W, k=1, format="coo")
+                e = int(np.argmax(upper.data < 0))
+                raise UsageError(f"{resolved['graph']}: edge ({upper.row[e]}, {upper.col[e]}) has negative "
+                                 f"weight {float(upper.data[e])!r}; similarity weights must be nonnegative")
             truth = None
             if resolved["truth_labels"] is not None:
                 _require_file("--truth-labels", resolved["truth_labels"])

@@ -16,7 +16,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix, identity, spmatrix
 from scipy.spatial.distance import cdist
 
-from .data import validate_data_matrix
+from .data import _fix_column_signs, validate_data_matrix
 from .llr import DEGENERATE_TOL, symmetrize
 
 
@@ -53,14 +53,6 @@ def generalized_sym_eig(
     if residual > 1e-6 * scale:
         raise RuntimeError(f"generalized eigensolve residual {residual:.3e} exceeds contract")
     return evals, evecs
-
-
-def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    for j in range(V.shape[1]):
-        anchor = int(np.argmax(np.abs(V[:, j])))
-        if V[anchor, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
 
 
 def npe_from_graph(

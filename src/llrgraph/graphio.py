@@ -6,12 +6,14 @@ Graph format, one file per graph:
     <i> <j> <weight>
     ...
 
-with 0-based indices, i < j, full-precision decimal weights, lines sorted
-by (i, j). Only one triangle is stored; readers mirror it.
+with 0-based indices, i < j, finite full-precision decimal weights, and
+lines strictly sorted by (i, j), so each edge appears once. Only one
+triangle is stored; readers mirror it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -34,6 +36,12 @@ def write_graph(path: str | Path, W: spmatrix) -> None:
 
 
 def read_graph(path: str | Path) -> csr_matrix:
+    """Parse a graph file into a symmetric CSR matrix.
+
+    Malformed lines raise ValueError naming the file and line: not three
+    numeric fields, indices outside 0 <= i < j < n, a repeated or out-of-order
+    (i, j), or a NaN or infinite weight. Signed weights are read as written.
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8").splitlines()
     if not text:
@@ -43,16 +51,23 @@ def read_graph(path: str | Path) -> csr_matrix:
         raise ValueError(f"{path}: bad graph header {text[0]!r}")
     n = int(match.group(1))
     rows, cols, vals = [], [], []
+    prev = (-1, -1)
     for lineno, line in enumerate(text[1:], start=2):
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            a, b, c = line.split()
+            i, j, w = int(a), int(b), float(c)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'i j w' with integer i, j and numeric w, got {line!r}") from None
         if not 0 <= i < j < n:
             raise ValueError(f"{path}:{lineno}: indices must satisfy 0 <= i < j < n={n}")
+        if (i, j) <= prev:
+            raise ValueError(f"{path}:{lineno}: edge ({i}, {j}) after {prev}: lines must be unique and sorted by (i, j)")
+        if not math.isfinite(w):
+            raise ValueError(f"{path}:{lineno}: weight must be finite, got {c!r}")
+        prev = (i, j)
         rows += [i, j]
         cols += [j, i]
         vals += [w, w]
@@ -66,5 +81,12 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    return np.asarray([int(line) for line in lines if line], dtype=np.int64)
+    """One integer label per non-blank line; a bad line is named by file and line."""
+    labels = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip():
+            try:
+                labels.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
+    return np.asarray(labels, dtype=np.int64)

@@ -73,11 +73,19 @@ class Dictionary:
     atoms: np.ndarray  # (m, d_dict)
 
 
-def _nearest_order(dists: np.ndarray, exclude: int) -> np.ndarray:
-    # Ascending distance, ties broken by smaller global index; `exclude` last.
-    d = dists.copy()
-    d[exclude] = np.inf
-    return np.lexsort((np.arange(d.size), d))
+def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest other samples of every sample, as (n, k) index and distance tables.
+
+    Row i excludes i itself and is ordered by ascending Euclidean distance,
+    ties broken by smaller global index. Rows are sorted one at a time so that
+    the n x n distance matrix is the only quadratic buffer.
+    """
+    dists = cdist(X, X)
+    np.fill_diagonal(dists, np.inf)
+    idx = np.empty((X.shape[0], k), dtype=np.intp)
+    for i, row in enumerate(dists):
+        idx[i] = np.argsort(row, kind="stable")[:k]
+    return idx, np.take_along_axis(dists, idx, axis=1)
 
 
 def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:
@@ -94,8 +102,7 @@ def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:
         raise ValueError(f"sample index {i} out of range for n={n}")
     if not 1 <= d_dict <= n - 1:
         raise ValueError(f"d_dict must lie in [1, n-1={n - 1}], got {d_dict}")
-    dists = cdist(X[i : i + 1], X)[0]
-    order = _nearest_order(dists, exclude=i)[:d_dict]
+    order = neighbour_table(X, d_dict)[0][i]
     return Dictionary(owner=i, atom_indices=order, atoms=X[order].T.copy())
 
 
@@ -177,6 +184,36 @@ def symmetrize(C: csr_matrix) -> csr_matrix:
     return W
 
 
+def coefficient_table(X: np.ndarray, params: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """Unsparsified coefficients of every sample over its dictionary.
+
+    Returns the (n, d_dict) neighbour-index table and the matching
+    coefficient table; row i sums to one. params.k_keep is not used, so one
+    table serves every retention level.
+    """
+    idx, dist = neighbour_table(X, params.d_dict)
+    coef = np.empty(idx.shape)
+    for i, (order, s) in enumerate(zip(idx, dist)):
+        coef[i] = _solve_core(X[i], X[order].T, s, params.lam, params.epsilon, owner=i)
+    return idx, coef
+
+
+def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix:
+    """Sparsify each coefficient row to its k_keep strongest entries and
+    scatter them to global indices as an (n, n) matrix."""
+    n = idx.shape[0]
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    for order, c in zip(idx, coef):
+        kept_idx, kept = sparsify(c, order, k_keep)
+        cols.append(kept_idx)
+        vals.append(kept)
+    rows = np.repeat(np.arange(n), [c.size for c in cols])
+    C = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(n, n))
+    C.sort_indices()
+    return C
+
+
 def build_llr_coefficients(X: np.ndarray, params: HyperParams) -> csr_matrix:
     """Per-point coefficient rows, sparsified and scattered to global indices.
 
@@ -185,28 +222,8 @@ def build_llr_coefficients(X: np.ndarray, params: HyperParams) -> csr_matrix:
     independent, so the result does not depend on processing order.
     """
     X = validate_data_matrix(X)
-    n = X.shape[0]
-    params.validate(n)
-
-    dists = cdist(X, X)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for i in range(n):
-        order = _nearest_order(dists[i], exclude=i)[: params.d_dict]
-        s = dists[i, order]
-        c = _solve_core(X[i], X[order].T, s, params.lam, params.epsilon, owner=i)
-        idx, kept = sparsify(c, order, params.k_keep)
-        rows.append(np.full(idx.size, i, dtype=np.int64))
-        cols.append(idx.astype(np.int64))
-        vals.append(kept)
-
-    C = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    C.sort_indices()
-    return C
+    params.validate(X.shape[0])
+    return sparsify_table(*coefficient_table(X, params), params.k_keep)
 
 
 def build_llr_graph(X: np.ndarray, params: HyperParams) -> csr_matrix:

@@ -7,11 +7,10 @@ drift apart.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (
@@ -25,17 +24,18 @@ from .data import (
 from .embedding import lpp_embed, nn_classify, npe_from_graph, transform
 from .llr import (
     HyperParams,
-    _nearest_order,
-    _solve_core,
     build_llr_coefficients,
     build_llr_graph,
-    sparsify,
+    coefficient_table,
+    sparsify,  # noqa: F401  (perfbench/spans.py times calls at runs.sparsify)
+    sparsify_table,
     symmetrize,
 )
 from .metrics import clustering_accuracy, intra_class_edge_mass, nmi
 from .spectral import KMeansConfig, spectral_cluster
 
 DEFAULT_D_DICT_CAP = 300
+GRAPH_METHODS = ("llr", "heat", "lle")
 
 
 def resolve_d_dict(requested: int | None, n: int) -> int:
@@ -60,9 +60,9 @@ def preset_spec(name: str, per_subspace: int, noise_sigma: float, seed: int) -> 
     raise ValueError(f"unknown preset {name!r}")
 
 
-def build_graph_by_method(
-    X: np.ndarray,
+def graph_builder(
     method: str,
+    n: int,
     *,
     lam: float = 0.5,
     k_keep: int = 8,
@@ -70,17 +70,32 @@ def build_graph_by_method(
     epsilon: float = 1e-9,
     k_nn: int = 8,
     sigma: float | str = "auto",
-) -> sp.csr_matrix:
-    """Build a symmetric similarity graph with one of the supported methods."""
-    n = X.shape[0]
+) -> tuple[Callable[[np.ndarray], sp.csr_matrix], dict[str, Any]]:
+    """Validate one graph method's parameters for n samples, before any computation.
+
+    Returns the builder, which maps an (n, m) data matrix to the symmetric
+    graph, and the parameter values resolved from n. Out-of-range parameters
+    raise ValueError here; the builder raises only on numerical failure.
+    """
     if method == "llr":
         params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
-        return build_llr_graph(X, params)
+        params.validate(n)
+        return lambda X: build_llr_graph(X, params), {"d_dict": params.d_dict}
     if method == "heat":
-        return heat_kernel_graph(X, HeatKernelParams(k_nn=k_nn, sigma=sigma))
+        hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
+        hk.validate(n)
+        return lambda X: heat_kernel_graph(X, hk), {}
     if method == "lle":
-        return lle_graph(X, k_nn=k_nn, epsilon=epsilon)
+        if not 1 <= k_nn <= n - 1:
+            raise ValueError(f"k_nn must lie in [1, n-1={n - 1}], got {k_nn}")
+        return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
     raise ValueError(f"unknown graph method {method!r}")
+
+
+def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
+    """Build a symmetric similarity graph; method and keywords as in graph_builder."""
+    build, _ = graph_builder(method, X.shape[0], **params)
+    return build(X)
 
 
 def llr_graph_family(
@@ -101,31 +116,8 @@ def llr_graph_family(
     for k in k_keeps:
         if not 1 <= k <= params.d_dict:
             raise ValueError(f"k_keep {k} must lie in [1, d_dict={params.d_dict}]")
-
-    n = X.shape[0]
-    dists = cdist(X, X)
-    rows: dict[int, list[np.ndarray]] = {k: [] for k in k_keeps}
-    cols: dict[int, list[np.ndarray]] = {k: [] for k in k_keeps}
-    vals: dict[int, list[np.ndarray]] = {k: [] for k in k_keeps}
-    for i in range(n):
-        order = _nearest_order(dists[i], exclude=i)[: params.d_dict]
-        s = dists[i, order]
-        c = _solve_core(X[i], X[order].T, s, params.lam, params.epsilon, owner=i)
-        for k in k_keeps:
-            kept_idx, kept_val = sparsify(c, order, k)
-            rows[k].append(np.full(kept_idx.size, i, dtype=np.int64))
-            cols[k].append(kept_idx.astype(np.int64))
-            vals[k].append(kept_val)
-
-    out: dict[int, sp.csr_matrix] = {}
-    for k in k_keeps:
-        C = sp.csr_matrix(
-            (np.concatenate(vals[k]), (np.concatenate(rows[k]), np.concatenate(cols[k]))),
-            shape=(n, n),
-        )
-        C.sort_indices()
-        out[k] = symmetrize(C)
-    return out
+    idx, coef = coefficient_table(X, params)
+    return {k: symmetrize(sparsify_table(idx, coef, k)) for k in k_keeps}
 
 
 def cluster_graph(W: sp.csr_matrix, k: int, restarts: int, seed: int) -> np.ndarray:
@@ -253,7 +245,7 @@ def sweep_run(
     if not methods:
         raise ValueError("at least one method is required")
     for m in methods:
-        if m not in ("llr", "heat", "lle"):
+        if m not in GRAPH_METHODS:
             raise ValueError(f"unknown graph method {m!r}")
     if "llr" in methods and not lambdas:
         raise ValueError("llr sweeps need at least one lambda")
@@ -270,27 +262,23 @@ def sweep_run(
             ds = synth_union_of_subspaces(preset_spec(preset, per_subspace, noise_sigma, seed))
         else:
             ds = dataset
-        assert ds is not None and ds.labels is not None
+        if ds is None or ds.labels is None:
+            raise ValueError("evaluation sweeps require a labeled dataset")
         X, truth = ds.X, ds.labels
         dd = resolve_d_dict(d_dict, X.shape[0])
 
         for method in methods:
-            if method == "llr":
-                for lam in lambdas:
+            # llr shares its solves across k through the family; the other
+            # methods have no lambda and build one graph per k.
+            for lam in lambdas if method == "llr" else [None]:
+                if method == "llr":
                     graphs = llr_graph_family(X, lam, dd, epsilon, k_values)
-                    for k in k_values:
-                        m = _cluster_cell(graphs[k], truth, n_clusters, restarts, seed)
-                        cells.append({"method": "llr", "lambda": lam, "k": k, "seed": seed, **m})
-            elif method == "heat":
+                else:
+                    graphs = {k: build_graph_by_method(X, method, k_nn=k, epsilon=epsilon, sigma=sigma)
+                              for k in k_values}
                 for k in k_values:
-                    W = heat_kernel_graph(X, HeatKernelParams(k_nn=k, sigma=sigma))
-                    m = _cluster_cell(W, truth, n_clusters, restarts, seed)
-                    cells.append({"method": "heat", "lambda": None, "k": k, "seed": seed, **m})
-            else:
-                for k in k_values:
-                    W = lle_graph(X, k_nn=k, epsilon=epsilon)
-                    m = _cluster_cell(W, truth, n_clusters, restarts, seed)
-                    cells.append({"method": "lle", "lambda": None, "k": k, "seed": seed, **m})
+                    m = _cluster_cell(graphs[k], truth, n_clusters, restarts, seed)
+                    cells.append({"method": method, "lambda": lam, "k": k, "seed": seed, **m})
 
     summary: dict[str, Any] = {}
     for method in methods:
@@ -316,8 +304,10 @@ def sweep_run(
 
 __all__ = [
     "DEFAULT_D_DICT_CAP",
+    "GRAPH_METHODS",
     "resolve_d_dict",
     "preset_spec",
+    "graph_builder",
     "build_graph_by_method",
     "llr_graph_family",
     "cluster_graph",

@@ -9,6 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import spmatrix
 
+from .data import _rng
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -85,10 +87,6 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     return coords / safe[:, None]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -136,7 +134,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tup
                 new_centers[c] = points[members].mean(axis=0)
         obj = float(np.sum((points - new_centers[assign]) ** 2))
         # Lloyd objective is non-increasing up to floating-point noise.
-        assert obj <= prev_obj + 1e-9 * (1.0 + abs(prev_obj)), "k-means objective increased"
+        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
+            raise RuntimeError(f"k-means objective increased from {prev_obj!r} to {obj!r}")
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         prev_obj = obj
@@ -153,17 +152,18 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     config.validate()
     if points.ndim != 2 or points.shape[0] < config.k:
         raise ValueError(f"need at least k={config.k} points, got shape {points.shape}")
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+    if bad.size:
+        raise ValueError(f"k-means points must be finite; rows {bad.tolist()} are not")
 
-    best_labels: np.ndarray | None = None
-    best_obj = np.inf
+    best_labels, best_obj = None, np.inf
     for r in range(config.restarts):
         rng = _rng(config.seed + r)
         centers = _kmeanspp_init(points, config.k, rng)
         labels, obj = _lloyd(points, centers, config)
-        if obj < best_obj:
+        if best_labels is None or obj < best_obj:
             best_obj = obj
             best_labels = labels
-    assert best_labels is not None
     return best_labels
 
 

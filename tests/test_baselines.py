@@ -13,18 +13,20 @@ def _rng(seed):
 
 def test_heat_kernel_union_edges_match_naive_knn():
     rng = _rng(0)
-    X = rng.standard_normal((25, 3))
-    k = 4
-    W = heat_kernel_graph(X, HeatKernelParams(k_nn=k, sigma=1.0))
-    n = X.shape[0]
-    neighbor_sets = [set(knn_indices(X, i, k)) for i in range(n)]
-    want = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in neighbor_sets[i]:
-            want[i, j] = True
-            want[j, i] = True
-    got = W.toarray() != 0
-    assert np.array_equal(got, want), "union-kNN edge set mismatch"
+    # Gaussian points, then a small integer grid full of duplicate points
+    # (distance 0.0, weight 1.0) and tied distances.
+    for X in (rng.standard_normal((25, 3)), rng.integers(0, 3, size=(30, 2)).astype(float)):
+        k = 4
+        W = heat_kernel_graph(X, HeatKernelParams(k_nn=k, sigma=1.0))
+        n = X.shape[0]
+        neighbor_sets = [set(knn_indices(X, i, k)) for i in range(n)]
+        want = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in neighbor_sets[i]:
+                want[i, j] = True
+                want[j, i] = True
+        got = W.toarray() != 0
+        assert np.array_equal(got, want), "union-kNN edge set mismatch"
 
 
 def test_heat_kernel_weights_formula():

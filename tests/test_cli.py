@@ -240,6 +240,36 @@ def test_cluster_runtime_failure_exits_one(tmp_path, capsys):
     assert "isolated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1 1.0\n0 2 nan\n1 2 1.0\n", "g.txt:3: weight must be finite"),
+        ("0 1 1.0\n0 2 1.0\n1 2 -1.0\n", "g.txt: edge (1, 2) has negative weight -1.0"),
+        ("0 1 1.0\n0 1 1.0\n1 2 1.0\n", "g.txt:3: edge (0, 1) after (0, 1): lines must be unique and sorted by (i, j)"),
+        ("0 2 1.0\n0 1 1.0\n1 2 1.0\n", "g.txt:3: edge (0, 1) after (0, 2)"),
+        ("0 1 x\n1 2 1.0\n", "g.txt:2: expected 'i j w' with integer i, j and numeric w"),
+    ],
+)
+def test_cluster_malformed_graph_file_exits_two(tmp_path, capsys, body, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text("llr-graph v1 n=3 sym=1\n" + body)
+    code = main(["cluster", "--graph", str(graph), "--clusters", "2",
+                 "--output", str(tmp_path / "pred.txt")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cluster_malformed_truth_labels_exit_two(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("llr-graph v1 n=3 sym=1\n0 1 1.0\n0 2 1.0\n1 2 0.0\n")
+    truth = tmp_path / "t.txt"
+    truth.write_text("0\nzero\n1\n")
+    code = main(["cluster", "--graph", str(graph), "--truth-labels", str(truth),
+                 "--clusters", "2", "--output", str(tmp_path / "pred.txt")])
+    assert code == 2
+    assert "t.txt:2: expected an integer label" in capsys.readouterr().err
+
+
 # -- embed-classify -------------------------------------------------------
 
 

@@ -72,6 +72,35 @@ def test_read_graph_body_errors_carry_line_numbers(tmp_path):
         read_graph(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1 1.0\n0 2 nan\n", r"g\.txt:3: weight must be finite"),
+        ("0 1 inf\n", r"g\.txt:2: weight must be finite"),
+        ("0 1 -inf\n", r"g\.txt:2: weight must be finite"),
+        ("0 1 1.0\n0 1 2.0\n", r"g\.txt:3: edge \(0, 1\) after \(0, 1\): lines must be unique and sorted"),
+        ("0 2 1.0\n0 1 2.0\n", r"g\.txt:3: edge \(0, 1\) after \(0, 2\)"),
+        ("1 2 1.0\n0 2 2.0\n", r"g\.txt:3: edge \(0, 2\) after \(1, 2\)"),
+        ("0 1 x\n", r"g\.txt:2: expected 'i j w' with integer i, j and numeric w"),
+        ("a 1 1.0\n", r"g\.txt:2: expected 'i j w'"),
+        ("0 1.5 1.0\n", r"g\.txt:2: expected 'i j w'"),
+    ],
+)
+def test_read_graph_rejects_bad_lines(tmp_path, body, message):
+    path = tmp_path / "g.txt"
+    path.write_text("llr-graph v1 n=3 sym=1\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_graph(path)
+
+
+def test_read_graph_accepts_zero_weights(tmp_path):
+    # heat-kernel weights can underflow to 0.0; the edge stays in the file
+    path = tmp_path / "g.txt"
+    path.write_text("llr-graph v1 n=3 sym=1\n0 1 0.0\n1 2 0.5\n")
+    W = read_graph(path)
+    assert W[0, 1] == 0.0 and W[1, 2] == 0.5 and W[2, 1] == 0.5
+
+
 def test_read_graph_skips_blank_lines(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("llr-graph v1 n=2 sym=1\n\n0 1 2.0\n\n")
@@ -101,3 +130,10 @@ def test_labels_roundtrip(tmp_path):
     write_labels(path, labels)
     assert path.read_text() == "0\n2\n2\n1\n0\n"
     assert np.array_equal(read_labels(path), labels)
+
+
+def test_read_labels_bad_line_names_file_and_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1\n\n1.5\n")
+    with pytest.raises(ValueError, match=r"labels\.txt:4: expected an integer label, got '1\.5'"):
+        read_labels(path)

@@ -145,6 +145,14 @@ def test_kmeans_validation():
         KMeansConfig(k=2, restarts=0).validate()
 
 
+def test_kmeans_rejects_non_finite_points():
+    points = np.zeros((6, 2))
+    points[1:3] = [[1.0, 1.0], [2.0, 2.0]]
+    points[4, 1] = np.nan
+    with pytest.raises(ValueError, match=r"finite.*\[4\]"):
+        kmeans(points, KMeansConfig(k=2))
+
+
 def test_spectral_cluster_block_diagonal_is_perfect():
     W = _block_graph([5, 6, 7], weight=2.0)
     truth = np.repeat([0, 1, 2], [5, 6, 7])
