@@ -8,6 +8,7 @@ and unregularized reconstruction baselines.
 
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (
+    InputError,
     LabeledDataset,
     PcaModel,
     SyntheticSpec,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "InputError",
     "LabeledDataset",
     "SyntheticSpec",
     "PcaModel",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .data import validate_data_matrix
+from .data import InputError, validate_data_matrix
 from .llr import HyperParams, build_llr_graph, neighbour_table
 
 
@@ -17,15 +17,16 @@ class HeatKernelParams:
     sigma: float | str = "auto"  # 'auto' uses the median retained distance
 
     def validate(self, n: int | None = None) -> None:
+        """Check each value's own range; given the sample count n, also k_nn <= n - 1."""
         if self.k_nn < 1:
-            raise ValueError(f"k_nn must be >= 1, got {self.k_nn}")
-        if n is not None and self.k_nn > n - 1:
-            raise ValueError(f"k_nn ({self.k_nn}) must not exceed n - 1 ({n - 1})")
+            raise InputError(f"k_nn must be >= 1, got {self.k_nn}")
         if isinstance(self.sigma, str):
             if self.sigma != "auto":
-                raise ValueError(f"sigma must be a positive number or 'auto', got {self.sigma!r}")
+                raise InputError(f"sigma must be a positive number or 'auto', got {self.sigma!r}")
         elif not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise InputError(f"sigma must be positive, got {self.sigma}")
+        if n is not None and self.k_nn > n - 1:
+            raise InputError(f"k_nn ({self.k_nn}) must not exceed n - 1 ({n - 1})")
 
 
 def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:

@@ -24,6 +24,7 @@ from scipy.sparse import triu
 
 from .baselines import heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .data import (
+    InputError,
     LabeledDataset,
     SyntheticSpec,
     load_csv,
@@ -37,6 +38,7 @@ from .graphio import read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, resolve_d_dict, sweep_run
+from .spectral import KMeansConfig
 
 SCHEMA_VERSION = 1
 
@@ -45,7 +47,7 @@ PRESETS = ("fig1",)
 
 
 class UsageError(Exception):
-    """Invalid flags, config values, or inputs; maps to exit code 2."""
+    """Invalid flags, config files or paths; maps to exit code 2, as InputError does."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +66,6 @@ class Param:
     @property
     def flag(self) -> str:
         return "--" + self.key.replace("_", "-")
-
-    @property
-    def dest(self) -> str:
-        # "lambda" is a keyword, keep the flag but store under "lam"
-        return "lam" if self.key == "lambda" else self.key
 
 
 def _graph_params() -> list[Param]:
@@ -285,7 +282,7 @@ def _resolve(params: list[Param], args: argparse.Namespace, command: str) -> tup
     resolved: dict[str, Any] = {}
     explicit: set[str] = set()
     for p in params:
-        raw = getattr(args, p.dest)
+        raw = getattr(args, p.key)
         if raw is not None:
             explicit.add(p.key)
         elif p.key in config_data:
@@ -315,32 +312,6 @@ def _reject_explicit(explicit: set[str], keys: list[str], why: str) -> None:
     if bad:
         flag = "--" + bad[0].replace("_", "-")
         raise UsageError(f"{flag} has no effect {why}")
-
-
-def _validate_common(resolved: dict[str, Any]) -> None:
-    if "lambda" in resolved and not 0.0 <= resolved["lambda"] < 1.0:
-        raise UsageError(f"--lambda must lie in [0, 1), got {resolved['lambda']}")
-    if "epsilon" in resolved and resolved["epsilon"] < 0:
-        raise UsageError(f"--epsilon must be nonnegative, got {resolved['epsilon']}")
-    for key in ("k_keep", "k_nn", "clusters", "restarts", "per_subspace", "embed_dim"):
-        if resolved.get(key) is not None and resolved[key] < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
-    if resolved.get("d_dict") not in (None, "auto") and resolved["d_dict"] < 1:
-        raise UsageError(f"--d-dict must be >= 1 or 'auto', got {resolved['d_dict']}")
-    if resolved.get("sigma") not in (None, "auto") and resolved["sigma"] <= 0:
-        raise UsageError(f"--sigma must be positive or 'auto', got {resolved['sigma']}")
-    if resolved.get("pca_energy") is not None and not 0.0 < resolved["pca_energy"] <= 1.0:
-        raise UsageError(f"--pca-energy must lie in (0, 1] or be 'none', got {resolved['pca_energy']}")
-    if "noise" in resolved and resolved["noise"] < 0:
-        raise UsageError(f"--noise must be nonnegative, got {resolved['noise']}")
-
-
-def _load_dataset(path: str, label_column: Any) -> LabeledDataset:
-    # malformed inputs are configuration problems, not numerical failures
-    try:
-        return load_csv(path, label_column=label_column)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _auto(value: Any) -> Any:
@@ -389,7 +360,6 @@ class CommandResult:
 
 
 def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _validate_common(resolved)
     if resolved["preset"] is not None:
         _reject_explicit(explicit, ["ambient_dim", "dims"], "together with --preset")
         spec = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], resolved["seed"])
@@ -404,10 +374,6 @@ def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> 
             seed=resolved["seed"],
         )
         resolved = {k: v for k, v in resolved.items() if k != "preset"}
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     _check_output_dir(Param("output", "path"), resolved["output"])
 
     with stages.stage("synth"):
@@ -424,18 +390,20 @@ def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> 
     )
 
 
-def _graph_from_csv(resolved: dict[str, Any], stages: Stages) -> tuple[LabeledDataset, Any, dict[str, Any]]:
-    """Load --input, validate the graph parameters against its size, then
-    apply the optional PCA and build the graph with --method."""
+def _graph_from_csv(
+    resolved: dict[str, Any], stages: Stages, kmeans: KMeansConfig | None = None
+) -> tuple[LabeledDataset, Any, dict[str, Any]]:
+    """Load --input, validate the graph parameters (and the optional k-means
+    configuration) against its size, then apply the optional PCA and build
+    the graph with --method."""
     with stages.stage("load"):
-        ds = _load_dataset(resolved["input"], resolved["label_column"])
-    try:
-        build, derived = graph_builder(
-            resolved["method"], ds.n, lam=resolved["lambda"], d_dict=_auto(resolved["d_dict"]),
-            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")},
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        ds = load_csv(resolved["input"], label_column=resolved["label_column"])
+    build, derived = graph_builder(
+        resolved["method"], ds.n, lam=resolved["lambda"], d_dict=_auto(resolved["d_dict"]),
+        **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")},
+    )
+    if kmeans is not None:
+        kmeans.validate(ds.n)
     X = ds.X
     with stages.stage("pca"):
         if resolved["pca_energy"] is not None:
@@ -448,7 +416,6 @@ def _graph_from_csv(resolved: dict[str, Any], stages: Stages) -> tuple[LabeledDa
 
 
 def _cmd_build_graph(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _validate_common(resolved)
     _require_file("--input", resolved["input"])
     _check_output_dir(Param("output", "path"), resolved["output"])
     ds, W, derived = _graph_from_csv(resolved, stages)
@@ -471,7 +438,6 @@ _GRAPH_ONLY_KEYS = ["method", "lambda", "k_keep", "d_dict", "epsilon", "k_nn", "
 
 
 def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _validate_common(resolved)
     have_input = resolved["input"] is not None
     have_graph = resolved["graph"] is not None
     if have_input == have_graph:
@@ -483,17 +449,15 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
         _reject_explicit(explicit, ["truth_labels"], "with --input (labels come from --label-column)")
         resolved = {k: v for k, v in resolved.items() if k not in ("graph", "truth_labels")}
         _require_file("--input", resolved["input"])
-        ds, W, derived = _graph_from_csv(resolved, stages)
+        kmeans = KMeansConfig(k=resolved["clusters"], restarts=resolved["restarts"], seed=resolved["seed"])
+        ds, W, derived = _graph_from_csv(resolved, stages, kmeans)
         truth = ds.labels
     else:
         _reject_explicit(explicit, _GRAPH_ONLY_KEYS, "with --graph (the graph is already built)")
         resolved = {k: v for k, v in resolved.items() if k not in _GRAPH_ONLY_KEYS}
         _require_file("--graph", resolved["graph"])
         with stages.stage("load"):
-            try:
-                W = read_graph(resolved["graph"])
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            W = read_graph(resolved["graph"])
             if W.nnz and W.data.min() < 0:
                 upper = triu(W, k=1, format="coo")
                 e = int(np.argmax(upper.data < 0))
@@ -502,19 +466,13 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
             truth = None
             if resolved["truth_labels"] is not None:
                 _require_file("--truth-labels", resolved["truth_labels"])
-                try:
-                    truth = read_labels(resolved["truth_labels"])
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from None
+                truth = read_labels(resolved["truth_labels"])
                 if truth.shape[0] != W.shape[0]:
                     raise UsageError(
                         f"--truth-labels: got {truth.shape[0]} labels for a graph on {W.shape[0]} nodes"
                     )
 
     k = resolved["clusters"]
-    if k > W.shape[0]:
-        raise UsageError(f"--clusters must not exceed the sample count {W.shape[0]}, got {k}")
-
     with stages.stage("cluster"):
         pred = cluster_graph(W, k, resolved["restarts"], resolved["seed"])
     with stages.stage("write"):
@@ -537,25 +495,16 @@ _LPP_KEYS = ["k_nn", "sigma"]
 
 
 def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _validate_common(resolved)
-    if not 0.0 < resolved["train_fraction"] < 1.0:
-        raise UsageError(f"--train-fraction must lie in (0, 1), got {resolved['train_fraction']}")
     method = resolved["method"]
-    if method == "npe":
-        _reject_explicit(explicit, _LPP_KEYS, "with --method npe")
-        resolved = {k: v for k, v in resolved.items() if k not in _LPP_KEYS}
-    else:
-        _reject_explicit(explicit, _NPE_KEYS, "with --method lpp")
-        resolved = {k: v for k, v in resolved.items() if k not in _NPE_KEYS}
+    ignored = _LPP_KEYS if method == "npe" else _NPE_KEYS
+    _reject_explicit(explicit, ignored, f"with --method {method}")
     _require_file("--input", resolved["input"])
     for key in ("projection_out", "pred_out"):
         if resolved[key] is not None:
             _check_output_dir(Param(key, "path"), resolved[key])
 
     with stages.stage("load"):
-        ds = _load_dataset(resolved["input"], resolved["label_column"])
-    if ds.labels is None:
-        raise UsageError("--label-column must name a real column: the dataset carries no labels")
+        ds = load_csv(resolved["input"], label_column=resolved["label_column"])
 
     with stages.stage("run"):
         result = classify_run(
@@ -566,13 +515,9 @@ def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: St
             pca_energy=resolved["pca_energy"],
             seed=resolved["seed"],
             stratified=resolved["stratified"],
-            lam=resolved.get("lambda", 0.5),
-            k_keep=resolved.get("k_keep", 8),
-            d_dict=_auto(resolved.get("d_dict", "auto")),
-            epsilon=resolved.get("epsilon", 1e-9),
-            k_nn=resolved.get("k_nn", 8),
-            sigma=resolved.get("sigma", "auto"),
-            npe_weights=resolved.get("npe_weights", "coefficients"),
+            lam=resolved["lambda"],
+            d_dict=_auto(resolved["d_dict"]),
+            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma", "npe_weights")},
         )
 
     artifacts: dict[str, str] = {}
@@ -587,6 +532,7 @@ def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: St
     derived: dict[str, Any] = {"pca_dim": result["pca_dim"]}
     if method == "npe":
         derived["d_dict"] = resolve_d_dict(_auto(resolved["d_dict"]), result["n_train"])
+    resolved = {k: v for k, v in resolved.items() if k not in ignored}
     metrics = {
         "accuracy": result["accuracy"],
         "n_train": result["n_train"],
@@ -617,51 +563,35 @@ def _format_cell(cell: dict[str, Any]) -> str:
 
 
 def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _validate_common(resolved)
     have_input = resolved["input"] is not None
     have_preset = resolved["preset"] is not None
     if have_input == have_preset:
         raise UsageError("exactly one of --input and --preset is required")
-    for lam in resolved["lambdas"]:
-        if not 0.0 <= lam < 1.0:
-            raise UsageError(f"--lambdas entries must lie in [0, 1), got {lam}")
-    for key in ("k_values", "seeds", "methods", "lambdas"):
-        if not resolved[key]:
-            raise UsageError(f"--{key.replace('_', '-')} must not be empty")
-    for k in resolved["k_values"]:
-        if k < 1:
-            raise UsageError(f"--k-values entries must be >= 1, got {k}")
 
     dataset = None
     if have_input:
-        _reject_explicit(explicit, ["preset", "per_subspace", "noise"], "with --input")
-        resolved = {k: v for k, v in resolved.items() if k not in ("preset", "per_subspace", "noise")}
+        ignored = ["preset", "per_subspace", "noise"]
+        _reject_explicit(explicit, ignored, "with --input")
         if resolved["clusters"] is None:
             raise UsageError("--clusters is required with --input")
         _require_file("--input", resolved["input"])
         if resolved["label_column"] is None:
             raise UsageError("--label-column is required with --input: sweeps score against ground truth")
         with stages.stage("load"):
-            dataset = _load_dataset(resolved["input"], resolved["label_column"])
-        if dataset.labels is None:
-            raise UsageError("--label-column must name a real column: the dataset carries no labels")
+            dataset = load_csv(resolved["input"], label_column=resolved["label_column"])
     else:
-        _reject_explicit(explicit, ["input", "label_column"], "with --preset")
-        resolved = {k: v for k, v in resolved.items() if k not in ("input", "label_column")}
-        preset = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], seed=0)
-        try:
-            preset.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        ignored = ["input", "label_column"]
+        _reject_explicit(explicit, ignored, "with --preset")
         if resolved["clusters"] is None:
+            preset = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], seed=0)
             resolved["clusters"] = len(preset.subspaces)
 
     with stages.stage("sweep"):
         out = sweep_run(
             dataset=dataset,
-            preset=resolved.get("preset"),
-            per_subspace=resolved.get("per_subspace", 50),
-            noise_sigma=resolved.get("noise", 0.01),
+            preset=resolved["preset"],
+            per_subspace=resolved["per_subspace"],
+            noise_sigma=resolved["noise"],
             n_clusters=resolved["clusters"],
             methods=resolved["methods"],
             lambdas=resolved["lambdas"],
@@ -672,6 +602,7 @@ def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> C
             sigma=resolved["sigma"],
             restarts=resolved["restarts"],
         )
+    resolved = {k: v for k, v in resolved.items() if k not in ignored}
 
     header = f"{'method':<8}{'mean_ac':>9}{'max_ac':>9}{'mean_nmi':>10}{'max_nmi':>10}  best"
     lines = [header]
@@ -718,10 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for p in cmd.params:
             if p.kind == "bool":
-                sp.add_argument(p.flag, dest=p.dest, action=argparse.BooleanOptionalAction,
-                                default=None, help=p.help)
+                sp.add_argument(p.flag, action=argparse.BooleanOptionalAction, default=None, help=p.help)
             else:
-                sp.add_argument(p.flag, dest=p.dest, default=None, metavar=p.kind.upper(), help=p.help)
+                sp.add_argument(p.flag, default=None, metavar=p.kind.upper(), help=p.help)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="flat JSON config file (or a prior report); flags override it")
         sp.add_argument("--report", default=None, metavar="PATH", help="write a JSON run report here")
@@ -774,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.report is not None:
             _check_output_dir(Param("report", "path"), args.report)
         result = cmd.run(resolved, explicit, stages)
-    except UsageError as exc:
+    except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical/runtime failures map to exit 1

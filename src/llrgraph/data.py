@@ -23,6 +23,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class InputError(ValueError):
+    """A parameter out of range for its input, or a malformed input file.
+
+    The caller can fix it by changing the input; the command line maps it to
+    exit code 2. Numerical failures stay plain ValueError or RuntimeError.
+    """
+
+
 def validate_data_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -73,16 +81,16 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be >= 1")
+            raise InputError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if not self.subspaces:
-            raise ValueError("at least one subspace is required")
+            raise InputError("at least one subspace is required")
         for dim, count in self.subspaces:
             if not 1 <= dim <= self.ambient_dim:
-                raise ValueError(f"intrinsic_dim {dim} must lie in [1, ambient_dim={self.ambient_dim}]")
+                raise InputError(f"intrinsic_dim {dim} must lie in [1, ambient_dim={self.ambient_dim}]")
             if count < dim + 1:
-                raise ValueError(f"points_per_subspace {count} must be >= intrinsic_dim + 1 = {dim + 1}")
+                raise InputError(f"points_per_subspace {count} must be >= intrinsic_dim + 1 = {dim + 1}")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+            raise InputError(f"noise must be nonnegative, got {self.noise_sigma}")
 
 
 @dataclass
@@ -123,7 +131,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise InputError(f"{path}: empty file")
 
     def _is_number(cell: str) -> bool:
         try:
@@ -137,12 +145,12 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     data_rows = rows[1:] if has_header else rows
     first_data_line = 2 if has_header else 1
     if not data_rows:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
 
     arity = len(data_rows[0])
     for r, row in enumerate(data_rows):
         if len(row) != arity:
-            raise ValueError(
+            raise InputError(
                 f"{path}: ragged row {first_data_line + r}: expected {arity} cells, got {len(row)}"
             )
 
@@ -151,17 +159,17 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
         if isinstance(label_column, int) or (isinstance(label_column, str) and label_column.lstrip("-").isdigit()):
             label_idx = int(label_column)
             if not 0 <= label_idx < arity:
-                raise ValueError(f"label column index {label_idx} out of range for {arity} columns")
+                raise InputError(f"label column index {label_idx} out of range for {arity} columns")
         else:
             if header is None:
-                raise ValueError(f"label column {label_column!r} given by name but file has no header row")
+                raise InputError(f"label column {label_column!r} given by name but file has no header row")
             if label_column not in header:
-                raise ValueError(f"label column {label_column!r} not found in header {header}")
+                raise InputError(f"label column {label_column!r} not found in header {header}")
             label_idx = header.index(label_column)
 
     feature_cols = [j for j in range(arity) if j != label_idx]
     if not feature_cols:
-        raise ValueError("no feature columns left after removing the label column")
+        raise InputError("no feature columns left after removing the label column")
 
     X = np.empty((len(data_rows), len(feature_cols)), dtype=float)
     raw_labels: list[str] = []
@@ -171,11 +179,11 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
             try:
                 value = float(cell)
             except ValueError:
-                raise ValueError(
+                raise InputError(
                     f"{path}: non-numeric cell at row {first_data_line + r}, column {j + 1}: {cell!r}"
                 ) from None
             if not math.isfinite(value):
-                raise ValueError(
+                raise InputError(
                     f"{path}: non-finite cell at row {first_data_line + r}, column {j + 1}: {cell!r}"
                 )
             X[r, out_j] = value
@@ -218,7 +226,7 @@ def train_test_split(
     the two parts always partition the input exactly.
     """
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+        raise InputError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     rng = _rng(seed)
     n = ds.n
 
@@ -269,7 +277,7 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
     """
     X = validate_data_matrix(X)
     if not 0.0 < energy <= 1.0:
-        raise ValueError(f"energy must lie in (0, 1], got {energy}")
+        raise InputError(f"pca_energy must lie in (0, 1], got {energy}")
     n = X.shape[0]
     if n < 2:
         raise ValueError("pca_fit needs at least 2 samples")

@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .data import _fix_column_signs, validate_data_matrix
 from .llr import DEGENERATE_TOL, symmetrize
+from .spectral import _degrees_and_dense
 
 
 def generalized_sym_eig(
@@ -122,12 +123,7 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.nd
         raise ValueError(f"graph shape {W.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(degrees <= 0)
-    if isolated.size:
-        raise ValueError(f"graph has isolated vertices (zero degree): {isolated.tolist()}")
-
-    dense = W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
+    degrees, dense = _degrees_and_dense(W)
     L = np.diag(degrees) - dense
     A_mat = X.T @ L @ X
     B_mat = (X * degrees[:, None]).T @ X

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix, spmatrix, triu
 
+from .data import InputError
+
 _HEADER_RE = re.compile(r"^llr-graph v1 n=(\d+) sym=1$")
 
 
@@ -38,17 +40,17 @@ def write_graph(path: str | Path, W: spmatrix) -> None:
 def read_graph(path: str | Path) -> csr_matrix:
     """Parse a graph file into a symmetric CSR matrix.
 
-    Malformed lines raise ValueError naming the file and line: not three
+    Malformed lines raise InputError naming the file and line: not three
     numeric fields, indices outside 0 <= i < j < n, a repeated or out-of-order
     (i, j), or a NaN or infinite weight. Signed weights are read as written.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8").splitlines()
     if not text:
-        raise ValueError(f"{path}: empty graph file")
+        raise InputError(f"{path}: empty graph file")
     match = _HEADER_RE.match(text[0].strip())
     if not match:
-        raise ValueError(f"{path}: bad graph header {text[0]!r}")
+        raise InputError(f"{path}: bad graph header {text[0]!r}")
     n = int(match.group(1))
     rows, cols, vals = [], [], []
     prev = (-1, -1)
@@ -60,13 +62,13 @@ def read_graph(path: str | Path) -> csr_matrix:
             a, b, c = line.split()
             i, j, w = int(a), int(b), float(c)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected 'i j w' with integer i, j and numeric w, got {line!r}") from None
+            raise InputError(f"{path}:{lineno}: expected 'i j w' with integer i, j and numeric w, got {line!r}") from None
         if not 0 <= i < j < n:
-            raise ValueError(f"{path}:{lineno}: indices must satisfy 0 <= i < j < n={n}")
+            raise InputError(f"{path}:{lineno}: indices must satisfy 0 <= i < j < n={n}")
         if (i, j) <= prev:
-            raise ValueError(f"{path}:{lineno}: edge ({i}, {j}) after {prev}: lines must be unique and sorted by (i, j)")
+            raise InputError(f"{path}:{lineno}: edge ({i}, {j}) after {prev}: lines must be unique and sorted by (i, j)")
         if not math.isfinite(w):
-            raise ValueError(f"{path}:{lineno}: weight must be finite, got {c!r}")
+            raise InputError(f"{path}:{lineno}: weight must be finite, got {c!r}")
         prev = (i, j)
         rows += [i, j]
         cols += [j, i]
@@ -88,5 +90,5 @@ def read_labels(path: str | Path) -> np.ndarray:
             try:
                 labels.append(int(line))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
+                raise InputError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
     return np.asarray(labels, dtype=np.int64)

@@ -27,7 +27,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .data import validate_data_matrix
+from .data import InputError, validate_data_matrix
 
 #: Row-sum tolerance below which a coefficient normalization is degenerate.
 DEGENERATE_TOL = 1e-12
@@ -49,18 +49,22 @@ class HyperParams:
     epsilon: float = 1e-9
 
     def validate(self, n: int | None = None) -> None:
+        """Check each value's own range; given the sample count n, also the
+        bounds k_keep <= d_dict <= n - 1 that a graph on n samples needs."""
         if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
+            raise InputError(f"lambda must lie in [0, 1), got {self.lam}")
         if self.k_keep < 1:
-            raise ValueError(f"k_keep must be >= 1, got {self.k_keep}")
+            raise InputError(f"k_keep must be >= 1, got {self.k_keep}")
         if self.d_dict < 1:
-            raise ValueError(f"d_dict must be >= 1, got {self.d_dict}")
-        if self.k_keep > self.d_dict:
-            raise ValueError(f"k_keep ({self.k_keep}) must not exceed d_dict ({self.d_dict})")
+            raise InputError(f"d_dict must be >= 1, got {self.d_dict}")
         if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if n is not None and self.d_dict > n - 1:
-            raise ValueError(f"d_dict ({self.d_dict}) must not exceed n - 1 ({n - 1})")
+            raise InputError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if n is None:
+            return
+        if self.k_keep > self.d_dict:
+            raise InputError(f"k_keep ({self.k_keep}) must not exceed d_dict ({self.d_dict})")
+        if self.d_dict > n - 1:
+            raise InputError(f"d_dict ({self.d_dict}) must not exceed n - 1 ({n - 1})")
 
 
 @dataclass
@@ -114,7 +118,13 @@ def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
 
 def _solve_core(x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float, epsilon: float, owner: int) -> np.ndarray:
     d = atoms.shape[1]
-    B = x[:, None] - atoms  # column j = x - atom_j
+    # Rescale by an exact power of two that brings max(s) into [0.5, 1). Each
+    # |B_kj| <= s_j, so M and its ridge scale by exactly 4^-e and the
+    # coefficients are unchanged, while 1^T u stays clear of under- and
+    # overflow whatever the scale of the data.
+    e = int(np.frexp(s.max(initial=0.0))[1])
+    B = np.ldexp(x[:, None] - atoms, -e)  # column j = x - atom_j
+    s = np.ldexp(s, -e)
     M = (1.0 - lam) * (B.T @ B)
     M[np.diag_indices(d)] += lam * s**2
     trace = float(np.trace(M))
@@ -142,10 +152,7 @@ def solve_coefficients(
     (plain epsilon when the trace vanishes) guards singular systems, and the
     system is solved with a symmetric positive-definite factorization.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    HyperParams(lam=lam, k_keep=1, d_dict=1, epsilon=epsilon).validate()  # one solve uses lam and epsilon only
     X = validate_data_matrix(X)
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)) or np.any(s < 0):

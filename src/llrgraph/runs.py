@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (
+    InputError,
     LabeledDataset,
     SyntheticSpec,
     pca_fit,
@@ -57,7 +58,22 @@ def preset_spec(name: str, per_subspace: int, noise_sigma: float, seed: int) -> 
             noise_sigma=noise_sigma,
             seed=seed,
         )
-    raise ValueError(f"unknown preset {name!r}")
+    raise InputError(f"unknown preset {name!r}")
+
+
+def _checked_params(
+    method: str, n: int, lam: float, k_keep: int, d_dict: int | None, epsilon: float, k_nn: int, sigma: float | str
+) -> tuple[HyperParams, HeatKernelParams]:
+    """Check every parameter's own range, and against n the bounds of the
+    parameters that method uses: k_keep <= d_dict <= n - 1 for llr, k_nn <= n - 1
+    for heat and lle."""
+    if method not in GRAPH_METHODS:
+        raise InputError(f"unknown graph method {method!r}")
+    hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
+    hk.validate(None if method == "llr" else n)
+    params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
+    params.validate(n if method == "llr" else None)
+    return params, hk
 
 
 def graph_builder(
@@ -74,22 +90,17 @@ def graph_builder(
     """Validate one graph method's parameters for n samples, before any computation.
 
     Returns the builder, which maps an (n, m) data matrix to the symmetric
-    graph, and the parameter values resolved from n. Out-of-range parameters
-    raise ValueError here; the builder raises only on numerical failure.
+    graph, and the parameter values resolved from n. Each parameter's own
+    range is checked whether or not the method uses it, its bound against n
+    only if the method uses it; both raise InputError here, and the builder
+    raises only on numerical failure.
     """
+    params, hk = _checked_params(method, n, lam, k_keep, d_dict, epsilon, k_nn, sigma)
     if method == "llr":
-        params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
-        params.validate(n)
         return lambda X: build_llr_graph(X, params), {"d_dict": params.d_dict}
     if method == "heat":
-        hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
-        hk.validate(n)
         return lambda X: heat_kernel_graph(X, hk), {}
-    if method == "lle":
-        if not 1 <= k_nn <= n - 1:
-            raise ValueError(f"k_nn must lie in [1, n-1={n - 1}], got {k_nn}")
-        return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
-    raise ValueError(f"unknown graph method {method!r}")
+    return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
 
 
 def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
@@ -111,18 +122,18 @@ def llr_graph_family(
     k_keep, so sweeps over retention levels reuse the per-point solutions.
     Output is bit-identical to calling build_llr_graph per k_keep.
     """
-    params = HyperParams(lam=lam, k_keep=max(k_keeps), d_dict=d_dict, epsilon=epsilon)
-    params.validate(X.shape[0])
-    for k in k_keeps:
-        if not 1 <= k <= params.d_dict:
-            raise ValueError(f"k_keep {k} must lie in [1, d_dict={params.d_dict}]")
-    idx, coef = coefficient_table(X, params)
+    params = [HyperParams(lam=lam, k_keep=k, d_dict=d_dict, epsilon=epsilon) for k in k_keeps]
+    for p in params:
+        p.validate(X.shape[0])
+    idx, coef = coefficient_table(X, params[0])  # the table does not depend on k_keep
     return {k: symmetrize(sparsify_table(idx, coef, k)) for k in k_keeps}
 
 
 def cluster_graph(W: sp.csr_matrix, k: int, restarts: int, seed: int) -> np.ndarray:
     """Spectral clustering of a prebuilt similarity graph."""
-    return spectral_cluster(W, k, KMeansConfig(k=k, restarts=restarts, seed=seed))
+    config = KMeansConfig(k=k, restarts=restarts, seed=seed)
+    config.validate(W.shape[0])
+    return spectral_cluster(W, k, config)
 
 
 def evaluate_clustering(
@@ -162,8 +173,15 @@ def classify_run(
     neighbour classification. Returns metrics plus the learned projection.
     """
     if ds.labels is None:
-        raise ValueError("embedding evaluation requires labels")
+        raise InputError("embedding evaluation requires labels")
+    if method not in ("npe", "lpp"):
+        raise InputError(f"unknown embedding method {method!r}")
+    if embed_dim < 1:
+        raise InputError(f"embed_dim must be >= 1, got {embed_dim}")
     train, test = train_test_split(ds, train_fraction, seed=seed, stratified=stratified)
+    # npe learns from llr coefficients, lpp from a heat kernel graph
+    graph_method = "llr" if method == "npe" else "heat"
+    params, hk = _checked_params(graph_method, train.n, lam, k_keep, d_dict, epsilon, k_nn, sigma)
 
     if pca_energy is not None:
         model = pca_fit(train.X, energy=pca_energy)
@@ -178,16 +196,11 @@ def classify_run(
         raise ValueError(f"embed_dim {embed_dim} exceeds available dimension {pca_dim} after PCA")
 
     if method == "npe":
-        params = HyperParams(
-            lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, Xtr.shape[0]), epsilon=epsilon
-        )
         C = build_llr_coefficients(Xtr, params)
         P = npe_from_graph(Xtr, C, embed_dim, weights=npe_weights)
-    elif method == "lpp":
-        W = heat_kernel_graph(Xtr, HeatKernelParams(k_nn=k_nn, sigma=sigma))
-        P = lpp_embed(Xtr, W, embed_dim)
     else:
-        raise ValueError(f"unknown embedding method {method!r}")
+        W = heat_kernel_graph(Xtr, hk)
+        P = lpp_embed(Xtr, W, embed_dim)
 
     Ytr = transform(P, Xtr)
     Yte = transform(P, Xte)
@@ -241,20 +254,32 @@ def sweep_run(
     serially in grid order, so reports are deterministic.
     """
     if (dataset is None) == (preset is None):
-        raise ValueError("exactly one of dataset or preset is required")
+        raise InputError("exactly one of dataset or preset is required")
     if not methods:
-        raise ValueError("at least one method is required")
-    for m in methods:
-        if m not in GRAPH_METHODS:
-            raise ValueError(f"unknown graph method {m!r}")
+        raise InputError("at least one method is required")
     if "llr" in methods and not lambdas:
-        raise ValueError("llr sweeps need at least one lambda")
+        raise InputError("llr sweeps need at least one lambda")
     if not k_values:
-        raise ValueError("at least one k value is required")
+        raise InputError("at least one k value is required")
     if not seeds:
-        raise ValueError("at least one seed is required")
+        raise InputError("at least one seed is required")
     if dataset is not None and dataset.labels is None:
-        raise ValueError("evaluation sweeps require labels")
+        raise InputError("evaluation sweeps require labels")
+    if preset is not None:
+        spec = preset_spec(preset, per_subspace, noise_sigma, seeds[0])
+        spec.validate()
+        n = sum(count for _, count in spec.subspaces)
+    else:
+        n = dataset.n
+    # Every cell against n before the first seed's data: llr cells span
+    # lambdas x k_values, heat and lle cells k_values. Heat and lle ignore
+    # lambda but are given each one, so that every lambda is range-checked.
+    lam_grid = [{"lam": lam} for lam in lambdas] or [{}]
+    for method in methods:
+        for lam_kw in lam_grid:
+            for k in k_values:
+                graph_builder(method, n, **lam_kw, k_keep=k, k_nn=k, d_dict=d_dict, epsilon=epsilon, sigma=sigma)
+    KMeansConfig(k=n_clusters, restarts=restarts).validate(n)
 
     cells: list[dict[str, Any]] = []
     for seed in seeds:
@@ -262,8 +287,6 @@ def sweep_run(
             ds = synth_union_of_subspaces(preset_spec(preset, per_subspace, noise_sigma, seed))
         else:
             ds = dataset
-        if ds is None or ds.labels is None:
-            raise ValueError("evaluation sweeps require a labeled dataset")
         X, truth = ds.X, ds.labels
         dd = resolve_d_dict(d_dict, X.shape[0])
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import spmatrix
 
-from .data import _rng
+from .data import InputError, _rng
 
 
 @dataclass(frozen=True)
@@ -20,15 +20,18 @@ class KMeansConfig:
     tol: float = 1e-8
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, n: int | None = None) -> None:
+        """Check each value's own range; given the sample count n, also k <= n."""
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InputError(f"k must be >= 1, got {self.k}")
         if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+            raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise InputError(f"tol must be positive, got {self.tol}")
+        if n is not None and self.k > n:
+            raise InputError(f"clusters k={self.k} must not exceed the sample count n={n}")
 
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,6 +55,15 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
+def _degrees_and_dense(W: spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex degrees and the dense affinity matrix; raises on isolated vertices."""
+    degrees = np.asarray(W.sum(axis=1)).ravel()
+    isolated = np.flatnonzero(degrees <= 0)
+    if isolated.size:
+        raise ValueError(f"graph has isolated vertices (zero degree): {isolated.tolist()}")
+    return degrees, W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
+
+
 def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     """Spectral coordinates from the symmetric-normalized affinity.
 
@@ -63,13 +75,8 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, n={n}], got {k}")
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(degrees <= 0)
-    if isolated.size:
-        raise ValueError(f"graph has isolated vertices (zero degree): {isolated.tolist()}")
-
+    degrees, dense = _degrees_and_dense(W)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    dense = W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
     A = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
     _, evecs = sym_eig(A)
     coords = evecs[:, ::-1][:, :k].copy()

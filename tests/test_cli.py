@@ -488,3 +488,84 @@ def test_timings_opt_in(tmp_path):
     timed = _load_report(r_timed)["timings"]
     assert set(timed) == {"load", "pca", "graph", "write"}
     assert all(t >= 0 for t in timed.values())
+
+
+# -- parameter/size conflicts ----------------------------------------------
+
+_EMBED = ["embed-classify", "--input", "{csv}", "--label-column", "label", "--embed-dim", "2"]
+_EVAL = ["eval", "--preset", "fig1", "--seeds", "0"]
+
+# Conflicts between a parameter and the sample count: 60 points in the CSV
+# (30 in the training split), 150 in the fig1 preset.
+SIZE_CONFLICTS = [
+    (_EMBED + ["--d-dict", "500"], "d_dict (500) must not exceed n - 1 (29)"),
+    (_EMBED + ["--k-keep", "40"], "k_keep (40) must not exceed d_dict (29)"),
+    (_EMBED + ["--method", "lpp", "--k-nn", "500"], "k_nn (500) must not exceed n - 1 (29)"),
+    (_EVAL + ["--methods", "heat", "--k-values", "200"], "k_nn (200) must not exceed n - 1 (149)"),
+    (_EVAL + ["--methods", "llr", "--lambdas", "0.5", "--d-dict", "500"], "d_dict (500) must not exceed n - 1 (149)"),
+    (_EVAL + ["--methods", "llr", "--lambdas", "0.5", "--k-values", "400"], "k_keep (400) must not exceed d_dict (149)"),
+    (_EVAL + ["--methods", "heat", "--k-values", "4", "--clusters", "151"],
+     "clusters k=151 must not exceed the sample count n=150"),
+    (["cluster", "--input", "{csv}", "--label-column", "label", "--clusters", "99", "--output", "{dir}/p.txt"],
+     "clusters k=99 must not exceed the sample count n=60"),
+]
+
+
+def _argv(tmp_path, template):
+    csv = tmp_path / "d.csv"
+    if not csv.exists():
+        _synth(tmp_path, name="d.csv", per=20)
+    return [arg.format(csv=csv, dir=tmp_path) for arg in template]
+
+
+@pytest.mark.parametrize("template, message", SIZE_CONFLICTS)
+def test_size_conflicts_exit_two(tmp_path, capsys, template, message):
+    argv = _argv(tmp_path, template)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template, message", SIZE_CONFLICTS)
+def test_size_conflicts_are_found_before_any_computation(tmp_path, monkeypatch, template, message):
+    import llrgraph.cli
+    import llrgraph.runs
+
+    argv = _argv(tmp_path, template)
+
+    def computed(*args, **kwargs):
+        raise RuntimeError("computation started")
+
+    for name in ("llr_graph_family", "build_graph_by_method", "build_llr_coefficients", "build_llr_graph",
+                 "heat_kernel_graph", "lle_graph", "pca_fit", "synth_union_of_subspaces"):
+        monkeypatch.setattr(llrgraph.runs, name, computed)
+    monkeypatch.setattr(llrgraph.cli, "pca_fit", computed)
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "template, config, message",
+    [
+        (["build-graph", "--input", "{csv}", "--method", "heat", "--lambda", "1.5", "--output", "{dir}/g.txt"],
+         None, "lambda must lie in [0, 1), got 1.5"),
+        (["build-graph", "--input", "{csv}", "--sigma", "0", "--output", "{dir}/g.txt"], None,
+         "sigma must be positive, got 0.0"),
+        (["build-graph", "--input", "{csv}", "--method", "lle", "--d-dict", "0", "--output", "{dir}/g.txt"], None,
+         "d_dict must be >= 1, got 0"),
+        (_EVAL + ["--methods", "heat", "--lambdas", "1.5"], None, "lambda must lie in [0, 1), got 1.5"),
+        (_EVAL + ["--methods", "heat", "--k-values", "0"], None, "k_nn must be >= 1, got 0"),
+        (["embed-classify", "--input", "{csv}", "--label-column", "label", "--embed-dim", "0"], None,
+         "embed_dim must be >= 1, got 0"),
+        (_EMBED + ["--pca-energy", "1.5"], None, "pca_energy must lie in (0, 1], got 1.5"),
+        (_EMBED + ["--method", "lpp"], {"lambda": 1.5}, "lambda must lie in [0, 1), got 1.5"),
+    ],
+)
+def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_path, capsys, template, config, message):
+    argv = _argv(tmp_path, template)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from llrgraph.data import InputError
 from llrgraph.llr import (
     HyperParams,
     build_dictionary,
@@ -64,12 +65,27 @@ def test_solution_sums_to_one():
 def test_scale_invariance_exact_through_trace_ridge():
     # The ridge scales with trace(M), so alpha*X gives identical coefficients.
     rng = _rng(21)
-    for alpha in (0.01, 1.0, 100.0):
+    for alpha in (0.01, 1.0, 100.0, 1e8, 1e-150):
         X = rng.standard_normal((12, 4))
         params = HyperParams(lam=0.4, k_keep=3, d_dict=8)
         base = build_llr_coefficients(X, params).toarray()
         scaled = build_llr_coefficients(alpha * X, params).toarray()
         assert np.abs(base - scaled).max() < 1e-9, f"alpha={alpha}"
+
+
+def test_tiny_data_solves_without_underflow():
+    # Squared distances near 4.5e-315 are subnormal; the solve rescales by a
+    # power of two first, so the one coefficient is exactly 1.
+    X = np.array([[6.7e-158], [0.0], [0.0]])
+    C = build_llr_coefficients(X, HyperParams(lam=0.0, k_keep=1, d_dict=1))
+    assert np.array_equal(C.toarray(), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+
+
+def test_hyperparams_bounds_against_n_only_when_given():
+    # k_keep <= d_dict <= n - 1 is a bound for building a graph on n samples.
+    HyperParams(lam=0.5, k_keep=5, d_dict=4).validate()
+    with pytest.raises(InputError, match=r"lambda must lie in \[0, 1\), got 1.5"):
+        HyperParams(lam=1.5, k_keep=5, d_dict=4).validate()
 
 
 def test_rotation_and_translation_invariance():

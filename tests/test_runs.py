@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from llrgraph.data import LabeledDataset, synth_union_of_subspaces
+from llrgraph.data import InputError, LabeledDataset, synth_union_of_subspaces
 from llrgraph.llr import HyperParams, build_llr_graph
 from llrgraph.runs import (
     build_graph_by_method,
+    graph_builder,
     classify_run,
     cluster_graph,
     evaluate_clustering,
@@ -74,6 +75,21 @@ def test_build_graph_by_method_dispatch():
         build_graph_by_method(ds.X, "cosine")
 
 
+def test_graph_builder_checks_n_bounds_only_for_its_method():
+    X = _rng(8).standard_normal((5, 2))
+    # heat and lle ignore k_keep and d_dict, so the default k_keep = 8 above
+    # n - 1 = 4 is no conflict for them
+    for method in ("heat", "lle"):
+        assert build_graph_by_method(X, method, k_nn=2).shape == (5, 5)
+    with pytest.raises(InputError, match=r"k_keep \(8\) must not exceed d_dict \(4\)"):
+        graph_builder("llr", 5)
+    # each value's own range is checked whichever method is built
+    with pytest.raises(InputError, match="lambda"):
+        graph_builder("heat", 5, k_nn=2, lam=1.5)
+    with pytest.raises(InputError, match="k_nn must be >= 1"):
+        graph_builder("llr", 5, k_keep=2, k_nn=0)
+
+
 def test_cluster_and_evaluate_on_clean_blocks():
     import scipy.sparse as sp
 
@@ -115,6 +131,17 @@ def test_classify_run_errors():
         classify_run(ds, method="pca", embed_dim=2)
     with pytest.raises(ValueError, match="exceeds available dimension"):
         classify_run(ds, method="npe", embed_dim=7, pca_energy=None)
+    # parameters against the 30-point training split, before PCA
+    with pytest.raises(InputError, match=r"d_dict \(500\) must not exceed n - 1 \(29\)"):
+        classify_run(ds, method="npe", embed_dim=2, d_dict=500)
+    with pytest.raises(InputError, match=r"k_keep \(40\) must not exceed d_dict \(29\)"):
+        classify_run(ds, method="npe", embed_dim=2, k_keep=40)
+    with pytest.raises(InputError, match=r"k_nn \(500\) must not exceed n - 1 \(29\)"):
+        classify_run(ds, method="lpp", embed_dim=2, k_nn=500)
+    with pytest.raises(InputError, match="embed_dim must be >= 1"):
+        classify_run(ds, method="npe", embed_dim=0)
+    with pytest.raises(InputError, match="lambda"):
+        classify_run(ds, method="lpp", embed_dim=2, lam=1.5)
 
 
 def test_sweep_run_cell_grid_and_summary():
@@ -195,3 +222,18 @@ def test_sweep_run_validation():
     unlabeled = LabeledDataset(X=ds.X, labels=None)
     with pytest.raises(ValueError, match="require labels"):
         sweep_run(dataset=unlabeled, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])
+    # every grid cell against n = 30 before any data or graph
+    with pytest.raises(InputError, match=r"k_nn \(30\) must not exceed n - 1 \(29\)"):
+        sweep_run(dataset=ds, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4, 30], seeds=[0])
+    with pytest.raises(InputError, match=r"d_dict \(40\) must not exceed n - 1 \(29\)"):
+        sweep_run(dataset=ds, n_clusters=3, methods=["llr"], lambdas=[0.5], k_values=[4], seeds=[0], d_dict=40)
+    with pytest.raises(InputError, match=r"k_keep \(35\) must not exceed d_dict \(29\)"):
+        sweep_run(dataset=ds, n_clusters=3, methods=["llr", "lle"], lambdas=[0.5], k_values=[4, 35], seeds=[0])
+    with pytest.raises(InputError, match="lambda"):
+        sweep_run(dataset=ds, n_clusters=3, methods=["heat"], lambdas=[0.5, 1.5], k_values=[4], seeds=[0])
+    with pytest.raises(InputError, match="k=31 must not exceed the sample count n=30"):
+        sweep_run(dataset=ds, n_clusters=31, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])
+    with pytest.raises(InputError, match=r"k=151 must not exceed the sample count n=150"):
+        sweep_run(preset="fig1", n_clusters=151, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])
+    with pytest.raises(InputError, match="points_per_subspace"):
+        sweep_run(preset="fig1", per_subspace=1, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])

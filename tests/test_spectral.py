@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from llrgraph.data import InputError
 from llrgraph.metrics import clustering_accuracy
 from llrgraph.spectral import (
     KMeansConfig,
@@ -134,6 +135,12 @@ def test_kmeans_handles_duplicate_points():
     labels = kmeans(points, KMeansConfig(k=3, seed=0))
     assert labels.shape == (8,)
     assert set(labels.tolist()) <= {0, 1, 2}
+
+
+def test_kmeans_config_validates_k_against_n():
+    KMeansConfig(k=4).validate(4)
+    with pytest.raises(InputError, match="k=5 must not exceed the sample count n=4"):
+        KMeansConfig(k=5).validate(4)
 
 
 def test_kmeans_validation():
