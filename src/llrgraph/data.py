@@ -237,7 +237,7 @@ def train_test_split(
         for c in range(ds.n_classes):
             idx_c = np.flatnonzero(ds.labels == c)
             if idx_c.size < 2:
-                raise ValueError(f"class {c} has {idx_c.size} sample(s); stratified split needs >= 2")
+                raise InputError(f"class {c} has {idx_c.size} sample(s); stratified split needs >= 2")
             take = math.ceil(train_fraction * idx_c.size)
             perm = rng.permutation(idx_c)
             train_parts.append(perm[:take])

@@ -13,6 +13,14 @@ of distances from x_i to each atom. The closed-form minimizer is
     c = M^{-1} 1 / (1^T M^{-1} 1),
     M = lam * S^T S + (1 - lam) * (x_i 1^T - D)^T (x_i 1^T - D).
 
+u = M^{-1} 1 is computed one of two ways. With B = x_i 1^T - D (m x d_dict)
+and the diagonal part lam * s^2 + ridge, the fit term B^T B has rank <= m.
+When m < d_dict and lam >= LOW_RANK_MIN_LAMBDA, a Woodbury solve in scaled
+variables factors only an m x m system, O(d_dict m^2 + m^3) per point.
+Otherwise the dense d_dict x d_dict M gets a Cholesky solve, O(d_dict^3) per
+point; this keeps the LLE limit lam = 0, where the diagonal part is only the
+ridge and the Woodbury form loses accuracy, exact.
+
 The coefficient vectors are sparsified to the k_keep strongest entries by
 absolute value and symmetrized into a nonnegative similarity graph with
 W_ij = |C_ij| + |C_ji|.
@@ -31,6 +39,10 @@ from .data import InputError, validate_data_matrix
 
 #: Row-sum tolerance below which a coefficient normalization is degenerate.
 DEGENERATE_TOL = 1e-12
+#: Smallest lambda at which a point with fewer ambient dimensions than atoms
+#: is solved through the low-rank (Woodbury) path; below it the direct solve
+#: keeps the LLE limit lambda = 0 exact.
+LOW_RANK_MIN_LAMBDA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,9 +94,15 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row i excludes i itself and is ordered by ascending Euclidean distance,
     ties broken by smaller global index. Rows are sorted one at a time so that
-    the n x n distance matrix is the only quadratic buffer.
+    the n x n distance matrix is the only quadratic buffer. Distances are
+    taken on X scaled by the exact power of two that brings max|X| into
+    [0.5, 1) and scaled back, so data above about 1e154 does not overflow
+    the squared differences.
     """
-    dists = cdist(X, X)
+    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
+    Xs = np.ldexp(X, -e)
+    dists = cdist(Xs, Xs)
+    np.ldexp(dists, e, out=dists)
     np.fill_diagonal(dists, np.inf)
     idx = np.empty((X.shape[0], k), dtype=np.intp)
     for i, row in enumerate(dists):
@@ -116,24 +134,54 @@ def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
     return np.linalg.norm(X[dic.owner][:, None] - dic.atoms, axis=0)
 
 
+def _ridge(trace: float, epsilon: float, d: int) -> float:
+    return epsilon * (trace / d) if trace > 0 else epsilon
+
+
+def _direct_solve(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 by a Cholesky solve of the dense d x d M; O(d^3)."""
+    d = B.shape[1]
+    M = (1.0 - lam) * (B.T @ B)
+    M[np.diag_indices(d)] += lam * s**2
+    ridge = _ridge(float(np.trace(M)), epsilon, d)
+    if ridge > 0:
+        M[np.diag_indices(d)] += ridge
+    return scipy.linalg.solve(M, np.ones(d), assume_a="pos")
+
+
+def _low_rank_solve(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 by the Woodbury identity on the rank <= m term; O(d m^2 + m^3).
+
+    With the diagonal part delta = lam s^2 + ridge, r = delta^{-1/2} and
+    G = B diag(r), M = diag(1/r) (I + (1 - lam) G^T G) diag(1/r), so
+    M^{-1} 1 = r * (r - G^T y) with (G G^T + I / (1 - lam)) y = G r.
+    """
+    m, d = B.shape
+    delta = lam * s**2 + _ridge((1.0 - lam) * float(np.sum(B * B)) + lam * float(s @ s), epsilon, d)
+    if not delta.min() > 0:
+        raise scipy.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
+    r = 1.0 / np.sqrt(delta)
+    G = B * r
+    K = G @ G.T
+    K[np.diag_indices(m)] += 1.0 / (1.0 - lam)
+    y = scipy.linalg.solve(K, G @ r, assume_a="pos")
+    return r * (r - G.T @ y)
+
+
 def _solve_core(x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float, epsilon: float, owner: int) -> np.ndarray:
-    d = atoms.shape[1]
+    m, d = atoms.shape
     # Rescale by an exact power of two that brings max(s) into [0.5, 1). Each
     # |B_kj| <= s_j, so M and its ridge scale by exactly 4^-e and the
     # coefficients are unchanged, while 1^T u stays clear of under- and
-    # overflow whatever the scale of the data.
+    # overflow whatever the scale of the data. B is Fortran-ordered whatever
+    # the layout of atoms, so that BLAS sums its products in one order and a
+    # dictionary copy solves bit for bit like a view of the data.
     e = int(np.frexp(s.max(initial=0.0))[1])
-    B = np.ldexp(x[:, None] - atoms, -e)  # column j = x - atom_j
+    B = np.ldexp(x[:, None] - np.asfortranarray(atoms), -e)  # column j = x - atom_j
     s = np.ldexp(s, -e)
-    M = (1.0 - lam) * (B.T @ B)
-    M[np.diag_indices(d)] += lam * s**2
-    trace = float(np.trace(M))
-    ridge = epsilon * (trace / d) if trace > 0 else epsilon
-    if ridge > 0:
-        M[np.diag_indices(d)] += ridge
-    ones = np.ones(d)
+    solve = _low_rank_solve if m < d and lam >= LOW_RANK_MIN_LAMBDA else _direct_solve
     try:
-        u = scipy.linalg.solve(M, ones, assume_a="pos")
+        u = solve(B, s, lam, epsilon)
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"degenerate coefficient system for sample {owner}: {exc}") from None
     total = float(u.sum())

@@ -336,6 +336,17 @@ def test_embed_classify_dim_too_large_fails(tmp_path, capsys):
     assert "exceeds available dimension" in capsys.readouterr().err
 
 
+def test_embed_classify_single_sample_class_exits_two(tmp_path, capsys):
+    # rows are grouped by class; the cut keeps one row of class 2
+    data = _synth(tmp_path, per=10)
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join(lines[:22]) + "\n")
+    code = main(["embed-classify", "--input", str(data), "--label-column", "label",
+                 "--embed-dim", "2"])
+    assert code == 2
+    assert "class 2 has 1 sample(s)" in capsys.readouterr().err
+
+
 def test_embed_classify_no_stratified_flag(tmp_path):
     data = _synth(tmp_path, per=20)
     report = tmp_path / "r.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from llrgraph import llr
 from llrgraph.data import InputError
 from llrgraph.llr import (
     HyperParams,
@@ -51,6 +52,50 @@ def test_solver_matches_nullspace_oracle():
         assert np.abs(got - want).max() < 1e-6, f"trial {trial}: mismatch"
 
 
+def _record_solve_paths(monkeypatch):
+    paths = []
+    for name in ("_direct_solve", "_low_rank_solve"):
+        solve = getattr(llr, name)
+        monkeypatch.setattr(llr, name, lambda *args, _solve=solve, _name=name: paths.append(_name) or _solve(*args))
+    return paths
+
+
+def test_low_rank_solve_agrees_with_direct_solve(monkeypatch):
+    # Fewer ambient dimensions than atoms: from LOW_RANK_MIN_LAMBDA = 1e-3 up
+    # the Woodbury solve matches the dense Cholesky solve to 1e-12 (2e-13 at
+    # 1e-3); at lambda = 1e-4 these instances differ by 2e-12, which sets
+    # the constant.
+    rng = _rng(30)
+    lams = (1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999)
+    instances = []
+    for _ in range(40):
+        m = int(rng.integers(1, 8))
+        x, atoms, s = _random_instance(rng, m, int(rng.integers(m + 1, 40)))
+        instances.append((np.vstack([x, atoms.T]), _FakeDict(0, atoms), s))
+    paths = _record_solve_paths(monkeypatch)
+    low = [solve_coefficients(X, fake, s, lam) for X, fake, s in instances for lam in lams]
+    assert set(paths) == {"_low_rank_solve"}
+    monkeypatch.setattr(llr, "LOW_RANK_MIN_LAMBDA", np.inf)
+    direct = [solve_coefficients(X, fake, s, lam) for X, fake, s in instances for lam in lams]
+    assert set(paths) == {"_low_rank_solve", "_direct_solve"}
+    assert max(np.abs(a - b).max() for a, b in zip(low, direct)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, d, lam",
+    [(3, 10, 0.0), (3, 10, llr.LOW_RANK_MIN_LAMBDA / 2), (6, 6, 0.5), (8, 5, 0.5)],
+    ids=["lambda-zero", "lambda-below-constant", "m-equals-d", "m-above-d"],
+)
+def test_direct_solve_where_low_rank_does_not_apply(monkeypatch, m, d, lam):
+    # The LLE limit lambda = 0, small lambda and m >= d keep the dense
+    # Cholesky solve.
+    x, atoms, s = _random_instance(_rng(31), m, d)
+    X = np.vstack([x, atoms.T])
+    paths = _record_solve_paths(monkeypatch)
+    solve_coefficients(X, _FakeDict(0, atoms), s, lam)
+    assert paths == ["_direct_solve"]
+
+
 def test_solution_sums_to_one():
     rng = _rng(7)
     for trial in range(50):
@@ -65,7 +110,7 @@ def test_solution_sums_to_one():
 def test_scale_invariance_exact_through_trace_ridge():
     # The ridge scales with trace(M), so alpha*X gives identical coefficients.
     rng = _rng(21)
-    for alpha in (0.01, 1.0, 100.0, 1e8, 1e-150):
+    for alpha in (0.01, 1.0, 100.0, 1e8, 1e-150, 1e154):
         X = rng.standard_normal((12, 4))
         params = HyperParams(lam=0.4, k_keep=3, d_dict=8)
         base = build_llr_coefficients(X, params).toarray()
@@ -153,6 +198,12 @@ def test_solver_singular_system_names_sample():
     fake = _FakeDict(0, atoms)
     with pytest.raises(ValueError, match="sample 0"):
         solve_coefficients(np.array([[1.0], [2.0], [2.0]]), fake, s, lam=0.0, epsilon=0.0)
+    # an atom equal to the point, lam=0.5 (the low-rank path), epsilon=0:
+    # its distance term and ridge are both zero
+    X = np.array([[1.0], [1.0], [2.0]])
+    s = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="sample 0"):
+        solve_coefficients(X, _FakeDict(0, X[1:].T), s, lam=0.5, epsilon=0.0)
 
 
 def test_sparsify_keeps_strongest_with_index_tie_break():
