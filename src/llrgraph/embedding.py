@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .data import _fix_column_signs, validate_data_matrix
 from .llr import DEGENERATE_TOL, symmetrize
-from .spectral import _degrees_and_dense
+from .spectral import _degrees, _dense
 
 
 def generalized_sym_eig(
@@ -123,7 +123,7 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.nd
         raise ValueError(f"graph shape {W.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    degrees, dense = _degrees_and_dense(W)
+    degrees, dense = _degrees(W), _dense(W)
     L = np.diag(degrees) - dense
     A_mat = X.T @ L @ X
     B_mat = (X * degrees[:, None]).T @ X

@@ -129,9 +129,14 @@ def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:
 
 
 def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
-    """Distances from the owner point to each dictionary atom, in atom order."""
+    """Distances from the owner point to each dictionary atom, in atom order.
+
+    Taken like neighbour_table's: on data scaled by the exact power of two
+    that brings max|X| into [0.5, 1), then scaled back.
+    """
     X = validate_data_matrix(X)
-    return np.linalg.norm(X[dic.owner][:, None] - dic.atoms, axis=0)
+    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
+    return np.ldexp(np.linalg.norm(np.ldexp(X[dic.owner][:, None] - dic.atoms, -e), axis=0), e)
 
 
 def _ridge(trace: float, epsilon: float, d: int) -> float:

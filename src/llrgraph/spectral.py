@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import spmatrix
+from scipy.sparse.csgraph import connected_components
 
 from .data import InputError, _rng
 
@@ -55,13 +56,49 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _degrees_and_dense(W: spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex degrees and the dense affinity matrix; raises on isolated vertices."""
+def _degrees(W: spmatrix) -> np.ndarray:
+    """Vertex degrees; raises on isolated vertices."""
     degrees = np.asarray(W.sum(axis=1)).ravel()
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
         raise ValueError(f"graph has isolated vertices (zero degree): {isolated.tolist()}")
-    return degrees, W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
+    return degrees
+
+
+def _dense(W: spmatrix) -> np.ndarray:
+    return W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
+
+
+def _component_embedding(W: spmatrix, degrees: np.ndarray, c: int, labels: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenvectors of D^{-1/2} W D^{-1/2} when the graph has c <= k components.
+
+    Eigenvalue 1 has multiplicity c, with eigenvectors D^{1/2} 1_C; these fill
+    the first c columns in component order. The other k - c columns come from
+    each component's own block: its eigenpairs below the top one, merged by
+    descending eigenvalue, ties by component order, then by position.
+    """
+    n = W.shape[0]
+    sqrt_deg = np.sqrt(degrees)
+    coords = np.zeros((n, k))
+    coords[np.arange(n), labels] = sqrt_deg / np.sqrt(np.bincount(labels, weights=degrees))[labels]
+    if k == c:
+        return coords
+    inv_sqrt = 1.0 / sqrt_deg
+    columns = []  # (-eigenvalue, component, position, vertices, eigenvector)
+    for comp in range(c):
+        idx = np.flatnonzero(labels == comp)
+        if idx.size < 2:
+            continue
+        A = inv_sqrt[idx, None] * _dense(W[idx][:, idx]) * inv_sqrt[None, idx]
+        evals, evecs = sym_eig(A)
+        # Descending from the second pair: the top one (eigenvalue 1) is
+        # already a column, and a block contributes at most k - c columns.
+        for pos in range(min(idx.size - 1, k - c)):
+            columns.append((-evals[-2 - pos], comp, pos, idx, evecs[:, -2 - pos]))
+    columns.sort(key=lambda column: column[:3])
+    for col, (_, _, _, idx, vec) in enumerate(columns[: k - c], start=c):
+        coords[idx, col] = vec
+    return coords
 
 
 def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
@@ -71,15 +108,31 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     eigenvalues (columns ordered by descending eigenvalue), and normalizes
     each row to unit length. Rows with norm below 1e-12 are left zero and
     reported through a warning.
+
+    With c connected components, eigenvalue 1 has multiplicity c. When
+    c <= k, its eigenvectors are the closed-form D^{1/2} 1_C (component
+    order, components numbered by smallest vertex) and the remaining k - c
+    come from eigensolves of the components' own blocks, so no n x n matrix
+    is formed; with c = k no eigensolve runs. When c > k, the dense n x n
+    eigensolve picks k vectors from the degenerate eigenspace.
     """
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, n={n}], got {k}")
-    degrees, dense = _degrees_and_dense(W)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    A = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
-    _, evecs = sym_eig(A)
-    coords = evecs[:, ::-1][:, :k].copy()
+    # Nonnegative weights make eigenvalue 1 the top of every component's
+    # block (Perron-Frobenius), which the component-wise path relies on.
+    negative = np.flatnonzero(np.asarray((W < 0).sum(axis=1)).ravel())
+    if negative.size:
+        raise ValueError(f"graph has negative edge weights at vertices: {negative.tolist()}")
+    degrees = _degrees(W)
+    c, labels = connected_components(W != 0, directed=False)
+    if c <= k:
+        coords = _component_embedding(W, degrees, c, labels, k)
+    else:
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+        A = inv_sqrt[:, None] * _dense(W) * inv_sqrt[None, :]
+        _, evecs = sym_eig(A)
+        coords = evecs[:, ::-1][:, :k].copy()
 
     norms = np.linalg.norm(coords, axis=1)
     zero_rows = np.flatnonzero(norms < 1e-12)

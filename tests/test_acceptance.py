@@ -71,7 +71,7 @@ def test_criterion_1_solver_oracle_equivalence():
 
 def test_criterion_2_constraint_and_invariance():
     """50 trials each: coefficients sum to one within 1e-10; invariant to
-    uniform data scaling (alpha in {0.01, 1, 100}) and to random orthogonal
+    uniform data scaling (alpha in {0.01, 1, 100, 1e155}) and to random orthogonal
     feature rotation within 1e-8. Budget 10 s."""
     start = time.perf_counter()
     worst_sum = 0.0
@@ -88,7 +88,7 @@ def test_criterion_2_constraint_and_invariance():
         c = solve_coefficients(X, dic, s, lam)
         worst_sum = max(worst_sum, abs(float(c.sum()) - 1.0))
 
-        for alpha in (0.01, 1.0, 100.0):
+        for alpha in (0.01, 1.0, 100.0, 1e155):
             Xa = alpha * X
             dic_a = build_dictionary(Xa, 0, d)
             c_a = solve_coefficients(Xa, dic_a, distance_diagonal(Xa, dic_a), lam)

@@ -33,10 +33,13 @@ def test_heat_kernel_weights_formula():
     rng = _rng(1)
     X = rng.standard_normal((12, 2))
     sigma = 0.7
-    W = heat_kernel_graph(X, HeatKernelParams(k_nn=3, sigma=sigma)).toarray()
     D = pairwise_distances(X, X)
-    nz = W != 0
-    assert np.abs(W[nz] - np.exp(-(D[nz] ** 2) / (2 * sigma**2))).max() < 1e-12
+    # Scaling the data and sigma together leaves the weights unchanged, also
+    # where the squared distances and sigma**2 would overflow.
+    for scale in (1.0, 1e155):
+        W = heat_kernel_graph(scale * X, HeatKernelParams(k_nn=3, sigma=scale * sigma)).toarray()
+        nz = W != 0
+        assert np.abs(W[nz] - np.exp(-(D[nz] ** 2) / (2 * sigma**2))).max() < 1e-12, f"scale={scale}"
 
 
 def test_heat_kernel_is_exactly_symmetric():

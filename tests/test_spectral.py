@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
+from llrgraph import spectral
 from llrgraph.data import InputError
 from llrgraph.metrics import clustering_accuracy
 from llrgraph.spectral import (
@@ -85,12 +90,92 @@ def test_embedding_rejects_isolated_vertex():
         normalized_laplacian_embedding(W, 1)
 
 
+def test_embedding_rejects_negative_weights():
+    W = sp.csr_matrix(np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"negative edge weights at vertices: \[0, 2\]"):
+        normalized_laplacian_embedding(W, 1)
+
+
 def test_embedding_warns_on_unrepresented_components():
     # 3 disconnected blocks but only 2 eigenvectors requested: at least one
     # block cannot be represented, leaving numerically zero rows.
     W = _block_graph([3, 3, 3])
     with pytest.warns(RuntimeWarning, match="zero rows"):
         normalized_laplacian_embedding(W, 2)
+
+
+def _random_block_graph(rng, sizes):
+    """Random positive weights inside each block, none across; vertices are
+    shuffled so components interleave. A block of size 1 gets a self-loop."""
+    n = sum(sizes)
+    W = np.zeros((n, n))
+    start = 0
+    for s in sizes:
+        B = rng.uniform(0.1, 1.0, size=(s, s))
+        W[start : start + s, start : start + s] = np.triu(B, 1) + np.triu(B, 1).T if s > 1 else B
+        start += s
+    perm = rng.permutation(n)
+    return sp.csr_matrix(W[np.ix_(perm, perm)])
+
+
+def _dense_reference(W, k):
+    """Row-normalized top-k eigenvectors of D^{-1/2} W D^{-1/2} by a full eigh."""
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel())
+    A = inv_sqrt[:, None] * W.toarray() * inv_sqrt[None, :]
+    evals, evecs = np.linalg.eigh(A)
+    n = A.shape[0]
+    if k < n:
+        assert evals[n - k] - evals[n - k - 1] > 1e-6, "top-k space must be well defined"
+    coords = evecs[:, ::-1][:, :k]
+    return coords / np.linalg.norm(coords, axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "sizes, k",
+    [
+        ([9], 3),  # c = 1
+        ([2, 6, 5], 5),  # 1 < c < k, the size-2 block's extra pair is not taken
+        ([2, 3, 6], 7),  # 1 < c < k, blocks smaller than k - c
+        ([1, 4, 5], 6),  # a single vertex with a self-loop
+        ([4, 6, 3], 3),  # c = k
+    ],
+)
+def test_component_embedding_matches_dense_eigensolve(sizes, k):
+    rng = _rng(11)
+    for trial in range(3):
+        W = _random_block_graph(rng, sizes)
+        got = normalized_laplacian_embedding(W, k)
+        want = _dense_reference(W, k)
+        assert np.abs(cdist(got, got) - cdist(want, want)).max() < 1e-10, f"trial {trial}"
+
+
+def test_components_equal_to_k_need_no_eigensolve(monkeypatch):
+    def no_eigensolve(A):
+        raise AssertionError("sym_eig must not run when components == k")
+
+    monkeypatch.setattr(spectral, "sym_eig", no_eigensolve)
+    W = _random_block_graph(_rng(12), [4, 5, 3])
+    coords = normalized_laplacian_embedding(W, 3)
+    # components are numbered by their smallest vertex
+    _, labels = connected_components(W, directed=False)
+    first = [int(np.flatnonzero(labels == comp)[0]) for comp in range(3)]
+    assert first == sorted(first)
+    assert np.array_equal(coords, np.eye(3)[labels])
+
+
+def test_more_components_than_k_keeps_dense_eigensolve():
+    rng = _rng(13)
+    for sizes, k in (([3, 4, 5, 6], 2), ([3, 4, 5, 6], 3), ([5, 5, 5], 2)):
+        W = _random_block_graph(rng, sizes)
+        inv_sqrt = 1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel())
+        _, evecs = sym_eig(inv_sqrt[:, None] * W.toarray() * inv_sqrt[None, :])
+        want = evecs[:, ::-1][:, :k].copy()
+        norms = np.linalg.norm(want, axis=1)
+        norms[norms < 1e-12] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = normalized_laplacian_embedding(W, k)
+        assert np.array_equal(got, want / norms[:, None]), f"sizes={sizes} k={k}"
 
 
 def test_kmeans_recovers_separated_blobs():
