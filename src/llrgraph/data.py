@@ -128,7 +128,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise InputError(f"{path}: empty file")

@@ -4,7 +4,8 @@ Two graph-driven linear embeddings plus the 1-NN evaluation used to score
 them. The neighborhood-preserving embedding consumes per-point
 reconstruction coefficients; the locality-preserving projection consumes a
 symmetric affinity graph. Both reduce to a generalized symmetric
-eigenproblem whose smallest eigenvectors form the projection columns.
+eigenproblem, formed from sparse products without any n x n matrix, whose
+smallest eigenvectors form the projection columns.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix, identity, spmatrix
+from scipy.sparse import csr_matrix, spmatrix
 from scipy.spatial.distance import cdist
 
 from .data import _fix_column_signs, validate_data_matrix
-from .llr import DEGENERATE_TOL, symmetrize
-from .spectral import _degrees, _dense
+from .llr import DEGENERATE_TOL, _ridge, symmetrize
+from .spectral import _degrees
 
 
 def generalized_sym_eig(
@@ -41,9 +42,7 @@ def generalized_sym_eig(
             raise ValueError(f"{name} is not symmetric")
 
     m = A.shape[0]
-    trace = float(np.trace(B))
-    ridge = delta * (trace / m) if trace > 0 else delta
-    B_reg = B + ridge * np.eye(m)
+    B_reg = B + _ridge(float(np.trace(B)), delta, m) * np.eye(m)
     try:
         evals, evecs = scipy.linalg.eigh(A, B_reg)
     except scipy.linalg.LinAlgError as exc:
@@ -54,6 +53,21 @@ def generalized_sym_eig(
     if residual > 1e-6 * scale:
         raise RuntimeError(f"generalized eigensolve residual {residual:.3e} exceeds contract")
     return evals, evecs
+
+
+def _projection(A: np.ndarray, B: np.ndarray, d: int, delta: float) -> np.ndarray:
+    """The d smallest generalized eigenvectors of (A, B), signs fixed.
+
+    d may not exceed the numerical rank of B: the ridge alone would pick the rest.
+    """
+    A = (A + A.T) / 2.0
+    B = (B + B.T) / 2.0
+    b_evals = np.linalg.eigvalsh(B)
+    rank = int(np.sum(b_evals > np.max(b_evals) * 1e-10))
+    if d > rank:
+        raise ValueError(f"d={d} exceeds the numerical rank {rank} of the data Gram matrix")
+    _, evecs = generalized_sym_eig(A, B, delta)
+    return _fix_column_signs(evecs[:, :d].copy())
 
 
 def npe_from_graph(
@@ -68,7 +82,7 @@ def npe_from_graph(
     Each retained coefficient row of C is renormalized to sum one, giving a
     row-stochastic weight matrix Wt; with M = (I - Wt)^T (I - Wt), the
     projection columns are the eigenvectors of the d smallest eigenvalues of
-    (X^T M X) a = gamma (X^T X) a.
+    (X^T M X) a = gamma (X^T X) a, with X^T M X formed as R^T R, R = X - Wt X.
 
     weights='coefficients' uses the rows of C directly (the derivation's
     reading); weights='symmetrized' substitutes the symmetrized graph
@@ -92,22 +106,8 @@ def npe_from_graph(
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
     Wt = csr_matrix(base.multiply(1.0 / row_sums[:, None]))
-
-    I_minus_W = (identity(n, format="csr") - Wt).toarray()
-    M = I_minus_W.T @ I_minus_W
-
-    A_mat = X.T @ M @ X
-    B_mat = X.T @ X
-    A_mat = (A_mat + A_mat.T) / 2.0
-    B_mat = (B_mat + B_mat.T) / 2.0
-
-    b_evals = np.linalg.eigvalsh(B_mat)
-    rank = int(np.sum(b_evals > np.max(b_evals) * 1e-10))
-    if d > rank:
-        raise ValueError(f"d={d} exceeds the numerical rank {rank} of the data Gram matrix")
-
-    _, evecs = generalized_sym_eig(A_mat, B_mat, delta)
-    return _fix_column_signs(evecs[:, :d].copy())
+    R = X - Wt @ X
+    return _projection(R.T @ R, X.T @ X, d, delta)
 
 
 def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.ndarray:
@@ -115,7 +115,8 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.nd
 
     With degrees D and Laplacian L = D - W, the projection columns are the
     eigenvectors of the d smallest eigenvalues of
-    (X^T L X) a = gamma (X^T D X) a.
+    (X^T L X) a = gamma (X^T D X) a. X^T L X is formed over the stored edges
+    as sum_ij w_ij (x_i - x_j)(x_i - x_j)^T / 2, equal only for symmetric W.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -123,15 +124,13 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.nd
         raise ValueError(f"graph shape {W.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    degrees, dense = _degrees(W), _dense(W)
-    L = np.diag(degrees) - dense
-    A_mat = X.T @ L @ X
-    B_mat = (X * degrees[:, None]).T @ X
-    A_mat = (A_mat + A_mat.T) / 2.0
-    B_mat = (B_mat + B_mat.T) / 2.0
-
-    _, evecs = generalized_sym_eig(A_mat, B_mat, delta)
-    return _fix_column_signs(evecs[:, :d].copy())
+    if (W != W.T).nnz:
+        raise ValueError("graph W must be symmetric")
+    degrees = _degrees(W)
+    edges = W.tocoo()
+    E = X[edges.row] - X[edges.col]
+    A = (E * edges.data[:, None]).T @ E / 2.0
+    return _projection(A, (X * degrees[:, None]).T @ X, d, delta)
 
 
 def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -17,21 +17,28 @@ from oracles import eig2
 
 def test_load_csv_detects_header_and_label_by_name(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("a,b,label\n1.0,2.0,x\n3.0,4.0,y\n1.5,0.0,x\n")
-    ds = load_csv(p, label_column="label")
-    assert ds.X.shape == (3, 2)
-    assert ds.labels.tolist() == [0, 1, 0]
-    assert ds.label_names == ["x", "y"]
+    for text in (
+        "a,b,label\n1.0,2.0,x\n3.0,4.0,y\n1.5,0.0,x\n",
+        # a UTF-8 byte-order mark is not part of the first header name
+        "\ufefflabel,a,b\nx,1.0,2.0\ny,3.0,4.0\nx,1.5,0.0\n",
+    ):
+        p.write_text(text, encoding="utf-8")
+        ds = load_csv(p, label_column="label")
+        assert ds.X.shape == (3, 2)
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.label_names == ["x", "y"]
 
 
 def test_load_csv_headerless_label_by_index(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("1.0,2.0,7\n3.0,4.0,9\n")
-    ds = load_csv(p, label_column=2)
-    assert ds.X.shape == (2, 2)
-    # labels canonicalized by first appearance, not numeric value
-    assert ds.labels.tolist() == [0, 1]
-    assert ds.label_names == ["7", "9"]
+    # a UTF-8 byte-order mark must not turn the first sample into a header
+    for bom in ("", "\ufeff"):
+        p.write_text(bom + "1.0,2.0,7\n3.0,4.0,9\n", encoding="utf-8")
+        ds = load_csv(p, label_column=2)
+        assert ds.X.shape == (2, 2)
+        # labels canonicalized by first appearance, not numeric value
+        assert ds.labels.tolist() == [0, 1]
+        assert ds.label_names == ["7", "9"]
 
 
 def test_load_csv_without_labels(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from llrgraph.embedding import (
@@ -170,6 +171,69 @@ def test_lpp_contract_and_errors():
         lpp_embed(X, lonely, 2)
     with pytest.raises(ValueError, match="d must lie"):
         lpp_embed(X, W, 6)
+    # rank 4 in 6 ambient dims: a fifth direction would be the ridge's choice
+    X6 = np.hstack([X[:, :4], np.zeros((30, 2))])
+    with pytest.raises(ValueError, match="numerical rank 4"):
+        lpp_embed(X6, W, 5)
+    lopsided = W.tolil()
+    lopsided[0, 1] += 1.0
+    with pytest.raises(ValueError, match="must be symmetric"):
+        lpp_embed(X, lopsided.tocsr(), 2)
+
+
+def _dense_reference(A, B, d, delta=1e-10):
+    """Smallest d generalized eigenvectors of the dense pencil, as columns."""
+    m = A.shape[0]
+    B_reg = B + delta * (np.trace(B) / m) * np.eye(m)
+    return scipy.linalg.eigh(A, B_reg)[1][:, :d]
+
+
+def _assert_same_columns(P, ref, tol=1e-10):
+    signs = np.sign(np.sum(P * ref, axis=0))
+    assert np.abs(P - ref * signs).max() < tol
+
+
+def test_projections_match_dense_objectives():
+    """NPE against X^T (I - Wt)^T (I - Wt) X and LPP against X^T (D - W) X,
+    both written out with n x n matrices."""
+    rng = _rng(12)
+    n, m, d = 40, 6, 3
+    X = rng.standard_normal((n, m))
+    C = _coefficient_graph(X)
+    dense = C.toarray()
+    for weights, G in (("coefficients", dense), ("symmetrized", np.abs(dense) + np.abs(dense).T)):
+        Wt = G / G.sum(axis=1, keepdims=True)
+        I_minus_W = np.eye(n) - Wt
+        ref = _dense_reference(X.T @ I_minus_W.T @ I_minus_W @ X, X.T @ X, d)
+        _assert_same_columns(npe_from_graph(X, C, d, weights=weights), ref)
+
+    base = np.abs(rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.2)
+    W = np.triu(base, 1) + np.triu(base, 1).T + np.diag(rng.random(n))
+    D = np.diag(W.sum(axis=1))
+    ref = _dense_reference(X.T @ (D - W) @ X, X.T @ D @ X, d)
+    _assert_same_columns(lpp_embed(X, sp.csr_matrix(W), d), ref)
+
+
+def test_projections_never_densify_the_graph(monkeypatch):
+    """Neither the input graphs nor any sparse matrix derived from them is
+    turned into a dense array."""
+    rng = _rng(13)
+    X = rng.standard_normal((30, 5))
+    C = _coefficient_graph(X)
+    W = abs(C) + abs(C).T
+    expected = [npe_from_graph(X, C, 2, weights=w) for w in ("coefficients", "symmetrized")]
+    expected.append(lpp_embed(X, W, 2))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse matrix was densified")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    got = [npe_from_graph(X, C, 2, weights=w) for w in ("coefficients", "symmetrized")]
+    got.append(lpp_embed(X, W, 2))
+    for P, Q in zip(got, expected):
+        assert np.array_equal(P, Q)
 
 
 def test_lpp_deterministic():
