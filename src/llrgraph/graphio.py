@@ -45,7 +45,7 @@ def read_graph(path: str | Path) -> csr_matrix:
     (i, j), or a NaN or infinite weight. Signed weights are read as written.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8-sig").splitlines()
     if not text:
         raise InputError(f"{path}: empty graph file")
     match = _HEADER_RE.match(text[0].strip())
@@ -85,7 +85,7 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 def read_labels(path: str | Path) -> np.ndarray:
     """One integer label per non-blank line; a bad line is named by file and line."""
     labels = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if line.strip():
             try:
                 labels.append(int(line))

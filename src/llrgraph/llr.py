@@ -19,7 +19,8 @@ When m < d_dict and lam >= LOW_RANK_MIN_LAMBDA, a Woodbury solve in scaled
 variables factors only an m x m system, O(d_dict m^2 + m^3) per point.
 Otherwise the dense d_dict x d_dict M gets a Cholesky solve, O(d_dict^3) per
 point; this keeps the LLE limit lam = 0, where the diagonal part is only the
-ridge and the Woodbury form loses accuracy, exact.
+ridge and the Woodbury form loses accuracy, exact. Either path solves a stack
+of points at once, and each point rounds as if it were solved alone.
 
 The coefficient vectors are sparsified to the k_keep strongest entries by
 absolute value and symmetrized into a nonnegative similarity graph with
@@ -43,6 +44,9 @@ DEGENERATE_TOL = 1e-12
 #: is solved through the low-rank (Woodbury) path; below it the direct solve
 #: keeps the LLE limit lambda = 0 exact.
 LOW_RANK_MIN_LAMBDA = 1e-3
+#: Largest number of values in one per-chunk array of the batched neighbour
+#: sort and coefficient solve (512 KB of float64).
+_CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,20 +97,22 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest other samples of every sample, as (n, k) index and distance tables.
 
     Row i excludes i itself and is ordered by ascending Euclidean distance,
-    ties broken by smaller global index. Rows are sorted one at a time so that
-    the n x n distance matrix is the only quadratic buffer. Distances are
-    taken on X scaled by the exact power of two that brings max|X| into
-    [0.5, 1) and scaled back, so data above about 1e154 does not overflow
-    the squared differences.
+    ties broken by smaller global index. Rows are sorted in blocks of at most
+    _CHUNK_VALUES entries, so that the n x n distance matrix is the only
+    quadratic buffer. Distances are taken on X scaled by the exact power of
+    two that brings max|X| into [0.5, 1) and scaled back, so data above about
+    1e154 does not overflow the squared differences.
     """
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
     Xs = np.ldexp(X, -e)
     dists = cdist(Xs, Xs)
     np.ldexp(dists, e, out=dists)
     np.fill_diagonal(dists, np.inf)
-    idx = np.empty((X.shape[0], k), dtype=np.intp)
-    for i, row in enumerate(dists):
-        idx[i] = np.argsort(row, kind="stable")[:k]
+    n = X.shape[0]
+    idx = np.empty((n, k), dtype=np.intp)
+    block = max(1, _CHUNK_VALUES // n)
+    for a in range(0, n, block):
+        idx[a : a + block] = np.argsort(dists[a : a + block], axis=1, kind="stable")[:, :k]
     return idx, np.take_along_axis(dists, idx, axis=1)
 
 
@@ -139,60 +145,88 @@ def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
     return np.ldexp(np.linalg.norm(np.ldexp(X[dic.owner][:, None] - dic.atoms, -e), axis=0), e)
 
 
-def _ridge(trace: float, epsilon: float, d: int) -> float:
-    return epsilon * (trace / d) if trace > 0 else epsilon
+def _uses_low_rank(m: int, d: int, lam: float) -> bool:
+    return m < d and lam >= LOW_RANK_MIN_LAMBDA
 
 
-def _direct_solve(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
-    """u = M^{-1} 1 by a Cholesky solve of the dense d x d M; O(d^3)."""
-    d = B.shape[1]
-    M = (1.0 - lam) * (B.T @ B)
-    M[np.diag_indices(d)] += lam * s**2
-    ridge = _ridge(float(np.trace(M)), epsilon, d)
-    if ridge > 0:
-        M[np.diag_indices(d)] += ridge
-    return scipy.linalg.solve(M, np.ones(d), assume_a="pos")
+def _ridge(trace: np.ndarray, epsilon: float, d: int) -> np.ndarray:
+    return np.where(trace > 0, epsilon * (trace / d), epsilon)
 
 
-def _low_rank_solve(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
-    """u = M^{-1} 1 by the Woodbury identity on the rank <= m term; O(d m^2 + m^3).
+def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve(A, b, assume_a="pos") on a stack of systems. SciPy may
+    round one 1 x 1 system differently from a stack of them (1.17 divides it
+    out), so 1 x 1 systems are solved one at a time, each as a system of its own."""
+    if A.shape[-1] == 1:
+        return np.stack([scipy.linalg.solve(a, y, assume_a="pos") for a, y in zip(A, b)])
+    return scipy.linalg.solve(A, b, assume_a="pos")
+
+
+def _direct_solve(Bt: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 for a stack of points by Cholesky solves of the dense d x d M; O(d^3) each."""
+    d = Bt.shape[1]
+    diag = np.arange(d)
+    M = (1.0 - lam) * (Bt @ Bt.transpose(0, 2, 1))
+    M[:, diag, diag] += lam * s**2
+    M[:, diag, diag] += _ridge(np.trace(M, axis1=1, axis2=2), epsilon, d)[:, None]
+    return _solve_pos(M, np.ones((*s.shape, 1)))[:, :, 0]
+
+
+def _low_rank_solve(Bt: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 for a stack of points by the Woodbury identity on the rank <= m
+    term; O(d m^2 + m^3) each.
 
     With the diagonal part delta = lam s^2 + ridge, r = delta^{-1/2} and
     G = B diag(r), M = diag(1/r) (I + (1 - lam) G^T G) diag(1/r), so
     M^{-1} 1 = r * (r - G^T y) with (G G^T + I / (1 - lam)) y = G r.
     """
-    m, d = B.shape
-    delta = lam * s**2 + _ridge((1.0 - lam) * float(np.sum(B * B)) + lam * float(s @ s), epsilon, d)
+    d, m = Bt.shape[1:]
+    ss = (s[:, None, :] @ s[:, :, None])[:, 0, 0]
+    delta = lam * s**2 + _ridge((1.0 - lam) * np.sum(Bt * Bt, axis=(1, 2)) + lam * ss, epsilon, d)[:, None]
     if not delta.min() > 0:
         raise scipy.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
     r = 1.0 / np.sqrt(delta)
-    G = B * r
-    K = G @ G.T
-    K[np.diag_indices(m)] += 1.0 / (1.0 - lam)
-    y = scipy.linalg.solve(K, G @ r, assume_a="pos")
-    return r * (r - G.T @ y)
+    Gt = Bt * r[:, :, None]  # slice i is G_i^T
+    G = Gt.transpose(0, 2, 1)
+    K = G @ Gt
+    diag = np.arange(m)
+    K[:, diag, diag] += 1.0 / (1.0 - lam)
+    y = _solve_pos(K, G @ r[:, :, None])
+    return r * (r - (Gt @ y)[:, :, 0])
 
 
-def _solve_core(x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float, epsilon: float, owner: int) -> np.ndarray:
-    m, d = atoms.shape
-    # Rescale by an exact power of two that brings max(s) into [0.5, 1). Each
-    # |B_kj| <= s_j, so M and its ridge scale by exactly 4^-e and the
-    # coefficients are unchanged, while 1^T u stays clear of under- and
-    # overflow whatever the scale of the data. B is Fortran-ordered whatever
-    # the layout of atoms, so that BLAS sums its products in one order and a
-    # dictionary copy solves bit for bit like a view of the data.
-    e = int(np.frexp(s.max(initial=0.0))[1])
-    B = np.ldexp(x[:, None] - np.asfortranarray(atoms), -e)  # column j = x - atom_j
-    s = np.ldexp(s, -e)
-    solve = _low_rank_solve if m < d and lam >= LOW_RANK_MIN_LAMBDA else _direct_solve
+def _coefficient_rows(
+    x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float, epsilon: float, owners: np.ndarray
+) -> np.ndarray:
+    """Coefficients of a stack of points: x is (r, m), atoms (r, d, m) holds each
+    point's atoms as rows, s (r, d) the distances, owners the sample numbers."""
+    d, m = atoms.shape[1:]
+    # Rescale each point by an exact power of two that brings max(s) into
+    # [0.5, 1). Each |B_kj| <= s_j, so M and its ridge scale by exactly 4^-e
+    # and the coefficients are unchanged, while 1^T u stays clear of under-
+    # and overflow whatever the scale of the data. The stack is C-ordered, so
+    # each slice is its B^T in one layout and BLAS sums its products in one
+    # order, whatever the layout of the atoms the caller passed.
+    e = np.frexp(s.max(axis=1, initial=0.0))[1]
+    Bt = np.subtract(x[:, None, :], atoms, order="C")  # row j of slice i = x_i - atom_j
+    np.ldexp(Bt, -e[:, None, None], out=Bt)
+    solve = _low_rank_solve if _uses_low_rank(m, d, lam) else _direct_solve
     try:
-        u = solve(B, s, lam, epsilon)
+        u = solve(Bt, np.ldexp(s, -e[:, None]), lam, epsilon)
     except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate coefficient system for sample {owner}: {exc}") from None
-    total = float(u.sum())
-    if not np.isfinite(total) or abs(total) < DEGENERATE_TOL:
-        raise ValueError(f"degenerate coefficient solution for sample {owner}: 1^T u = {total}")
-    return u / total
+        if len(owners) == 1:
+            raise ValueError(f"degenerate coefficient system for sample {owners[0]}: {exc}") from None
+        # A stacked LAPACK error names a slice, not a sample: solve the points
+        # one at a time so that the first failing one raises its own message.
+        for i in range(len(owners)):
+            _coefficient_rows(x[i : i + 1], atoms[i : i + 1], s[i : i + 1], lam, epsilon, owners[i : i + 1])
+        raise
+    total = u.sum(axis=1)
+    bad = np.flatnonzero(~(np.isfinite(total) & (np.abs(total) >= DEGENERATE_TOL)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"degenerate coefficient solution for sample {owners[i]}: 1^T u = {float(total[i])}")
+    return u / total[:, None]
 
 
 def solve_coefficients(
@@ -203,7 +237,8 @@ def solve_coefficients(
     Returns the coefficient vector aligned with dic.atom_indices; it sums to
     one by construction. A trace-relative ridge epsilon * (trace(M)/d_dict)
     (plain epsilon when the trace vanishes) guards singular systems, and the
-    system is solved with a symmetric positive-definite factorization.
+    system is solved with a symmetric positive-definite factorization. This
+    is the one-row case of coefficient_table's solve.
     """
     HyperParams(lam=lam, k_keep=1, d_dict=1, epsilon=epsilon).validate()  # one solve uses lam and epsilon only
     X = validate_data_matrix(X)
@@ -212,24 +247,32 @@ def solve_coefficients(
         raise ValueError("distance diagonal must be finite and nonnegative")
     if s.shape[0] != dic.atoms.shape[1]:
         raise ValueError("distance diagonal length must match dictionary size")
-    return _solve_core(X[dic.owner], dic.atoms, s, lam, epsilon, dic.owner)
+    return _coefficient_rows(X[dic.owner][None], dic.atoms.T[None], s[None], lam, epsilon, np.array([dic.owner]))[0]
+
+
+def _strongest(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k_keep entries of each row with the largest absolute value (ties:
+    smaller index), exact zeros dropped, as (rows, indices, values)."""
+    order = np.lexsort((idx, -np.abs(coef)), axis=1)[:, :k_keep]
+    cols = np.take_along_axis(idx, order, axis=1)
+    vals = np.take_along_axis(coef, order, axis=1)
+    kept = vals != 0.0
+    return np.nonzero(kept)[0], cols[kept], vals[kept]
 
 
 def sparsify(values: np.ndarray, atom_indices: np.ndarray, k_keep: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep the k_keep entries of largest absolute value (ties: smaller global
     index), drop the rest, and return (global_indices, values) sorted by
     global index. Retained values are not renormalized; exact zeros are not
-    stored.
+    stored. This is the one-row case of sparsify_table.
     """
     values = np.asarray(values, dtype=float)
     atom_indices = np.asarray(atom_indices)
     if not 1 <= k_keep <= values.size:
         raise ValueError(f"k_keep must lie in [1, {values.size}], got {k_keep}")
-    order = np.lexsort((atom_indices, -np.abs(values)))[:k_keep]
-    kept = order[values[order] != 0.0]
-    idx = atom_indices[kept]
+    _, idx, kept = _strongest(atom_indices[None], values[None], k_keep)
     out = np.argsort(idx)
-    return idx[out], values[kept][out]
+    return idx[out], kept[out]
 
 
 def symmetrize(C: csr_matrix) -> csr_matrix:
@@ -249,12 +292,18 @@ def coefficient_table(X: np.ndarray, params: HyperParams) -> tuple[np.ndarray, n
 
     Returns the (n, d_dict) neighbour-index table and the matching
     coefficient table; row i sums to one. params.k_keep is not used, so one
-    table serves every retention level.
+    table serves every retention level. Points are solved as stacks of rows
+    whose largest array holds at most _CHUNK_VALUES values; each row rounds
+    bit for bit like solve_coefficients on that point.
     """
     idx, dist = neighbour_table(X, params.d_dict)
+    (n, d), m = idx.shape, X.shape[1]
+    per_row = d * m if _uses_low_rank(m, d, params.lam) else d * max(d, m)
+    rows = max(1, _CHUNK_VALUES // per_row)
     coef = np.empty(idx.shape)
-    for i, (order, s) in enumerate(zip(idx, dist)):
-        coef[i] = _solve_core(X[i], X[order].T, s, params.lam, params.epsilon, owner=i)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        coef[a:b] = _coefficient_rows(X[a:b], X[idx[a:b]], dist[a:b], params.lam, params.epsilon, np.arange(a, b))
     return idx, coef
 
 
@@ -262,14 +311,8 @@ def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix
     """Sparsify each coefficient row to its k_keep strongest entries and
     scatter them to global indices as an (n, n) matrix."""
     n = idx.shape[0]
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for order, c in zip(idx, coef):
-        kept_idx, kept = sparsify(c, order, k_keep)
-        cols.append(kept_idx)
-        vals.append(kept)
-    rows = np.repeat(np.arange(n), [c.size for c in cols])
-    C = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(n, n))
+    rows, cols, vals = _strongest(idx, coef, k_keep)
+    C = csr_matrix((vals, (rows, cols)), shape=(n, n))
     C.sort_indices()
     return C
 

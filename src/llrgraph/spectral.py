@@ -12,6 +12,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .data import InputError, _rng
 
+#: Largest n * max(k, dim) * restarts of one group of k-means restarts that
+#: iterate together, which bounds their per-group arrays.
+_GROUP_VALUES = 2**16
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -165,49 +169,90 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tuple[np.ndarray, float]:
-    n, k = points.shape[0], centers.shape[0]
-    prev_obj = np.inf
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(config.max_iter):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)  # ties resolve to the smaller centroid index
-
-        # Repair empty clusters with the farthest point from its centroid,
-        # stealing only from clusters that keep at least one member.
-        counts = np.bincount(assign, minlength=k)
-        for c in np.flatnonzero(counts == 0):
-            own_d2 = d2[np.arange(n), assign]
-            eligible = counts[assign] >= 2
-            candidates = np.flatnonzero(eligible)
-            if candidates.size == 0:
-                break
-            farthest = candidates[np.argmax(own_d2[candidates])]
-            counts[assign[farthest]] -= 1
-            assign[farthest] = c
-            counts[c] += 1
-
-        new_centers = centers.copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                new_centers[c] = points[members].mean(axis=0)
-        obj = float(np.sum((points - new_centers[assign]) ** 2))
-        # Lloyd objective is non-increasing up to floating-point noise.
-        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
-            raise RuntimeError(f"k-means objective increased from {prev_obj!r} to {obj!r}")
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        centers = new_centers
-        prev_obj = obj
-        if shift < config.tol:
+def _repair_empty(d2: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> None:
+    """Give each empty cluster, in place, the point farthest from its centroid,
+    stealing only from clusters that keep at least one member."""
+    n = assign.size
+    for c in np.flatnonzero(counts == 0):
+        own_d2 = d2[np.arange(n), assign]
+        candidates = np.flatnonzero(counts[assign] >= 2)
+        if candidates.size == 0:
             break
-    return assign, prev_obj
+        farthest = candidates[np.argmax(own_d2[candidates])]
+        counts[assign[farthest]] -= 1
+        assign[farthest] = c
+        counts[c] += 1
+
+
+def _centroids(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Member means of every cluster of a group of restarts; empty clusters keep
+    their center. Sums run over members in index order, as in a per-cluster
+    points[members].mean(axis=0)."""
+    g, k, dim = centers.shape
+    new = centers.copy()
+    filled = counts > 0
+    if dim == 1:
+        # A one-column points[members].mean(axis=0) sums pairwise, not in
+        # index order as bincount does, so 1-D points keep it.
+        for r, c in zip(*np.nonzero(filled)):
+            new[r, c] = points[assign[r] == c].mean(axis=0)
+        return new
+    bins = (np.arange(g)[:, None] * k + assign).ravel()
+    sums = np.stack(
+        [np.bincount(bins, weights=np.tile(points[:, j], g), minlength=g * k) for j in range(dim)], axis=1
+    ).reshape(g, k, dim)
+    new[filled] = sums[filled] / counts[filled][:, None]
+    return new
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of a group of restarts at once, from their (g, k, dim)
+    starting centers. Returns the (g, n) labels and the g objectives; every
+    restart rounds bit for bit as if it ran alone."""
+    g, k, _ = centers.shape
+    n = points.shape[0]
+    assign = np.zeros((g, n), dtype=np.intp)
+    objective = np.full(g, np.inf)
+    increased: dict[int, str] = {}
+    active = np.arange(g)
+    for _ in range(config.max_iter):
+        a = active.size
+        old = centers[active]
+        d2 = np.empty((a, n, k))
+        for c in range(k):
+            diff = points - old[:, None, c, :]
+            d2[:, :, c] = np.sum(np.square(diff, out=diff), axis=2)
+        labels = np.argmin(d2, axis=2)  # ties resolve to the smaller centroid index
+        counts = np.bincount((np.arange(a)[:, None] * k + labels).ravel(), minlength=a * k).reshape(a, k)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(d2[r], labels[r], counts[r])
+        del d2, diff  # freed before the objective's buffer of the same size
+        new = _centroids(points, labels, counts, old)
+        diff = new[np.arange(a)[:, None], labels]
+        np.subtract(points, diff, out=diff)
+        obj = np.sum(np.square(diff, out=diff), axis=(1, 2))
+        prev = objective[active]
+        # Lloyd objective is non-increasing up to floating-point noise.
+        up = obj > prev + 1e-9 * (1.0 + np.abs(prev))
+        for r in np.flatnonzero(up):
+            increased[int(active[r])] = f"k-means objective increased from {float(prev[r])!r} to {float(obj[r])!r}"
+        shift = np.max(np.linalg.norm(new - old, axis=2), axis=1)
+        centers[active] = new
+        assign[active] = labels
+        objective[active] = obj
+        active = active[~((shift < config.tol) | up)]
+        if not active.size:
+            break
+    if increased:
+        raise RuntimeError(increased[min(increased)])
+    return assign, objective
 
 
 def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     """Restarted k-means++ / Lloyd. Restart r uses seed config.seed + r; the
     restart with the lowest within-cluster sum of squares wins (ties by
-    lowest restart index)."""
+    lowest restart index). Restarts iterate together in groups whose
+    per-group arrays hold at most _GROUP_VALUES values."""
     points = np.asarray(points, dtype=float)
     config.validate()
     if points.ndim != 2 or points.shape[0] < config.k:
@@ -216,14 +261,16 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     if bad.size:
         raise ValueError(f"k-means points must be finite; rows {bad.tolist()} are not")
 
+    group = max(1, _GROUP_VALUES // (points.shape[0] * max(config.k, points.shape[1])))
     best_labels, best_obj = None, np.inf
-    for r in range(config.restarts):
-        rng = _rng(config.seed + r)
-        centers = _kmeanspp_init(points, config.k, rng)
+    for first in range(0, config.restarts, group):
+        restarts = range(first, min(first + group, config.restarts))
+        centers = np.stack([_kmeanspp_init(points, config.k, _rng(config.seed + r)) for r in restarts])
         labels, obj = _lloyd(points, centers, config)
-        if best_labels is None or obj < best_obj:
-            best_obj = obj
-            best_labels = labels
+        r = int(np.argmin(obj))  # first of equal objectives: the lowest restart
+        if best_labels is None or obj[r] < best_obj:
+            best_obj = obj[r]
+            best_labels = labels[r]
     return best_labels
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 def quadratic_matrix(x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
@@ -167,3 +168,136 @@ def eig2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norm = math.sqrt(float((v**2).sum()))
         vecs.append(v / norm if norm > 0 else v)
     return np.array([lo, hi]), np.column_stack(vecs)
+
+
+# One-at-a-time definitions of the batched library bodies. They solve,
+# sparsify and iterate one point, row or restart per loop pass, with the same
+# floating-point operations in the same order, so the library must match them
+# bit for bit.
+
+
+def _ridge_one(trace: float, epsilon: float, d: int) -> float:
+    return epsilon * (trace / d) if trace > 0 else epsilon
+
+
+def direct_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 for one point by a Cholesky solve of the dense d x d M."""
+    d = B.shape[1]
+    M = (1.0 - lam) * (B.T @ B)
+    M[np.diag_indices(d)] += lam * s**2
+    ridge = _ridge_one(float(np.trace(M)), epsilon, d)
+    if ridge > 0:
+        M[np.diag_indices(d)] += ridge
+    return scipy.linalg.solve(M, np.ones(d), assume_a="pos")
+
+
+def low_rank_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
+    """u = M^{-1} 1 for one point by the Woodbury identity on the rank <= m term."""
+    m, d = B.shape
+    delta = lam * s**2 + _ridge_one((1.0 - lam) * float(np.sum(B * B)) + lam * float(s @ s), epsilon, d)
+    if not delta.min() > 0:
+        raise scipy.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
+    r = 1.0 / np.sqrt(delta)
+    G = B * r
+    K = G @ G.T
+    K[np.diag_indices(m)] += 1.0 / (1.0 - lam)
+    y = scipy.linalg.solve(K, G @ r, assume_a="pos")
+    return r * (r - G.T @ y)
+
+
+def coefficients_one(x, atoms, s, lam, epsilon, low_rank_min_lambda):
+    """Coefficients of one point over atoms (m x d, atoms as columns)."""
+    m, d = atoms.shape
+    e = int(np.frexp(s.max(initial=0.0))[1])
+    B = np.ldexp(x[:, None] - np.asfortranarray(atoms), -e)  # column j = x - atom_j, Fortran-ordered
+    s = np.ldexp(s, -e)
+    solve = low_rank_solve_one if m < d and lam >= low_rank_min_lambda else direct_solve_one
+    u = solve(B, s, lam, epsilon)
+    return u / float(u.sum())
+
+
+def coefficient_table_loop(X, idx, dist, lam, epsilon, low_rank_min_lambda):
+    """The coefficient table solved one point at a time over a given neighbour table."""
+    coef = np.empty(idx.shape)
+    for i, (order, s) in enumerate(zip(idx, dist)):
+        coef[i] = coefficients_one(X[i], X[order].T, s, lam, epsilon, low_rank_min_lambda)
+    return coef
+
+
+def sparsify_table_loop(idx: np.ndarray, coef: np.ndarray, k_keep: int):
+    """Per row: the k_keep largest |coef| (ties by smaller index), exact zeros
+    dropped, scattered to an (n, n) CSR matrix."""
+    n = idx.shape[0]
+    rows, cols, vals = [], [], []
+    for i, (order, c) in enumerate(zip(idx, coef)):
+        ranked = sorted(range(c.size), key=lambda j: (-abs(c[j]), order[j]))[:k_keep]
+        for j in sorted(ranked, key=lambda j: order[j]):
+            if c[j] != 0.0:
+                rows.append(i)
+                cols.append(order[j])
+                vals.append(c[j])
+    entries = (np.array(vals, dtype=float), (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)))
+    C = scipy.sparse.csr_matrix(entries, shape=(n, n))
+    C.sort_indices()
+    return C
+
+
+def kmeanspp_init_one(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for t in range(1, k):
+        total = float(d2.sum())
+        if total > 0:
+            choice = int(rng.choice(n, p=d2 / total))
+        else:
+            choice = int(rng.integers(n))
+        centers[t] = points[choice]
+        d2 = np.minimum(d2, np.sum((points - centers[t]) ** 2, axis=1))
+    return centers
+
+
+def lloyd_one(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+    """Lloyd iterations of one restart with empty-cluster repair; (labels, objective)."""
+    n, k = points.shape[0], centers.shape[0]
+    prev_obj = np.inf
+    assign = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        counts = np.bincount(assign, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            own_d2 = d2[np.arange(n), assign]
+            candidates = np.flatnonzero(counts[assign] >= 2)
+            if candidates.size == 0:
+                break
+            farthest = candidates[np.argmax(own_d2[candidates])]
+            counts[assign[farthest]] -= 1
+            assign[farthest] = c
+            counts[c] += 1
+        new_centers = centers.copy()
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                new_centers[c] = points[members].mean(axis=0)
+        obj = float(np.sum((points - new_centers[assign]) ** 2))
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        prev_obj = obj
+        if shift < tol:
+            break
+    return assign, prev_obj
+
+
+def kmeans_loop(points: np.ndarray, k: int, restarts: int, seed: int, max_iter: int = 300, tol: float = 1e-8):
+    """Labels of restarted k-means++ / Lloyd, one restart at a time; restart r
+    seeds PCG64(seed + r) and the lowest objective wins, ties by lowest restart."""
+    best, best_obj = None, math.inf
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.PCG64(seed + r))
+        labels, obj = lloyd_one(points, kmeanspp_init_one(points, k, rng), max_iter, tol)
+        if best is None or obj < best_obj:
+            best, best_obj = labels, obj
+    return best

@@ -25,6 +25,10 @@ def test_graph_roundtrip_bit_exact(tmp_path):
         path2 = tmp_path / f"g{trial}b.txt"
         write_graph(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+        # a UTF-8 byte-order mark, as some editors write, is not part of the header
+        bom = tmp_path / f"g{trial}bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert np.array_equal(read_graph(bom).toarray(), W.toarray()), f"trial {trial} with BOM"
 
 
 def test_graph_file_shape(tmp_path):
@@ -130,6 +134,8 @@ def test_labels_roundtrip(tmp_path):
     write_labels(path, labels)
     assert path.read_text() == "0\n2\n2\n1\n0\n"
     assert np.array_equal(read_labels(path), labels)
+    path.write_text("\ufeff0\n1\n0\n", encoding="utf-8")  # with a byte-order mark
+    assert read_labels(path).tolist() == [0, 1, 0]
 
 
 def test_read_labels_bad_line_names_file_and_line(tmp_path):

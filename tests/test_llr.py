@@ -206,6 +206,34 @@ def test_solver_singular_system_names_sample():
         solve_coefficients(X, _FakeDict(0, X[1:].T), s, lam=0.5, epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    "X, params",
+    [
+        # duplicate atoms 6 and 7 nearest to sample 5, lam=0 (the direct
+        # path), epsilon=0: M is exactly singular
+        (
+            np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0], [1.2, 1.1], [2.0, 0.4], [100.0, 100.0], [101.0, 100.5], [101.0, 100.5]]),
+            HyperParams(lam=0.0, k_keep=1, d_dict=2, epsilon=0.0),
+        ),
+        # sample 6 sits on sample 5, lam=0.5 (the low-rank path), epsilon=0:
+        # a zero distance with a zero ridge
+        (
+            np.array([[0.0], [1.0], [3.0], [6.0], [10.0], [15.0], [15.0], [21.0]]),
+            HyperParams(lam=0.5, k_keep=1, d_dict=2, epsilon=0.0),
+        ),
+    ],
+    ids=["direct", "low-rank"],
+)
+def test_table_error_names_the_failing_sample_not_the_slice(X, params):
+    # The table solves all eight points as one stack, in which sample 5 is
+    # not the first slice; a stacked LAPACK error names only slice [0].
+    with pytest.raises(ValueError, match=r"degenerate coefficient system for sample 5: "):
+        build_llr_coefficients(X, params)
+    for i in range(5):  # the samples before it solve
+        dic = build_dictionary(X, i, params.d_dict)
+        solve_coefficients(X, dic, distance_diagonal(X, dic), params.lam, params.epsilon)
+
+
 def test_sparsify_keeps_strongest_with_index_tie_break():
     values = np.array([0.5, -0.7, 0.2, 0.7])
     atom_indices = np.array([3, 1, 9, 2])

@@ -1,12 +1,18 @@
-"""Property tests: graph invariants over small random inputs for every method."""
+"""Property tests: graph invariants over small random inputs for every method,
+and bit-identity of the batched bodies with their one-at-a-time definitions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from llrgraph.llr import HyperParams, build_llr_coefficients
+from llrgraph import llr, spectral
+from llrgraph.llr import HyperParams, build_llr_coefficients, coefficient_table, neighbour_table, sparsify_table
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
+from llrgraph.spectral import KMeansConfig, kmeans
+
+from oracles import coefficient_table_loop, kmeans_loop, kmeanspp_init_one, lloyd_one, sparsify_table_loop
 
 # A fixed example sequence, so that every run checks the same inputs.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -62,3 +68,94 @@ def test_lle_equals_llr_at_lambda_zero(inputs):
     assert np.array_equal(lle.indptr, llr.indptr)
     assert np.array_equal(lle.indices, llr.indices)
     assert np.array_equal(lle.data, llr.data)
+
+
+# Small chunk and group budgets split tables into several chunks and restarts
+# into several groups; 2**18 and 2**16 are the library's own.
+budgets = st.sampled_from([1, 7, 40, 300, 2**16, 2**18])
+
+
+def _same_csr(A, B):
+    return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("indptr", "indices", "data"))
+
+
+@PROPERTY_SETTINGS
+@given(graph_inputs(), st.sampled_from([0.0, 5e-4]) | st.floats(1e-3, 0.99), budgets)
+def test_coefficient_table_matches_one_point_at_a_time(inputs, lam, budget):
+    # lam < LOW_RANK_MIN_LAMBDA takes the direct path; above it, m < d_dict
+    # takes the low-rank path.
+    X, p = inputs
+    params = HyperParams(lam=lam, k_keep=p["k_keep"], d_dict=p["d_dict"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        idx, coef = coefficient_table(X, params)
+    want_idx, dist = neighbour_table(X, params.d_dict)
+    assert np.array_equal(idx, want_idx)
+    want = coefficient_table_loop(X, idx, dist, lam, params.epsilon, llr.LOW_RANK_MIN_LAMBDA)
+    assert np.array_equal(coef, want)
+
+
+@PROPERTY_SETTINGS
+@given(graph_inputs(), st.data())
+def test_sparsify_table_matches_row_at_a_time(inputs, data):
+    # Coefficients on the 1/4 grid have exact zeros and tied magnitudes.
+    X, p = inputs
+    idx = neighbour_table(X, p["d_dict"])[0]
+    coef = data.draw(arrays(np.float64, idx.shape, elements=coordinates))
+    assert _same_csr(sparsify_table(idx, coef, p["k_keep"]), sparsify_table_loop(idx, coef, p["k_keep"]))
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points on a 1/7 grid and a config. Duplicates are common, so clusters
+    empty out, and sums of sevenths round, so summation order shows."""
+    n = draw(st.integers(1, 30))
+    sevenths = st.integers(-40, 40).map(lambda v: v / 7.0)
+    points = draw(arrays(np.float64, (n, draw(st.integers(1, 4))), elements=sevenths))
+    config = KMeansConfig(
+        k=draw(st.integers(1, min(n, 5))),
+        restarts=draw(st.integers(1, 8)),
+        max_iter=draw(st.sampled_from([1, 2, 300])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return points, config
+
+
+@PROPERTY_SETTINGS
+@given(kmeans_inputs(), budgets)
+def test_kmeans_matches_restart_at_a_time(inputs, budget):
+    points, config = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_GROUP_VALUES", budget)
+        labels = kmeans(points, config)
+    want = kmeans_loop(points, config.k, config.restarts, config.seed, config.max_iter, config.tol)
+    assert np.array_equal(labels, want)
+
+
+def test_kmeans_repairs_empty_clusters_like_one_restart_at_a_time(monkeypatch):
+    # Points at two locations and three clusters: k-means++ draws one
+    # location twice, which leaves a cluster empty.
+    points = np.array([[0.0, 0.0]] * 9 + [[1.0, 0.0]] * 2)
+    repairs = []
+    repair = spectral._repair_empty
+    monkeypatch.setattr(spectral, "_repair_empty", lambda *args: repairs.append(1) or repair(*args))
+    monkeypatch.setattr(spectral, "_GROUP_VALUES", 50)  # groups of two restarts
+    for seed in range(5):
+        config = KMeansConfig(k=3, restarts=5, seed=seed)
+        assert np.array_equal(kmeans(points, config), kmeans_loop(points, 3, 5, seed))
+    assert repairs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lloyd_objectives_match_restart_at_a_time(dim):
+    # Every restart's objective, not only the winner's labels, rounds like a
+    # restart run alone; a last-bit change in a centroid shows here first.
+    rng = np.random.Generator(np.random.PCG64(dim))
+    points = rng.standard_normal((200, dim))
+    config = KMeansConfig(k=4, restarts=6)
+    starts = [kmeanspp_init_one(points, 4, np.random.Generator(np.random.PCG64(r))) for r in range(6)]
+    labels, objectives = spectral._lloyd(points, np.stack(starts), config)
+    for r, start in enumerate(starts):
+        want_labels, want_objective = lloyd_one(points, start, config.max_iter, config.tol)
+        assert np.array_equal(labels[r], want_labels)
+        assert objectives[r] == want_objective
