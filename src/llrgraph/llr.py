@@ -252,12 +252,23 @@ def solve_coefficients(
 
 def _strongest(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k_keep entries of each row with the largest absolute value (ties:
-    smaller index), exact zeros dropped, as (rows, indices, values)."""
-    order = np.lexsort((idx, -np.abs(coef)), axis=1)[:, :k_keep]
-    cols = np.take_along_axis(idx, order, axis=1)
-    vals = np.take_along_axis(coef, order, axis=1)
-    kept = vals != 0.0
-    return np.nonzero(kept)[0], cols[kept], vals[kept]
+    smaller index), exact zeros dropped, as (rows, indices, values).
+
+    Selects before sorting: a partition finds each row's k_keep-th largest
+    |coef|, and only the entries at least that large, ties included, are
+    sorted by (row, -|coef|, index) and cut at rank k_keep per row.
+    """
+    d = coef.shape[1]
+    if not 1 <= k_keep <= d:
+        raise ValueError(f"k_keep must lie in [1, {d}], got {k_keep}")
+    mag = np.abs(coef)
+    # Fancy indexing copies the thresholds out, so the partitioned copy is freed.
+    rows, pos = np.nonzero(mag >= np.partition(mag, d - k_keep, axis=1)[:, [d - k_keep]])
+    order = np.lexsort((idx[rows, pos], -mag[rows, pos], rows))
+    rows, pos = rows[order], pos[order]
+    vals = coef[rows, pos]
+    kept = (np.arange(rows.size) - np.searchsorted(rows, rows) < k_keep) & (vals != 0.0)
+    return rows[kept], idx[rows, pos][kept], vals[kept]
 
 
 def sparsify(values: np.ndarray, atom_indices: np.ndarray, k_keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +279,6 @@ def sparsify(values: np.ndarray, atom_indices: np.ndarray, k_keep: int) -> tuple
     """
     values = np.asarray(values, dtype=float)
     atom_indices = np.asarray(atom_indices)
-    if not 1 <= k_keep <= values.size:
-        raise ValueError(f"k_keep must lie in [1, {values.size}], got {k_keep}")
     _, idx, kept = _strongest(atom_indices[None], values[None], k_keep)
     out = np.argsort(idx)
     return idx[out], kept[out]

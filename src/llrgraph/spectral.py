@@ -151,21 +151,37 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     return coords / safe[:, None]
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(g, n) squared distances from every point to each of g centers."""
+    diff = points - centers[:, None, :]
+    return np.sum(np.square(diff, out=diff), axis=2)
+
+
+def _kmeanspp_init(points: np.ndarray, k: int, seeds: range) -> np.ndarray:
+    """k-means++ starts of a group of restarts, as (g, k, dim) centers; restart
+    r draws from _rng(seeds[r]). The first center is integers(n); each later
+    one replicates Generator.choice(n, p=d2 / total), one random() searched
+    (side="right") in the normalized cumulative sum, or is integers(n) when
+    every point already is a center (total 0)."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    rngs = [_rng(seed) for seed in seeds]
+    choice = np.array([rng.integers(n) for rng in rngs])
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[choice]
+    d2 = _sq_dists(points, centers[:, 0])
     for t in range(1, k):
-        total = float(d2.sum())
-        if total > 0:
-            probs = d2 / total
-            choice = int(rng.choice(n, p=probs))
-        else:
-            choice = int(rng.integers(n))
-        centers[t] = points[choice]
-        d2 = np.minimum(d2, np.sum((points - centers[t]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        if not np.all(np.isfinite(total)):
+            raise ValueError("k-means++ squared distances overflowed; rescale the points")
+        live = np.flatnonzero(total > 0)
+        cdf = np.cumsum(d2[live] / total[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        for r, row in zip(live, cdf):
+            choice[r] = row.searchsorted(rngs[r].random(), side="right")
+        for r in np.flatnonzero(total == 0):
+            choice[r] = rngs[r].integers(n)
+        centers[:, t] = points[choice]
+        d2 = np.minimum(d2, _sq_dists(points, centers[:, t]))
     return centers
 
 
@@ -264,8 +280,8 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     group = max(1, _GROUP_VALUES // (points.shape[0] * max(config.k, points.shape[1])))
     best_labels, best_obj = None, np.inf
     for first in range(0, config.restarts, group):
-        restarts = range(first, min(first + group, config.restarts))
-        centers = np.stack([_kmeanspp_init(points, config.k, _rng(config.seed + r)) for r in restarts])
+        seeds = range(config.seed + first, config.seed + min(first + group, config.restarts))
+        centers = _kmeanspp_init(points, config.k, seeds)
         labels, obj = _lloyd(points, centers, config)
         r = int(np.argmin(obj))  # first of equal objectives: the lowest restart
         if best_labels is None or obj[r] < best_obj:

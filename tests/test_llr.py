@@ -243,6 +243,13 @@ def test_sparsify_keeps_strongest_with_index_tie_break():
     assert kept.tolist() == [-0.7, 0.7]
     idx1, kept1 = sparsify(values, atom_indices, 1)
     assert idx1.tolist() == [1] and kept1.tolist() == [-0.7]
+    # the k_keep-th and (k_keep+1)-th magnitudes tie at the selection
+    # threshold; the smaller global index, at the later position, is kept
+    idx2, kept2 = sparsify(np.array([0.9, 0.4, -0.4, 0.1]), np.array([0, 8, 5, 2]), 2)
+    assert idx2.tolist() == [0, 5] and kept2.tolist() == [0.9, -0.4]
+    # an all-zero row keeps nothing
+    idx0, kept0 = sparsify(np.zeros(4), np.array([3, 1, 9, 2]), 2)
+    assert idx0.size == 0 and kept0.size == 0
 
 
 def test_sparsify_drops_exact_zeros_and_keeps_raw_values():
@@ -256,6 +263,10 @@ def test_sparsify_drops_exact_zeros_and_keeps_raw_values():
 def test_sparsify_rejects_bad_k():
     with pytest.raises(ValueError, match="k_keep"):
         sparsify(np.array([1.0, 2.0]), np.array([0, 1]), 3)
+    with pytest.raises(ValueError, match="k_keep"):
+        sparsify(np.array([1.0, 2.0]), np.array([0, 1]), 0)
+    with pytest.raises(ValueError, match=r"k_keep must lie in \[1, 2\], got 3"):
+        llr.sparsify_table(np.array([[1, 2], [0, 2], [0, 1]]), np.ones((3, 2)), 3)
 
 
 def test_symmetrize_matches_dense_formula():

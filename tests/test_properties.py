@@ -70,6 +70,20 @@ def test_lle_equals_llr_at_lambda_zero(inputs):
     assert np.array_equal(lle.data, llr.data)
 
 
+@PROPERTY_SETTINGS
+@given(graph_inputs(), st.sampled_from(GRAPH_METHODS), st.integers(-60, 60), st.data())
+def test_graphs_are_invariant_to_power_of_two_scaling_and_grid_translation(inputs, method, power, data):
+    # Both maps are exact on the 1/4 grid: scaling moves only exponents, and
+    # a translation on the grid keeps the bits of every pairwise difference.
+    # The heat bandwidth is in data units, so it scales with the data.
+    X, params = inputs
+    shift = data.draw(arrays(np.float64, X.shape[1], elements=coordinates))
+    W = build_graph_by_method(X, method, **params)
+    scaled = dict(params, sigma=np.ldexp(params["sigma"], power))
+    assert _same_csr(build_graph_by_method(np.ldexp(X, power), method, **scaled), W)
+    assert _same_csr(build_graph_by_method(X + shift, method, **params), W)
+
+
 # Small chunk and group budgets split tables into several chunks and restarts
 # into several groups; 2**18 and 2**16 are the library's own.
 budgets = st.sampled_from([1, 7, 40, 300, 2**16, 2**18])
@@ -144,6 +158,49 @@ def test_kmeans_repairs_empty_clusters_like_one_restart_at_a_time(monkeypatch):
         config = KMeansConfig(k=3, restarts=5, seed=seed)
         assert np.array_equal(kmeans(points, config), kmeans_loop(points, 3, 5, seed))
     assert repairs
+
+
+@pytest.mark.parametrize("points", ["gaussian", "two locations", "one location"])
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_kmeanspp_starts_match_rng_choice_restart_by_restart(monkeypatch, dim, points):
+    # n = 300 runs past numpy's 128-element pairwise-sum block. Points at two
+    # locations leave total 0 from the third center on, and at one location
+    # from the second, so those draws take the integers(n) fallback. The group
+    # budget splits the seven restarts into groups of 3, 3 and 1.
+    n, k, restarts, seed = 300, 4, 7, 11
+    rng = np.random.Generator(np.random.PCG64(dim))
+    X = rng.standard_normal((n, dim))
+    X = {"gaussian": X, "two locations": X[np.arange(n) % 2], "one location": X[np.zeros(n, dtype=int)]}[points]
+    starts = []
+    lloyd = spectral._lloyd
+    monkeypatch.setattr(spectral, "_lloyd", lambda p, centers, c: starts.extend(centers.copy()) or lloyd(p, centers, c))
+    monkeypatch.setattr(spectral, "_GROUP_VALUES", 3 * n * max(k, dim))
+    kmeans(X, KMeansConfig(k=k, restarts=restarts, max_iter=1, seed=seed))
+    assert len(starts) == restarts
+    for r, start in enumerate(starts):
+        assert np.array_equal(start, kmeanspp_init_one(X, k, np.random.Generator(np.random.PCG64(seed + r))))
+
+
+class _OnTheBreakpoint(np.random.Generator):
+    """Draws the first point, then 0.5 from every random() call."""
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+
+def test_kmeanspp_draw_on_a_cdf_breakpoint_matches_rng_choice(monkeypatch):
+    # With the first center at 0, points -1 and 1 weigh 1/2 each: the CDF is
+    # [0, 0.5, 1] and a draw of exactly 0.5 sits on a breakpoint, where
+    # Generator.choice (searchsorted side="right") takes point 1, not -1.
+    X = np.array([[0.0], [-1.0], [1.0]])
+    monkeypatch.setattr(spectral, "_rng", lambda seed: _OnTheBreakpoint(np.random.PCG64(seed)))
+    want = kmeanspp_init_one(X, 2, _OnTheBreakpoint(np.random.PCG64(0)))
+    assert want[1, 0] == 1.0
+    for start in spectral._kmeanspp_init(X, 2, range(2)):
+        assert np.array_equal(start, want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

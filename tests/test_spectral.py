@@ -245,6 +245,18 @@ def test_kmeans_rejects_non_finite_points():
         kmeans(points, KMeansConfig(k=2))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kmeans_rejects_overflowing_squared_distances():
+    # Finite points whose squared distances overflow would leave k-means++
+    # searching a NaN distribution; just below that scale they cluster.
+    rng = _rng(8)
+    truth = np.repeat([0, 1, 2], 10)
+    points = rng.standard_normal((30, 3)) + 10.0 * np.eye(3)[truth]
+    with pytest.raises(ValueError, match="squared distances overflowed"):
+        kmeans(points * 1e160, KMeansConfig(k=3))
+    assert clustering_accuracy(kmeans(points * 1e150, KMeansConfig(k=3)), truth) == 1.0
+
+
 def test_spectral_cluster_block_diagonal_is_perfect():
     W = _block_graph([5, 6, 7], weight=2.0)
     truth = np.repeat([0, 1, 2], [5, 6, 7])
