@@ -34,7 +34,7 @@ from .data import (
     synth_union_of_subspaces,
 )
 from .embedding import save_projection
-from .graphio import read_graph, read_labels, write_graph, write_labels
+from .graphio import _data_line, read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, resolve_d_dict, sweep_run
@@ -456,20 +456,27 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
         _reject_explicit(explicit, _GRAPH_ONLY_KEYS, "with --graph (the graph is already built)")
         resolved = {k: v for k, v in resolved.items() if k not in _GRAPH_ONLY_KEYS}
         _require_file("--graph", resolved["graph"])
+        graph = resolved["graph"]
         with stages.stage("load"):
-            W = read_graph(resolved["graph"])
+            W = read_graph(graph)
+            n = W.shape[0]
             if W.nnz and W.data.min() < 0:
+                # Stored upper-triangle entries are the file's edge lines, in order.
                 upper = triu(W, k=1, format="coo")
                 e = int(np.argmax(upper.data < 0))
-                raise UsageError(f"{resolved['graph']}: edge ({upper.row[e]}, {upper.col[e]}) has negative "
-                                 f"weight {float(upper.data[e])!r}; similarity weights must be nonnegative")
+                raise UsageError(f"{graph}: edge ({upper.row[e]}, {upper.col[e]}) has negative weight "
+                                 f"{float(upper.data[e])!r} ({graph}:{_data_line(graph, e, first=2)}); "
+                                 "similarity weights must be nonnegative")
+            if resolved["clusters"] > n:
+                raise UsageError(f"{graph}:1: the graph has n={n} nodes, fewer than --clusters {resolved['clusters']}")
             truth = None
             if resolved["truth_labels"] is not None:
                 _require_file("--truth-labels", resolved["truth_labels"])
                 truth = read_labels(resolved["truth_labels"])
-                if truth.shape[0] != W.shape[0]:
+                if truth.shape[0] != n:
+                    line = _data_line(resolved["truth_labels"], n)
                     raise UsageError(
-                        f"--truth-labels: got {truth.shape[0]} labels for a graph on {W.shape[0]} nodes"
+                        f"{resolved['truth_labels']}:{line}: got {truth.shape[0]} labels for a graph on {n} nodes"
                     )
 
     k = resolved["clusters"]

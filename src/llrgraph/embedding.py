@@ -13,9 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csr_matrix, spmatrix
-from scipy.spatial.distance import cdist
 
 from .data import _fix_column_signs, validate_data_matrix
 from .llr import DEGENERATE_TOL, _ridge, symmetrize
@@ -41,11 +39,13 @@ def generalized_sym_eig(
         if np.max(np.abs(M - M.T), initial=0.0) > 1e-10 * (1.0 + np.max(np.abs(M), initial=0.0)):
             raise ValueError(f"{name} is not symmetric")
 
+    import scipy.linalg  # imported on first use, to keep the CLI's start-up light
+
     m = A.shape[0]
     B_reg = B + _ridge(float(np.trace(B)), delta, m) * np.eye(m)
     try:
         evals, evecs = scipy.linalg.eigh(A, B_reg)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"B is not positive-definite after regularization: {exc}") from None
 
     scale = 1.0 + np.max(np.abs(A), initial=0.0)
@@ -151,6 +151,8 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
         raise ValueError("train_labels length must match train rows")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test dimensionality differ")
+    from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
+
     nearest = np.argmin(cdist(test, train), axis=1)
     return train_labels[nearest]
 

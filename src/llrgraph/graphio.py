@@ -23,6 +23,7 @@ from scipy.sparse import csr_matrix, spmatrix, triu
 from .data import InputError
 
 _HEADER_RE = re.compile(r"^llr-graph v1 n=(\d+) sym=1$")
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def write_graph(path: str | Path, W: spmatrix) -> None:
@@ -47,10 +48,10 @@ def read_graph(path: str | Path) -> csr_matrix:
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig").splitlines()
     if not text:
-        raise InputError(f"{path}: empty graph file")
+        raise InputError(f"{path}:1: empty graph file")
     match = _HEADER_RE.match(text[0].strip())
     if not match:
-        raise InputError(f"{path}: bad graph header {text[0]!r}")
+        raise InputError(f"{path}:1: bad graph header {text[0]!r}")
     n = int(match.group(1))
     rows, cols, vals = [], [], []
     prev = (-1, -1)
@@ -83,7 +84,7 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    """One integer label per non-blank line; a bad line is named by file and line."""
+    """One 64-bit integer label per non-blank line; a bad line is named by file and line."""
     labels = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if line.strip():
@@ -91,4 +92,16 @@ def read_labels(path: str | Path) -> np.ndarray:
                 labels.append(int(line))
             except ValueError:
                 raise InputError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
+            if not _INT64_MIN <= labels[-1] <= _INT64_MAX:
+                raise InputError(f"{path}:{lineno}: label {line.strip()} is outside the 64-bit integer range")
     return np.asarray(labels, dtype=np.int64)
+
+
+def _data_line(path: str | Path, index: int, first: int = 1) -> int:
+    """Line number of the index-th non-blank line at or after line `first`,
+    or of the line past the end when the file has fewer: the line of label
+    `index` in a labels file, or (first=2) of edge `index`, in (i, j) order,
+    in a graph file."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    numbers = [no for no, line in enumerate(lines, start=1) if no >= first and line.strip()]
+    return numbers[index] if index < len(numbers) else len(lines) + 1

@@ -32,9 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
 
 from .data import InputError, validate_data_matrix
 
@@ -103,6 +101,8 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     two that brings max|X| into [0.5, 1) and scaled back, so data above about
     1e154 does not overflow the squared differences.
     """
+    from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
+
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
     Xs = np.ldexp(X, -e)
     dists = cdist(Xs, Xs)
@@ -157,6 +157,8 @@ def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve(A, b, assume_a="pos") on a stack of systems. SciPy may
     round one 1 x 1 system differently from a stack of them (1.17 divides it
     out), so 1 x 1 systems are solved one at a time, each as a system of its own."""
+    import scipy.linalg  # imported on first use, to keep the CLI's start-up light
+
     if A.shape[-1] == 1:
         return np.stack([scipy.linalg.solve(a, y, assume_a="pos") for a, y in zip(A, b)])
     return scipy.linalg.solve(A, b, assume_a="pos")
@@ -184,7 +186,7 @@ def _low_rank_solve(Bt: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -
     ss = (s[:, None, :] @ s[:, :, None])[:, 0, 0]
     delta = lam * s**2 + _ridge((1.0 - lam) * np.sum(Bt * Bt, axis=(1, 2)) + lam * ss, epsilon, d)[:, None]
     if not delta.min() > 0:
-        raise scipy.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
+        raise np.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
     r = 1.0 / np.sqrt(delta)
     Gt = Bt * r[:, :, None]  # slice i is G_i^T
     G = Gt.transpose(0, 2, 1)
@@ -213,7 +215,7 @@ def _coefficient_rows(
     solve = _low_rank_solve if _uses_low_rank(m, d, lam) else _direct_solve
     try:
         u = solve(Bt, np.ldexp(s, -e[:, None]), lam, epsilon)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         if len(owners) == 1:
             raise ValueError(f"degenerate coefficient system for sample {owners[0]}: {exc}") from None
         # A stacked LAPACK error names a slice, not a sample: solve the points

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import spmatrix
 
 
@@ -20,6 +21,54 @@ def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _assign_rows(cost: np.ndarray) -> np.ndarray:
+    """Column of every row in a minimum-cost assignment of an n x m matrix, n <= m.
+
+    Shortest augmenting paths with dual potentials (Kuhn-Munkres in the form
+    of Jonker & Volgenant, Computing 1987): each row in turn grows a
+    Dijkstra tree over reduced costs until it reaches a free column, then
+    flips the path. O(n^2 m) steps in plain Python, which beats per-step
+    numpy calls on contingency tables up to about 100 x 100.
+    """
+    n, m = cost.shape
+    rows = cost.tolist()
+    u = [0.0] * n  # row potentials
+    v = [0.0] * (m + 1)  # column potentials; column m is the virtual root
+    owner = [-1] * (m + 1)  # row assigned to each column
+    for i in range(n):
+        owner[m] = i
+        j0 = m
+        dist = [math.inf] * m
+        prev = [m] * m  # previous column on the shortest path
+        used = [False] * (m + 1)
+        while owner[j0] >= 0:
+            used[j0] = True
+            row, ui = rows[owner[j0]], u[owner[j0]]
+            delta, j1 = math.inf, -1
+            for j in range(m):
+                if not used[j]:
+                    reduced = row[j] - ui - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif j < m:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != m:
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    cols = np.full(n, -1, dtype=np.int64)
+    for j in range(m):
+        if owner[j] >= 0:
+            cols[owner[j]] = j
+    return cols
+
+
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost injective row-to-column assignment.
 
@@ -31,9 +80,11 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"cost must be a nonempty 2-D matrix, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    row_ind, col_ind = linear_sum_assignment(cost)
+    if cost.shape[0] <= cost.shape[1]:
+        return _assign_rows(cost)
+    rows = _assign_rows(cost.T)  # the row of every column
     assignment = np.full(cost.shape[0], -1, dtype=np.int64)
-    assignment[row_ind] = col_ind
+    assignment[rows] = np.arange(cost.shape[1])
     return assignment
 
 

@@ -7,8 +7,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import spmatrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_matrix, spmatrix
 
 from .data import InputError, _rng
 
@@ -61,16 +60,49 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _degrees(W: spmatrix) -> np.ndarray:
-    """Vertex degrees; raises on isolated vertices."""
-    degrees = np.asarray(W.sum(axis=1)).ravel()
+    """Vertex degrees; raises on isolated vertices and on degrees whose sum
+    overflows, which would turn the normalized coordinates into NaN or zero."""
+    with np.errstate(over="ignore"):
+        degrees = np.asarray(W.sum(axis=1)).ravel()
+        total = degrees.sum()
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
         raise ValueError(f"graph has isolated vertices (zero degree): {isolated.tolist()}")
+    if not np.isfinite(total):
+        raise ValueError(f"graph degrees sum to {total}, beyond the float range; rescale the edge weights")
     return degrees
 
 
 def _dense(W: spmatrix) -> np.ndarray:
     return W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
+
+
+def _components(W: spmatrix) -> tuple[int, np.ndarray]:
+    """Connected components of the nonzero pattern of W, read as undirected:
+    the count and each vertex's label, components numbered by smallest vertex.
+
+    Hook and jump (Shiloach & Vishkin, J. Algorithms 1982), vectorized over
+    the edges: each round hooks the larger of the two roots of every edge
+    that joins two trees onto the smaller one, then pointer-jumps every
+    vertex to its root. A parent is never larger than its child, so each
+    root is its tree's smallest vertex.
+    """
+    coo = coo_matrix(W)
+    nonzero = coo.data != 0
+    u, v = coo.row[nonzero], coo.col[nonzero]
+    parent = np.arange(W.shape[0])
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        joins = pu != pv
+        u, v, pu, pv = u[joins], v[joins], pu[joins], pv[joins]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots, labels = np.unique(parent, return_inverse=True)
+    return roots.size, labels
 
 
 def _component_embedding(W: spmatrix, degrees: np.ndarray, c: int, labels: np.ndarray, k: int) -> np.ndarray:
@@ -129,7 +161,7 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     if negative.size:
         raise ValueError(f"graph has negative edge weights at vertices: {negative.tolist()}")
     degrees = _degrees(W)
-    c, labels = connected_components(W != 0, directed=False)
+    c, labels = _components(W)
     if c <= k:
         coords = _component_embedding(W, degrees, c, labels, k)
     else:

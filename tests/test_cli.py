@@ -1,8 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import llrgraph
 from llrgraph.cli import main
 from llrgraph.graphio import read_graph, read_labels
 
@@ -30,6 +41,33 @@ def _synth(tmp_path, name="data.csv", per=10, seed=0, noise=0.01):
 
 def _load_report(path):
     return json.loads(path.read_text())
+
+
+# -- start-up -----------------------------------------------------------
+
+# SciPy subpackages the CLI loads on first use only; scipy.sparse.csgraph
+# pulls in scipy.linalg and scipy.sparse.linalg.
+FIRST_USE_ONLY = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+
+_ADDED_BY_CLI = """
+import json, sys
+import numpy, scipy.sparse
+before = set(sys.modules)
+import llrgraph.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_adds_no_heavy_scipy_subpackage():
+    """A fresh process importing the CLI loads nothing beyond numpy and
+    scipy.sparse from the list above. The baseline is taken after importing
+    those two, because some SciPy versions load csgraph with scipy.sparse."""
+    src = str(Path(llrgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=env, capture_output=True, text=True, check=True)
+    added = json.loads(out.stdout)
+    heavy = [m for m in added if any(m == p or m.startswith(p + ".") for p in FIRST_USE_ONLY)]
+    assert heavy == []
 
 
 # -- synth --------------------------------------------------------------
@@ -257,6 +295,23 @@ def test_cluster_malformed_graph_file_exits_two(tmp_path, capsys, body, message)
                  "--output", str(tmp_path / "pred.txt")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cluster_graph_conflicts_name_file_and_line(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("llr-graph v1 n=3 sym=1\n0 1 1.0\n\n0 2 1.0\n1 2 -2.0\n")
+    out = str(tmp_path / "pred.txt")
+    assert main(["cluster", "--graph", str(graph), "--clusters", "2", "--output", out]) == 2
+    assert "g.txt: edge (1, 2) has negative weight -2.0 (" + str(graph) + ":5)" in capsys.readouterr().err
+    graph.write_text("llr-graph v1 n=3 sym=1\n0 1 1.0\n0 2 1.0\n")
+    assert main(["cluster", "--graph", str(graph), "--clusters", "4", "--output", out]) == 2
+    assert "g.txt:1: the graph has n=3 nodes, fewer than --clusters 4" in capsys.readouterr().err
+    truth = tmp_path / "t.txt"
+    for text, message in (("0\n\n1\n", "t.txt:4: got 2 labels"), ("0\n1\n\n1\n0\n", "t.txt:5: got 4 labels")):
+        truth.write_text(text)
+        assert main(["cluster", "--graph", str(graph), "--truth-labels", str(truth),
+                     "--clusters", "2", "--output", out]) == 2
+        assert message + " for a graph on 3 nodes" in capsys.readouterr().err
 
 
 def test_cluster_malformed_truth_labels_exit_two(tmp_path, capsys):
@@ -580,3 +635,74 @@ def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_pa
     capsys.readouterr()
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# -- fuzzed graph and label files ------------------------------------------
+
+# Two 4-vertex components, clustered with k = 2.
+_FUZZ_GRAPH = [
+    "llr-graph v1 n=8 sym=1",
+    "0 1 1.0", "0 2 0.5", "1 3 2.0", "2 3 1.0",
+    "4 5 1.0", "4 6 0.25", "5 7 1.5", "6 7 1.0",
+]
+_FUZZ_LABELS = ["0", "0", "0", "0", "1", "1", "1", "1"]
+_FUZZ_TOKENS = st.sampled_from([
+    "0", "1", "3", "7", "8", "9", "-1", "2.5", "-0.5", "0.0", "1e-300", "5e-324", "1e308", "1.7976931348623157e308",
+    "nan", "inf", "-inf", "x", "1_0", "0x1", "1e", "9223372036854775808", "-9223372036854775809", "10" * 12,
+    "n=0", "n=1", "n=3", "n=8", "n=11", "sym=0", "v2",
+])
+
+
+@st.composite
+def _mutated(draw, lines):
+    """A file made from lines by a few deletions, duplications, swaps, token
+    replacements, inserted lines, truncation or a changed line ending."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "insert", "truncate"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines and op != "insert":
+            continue
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == "insert":
+            lines.insert(i, " ".join(draw(st.lists(_FUZZ_TOKENS, max_size=4))))
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph=_mutated(_FUZZ_GRAPH), labels=_mutated(_FUZZ_LABELS))
+@example(graph="\n".join(_FUZZ_GRAPH).replace("0 2 0.5", "0 2 1e308").replace("0 1 1.0", "0 1 1e308"),
+         labels="\n".join(_FUZZ_LABELS))
+@example(graph="\n".join(_FUZZ_GRAPH).replace("n=8", "n=9"), labels="\n".join(_FUZZ_LABELS + ["1"]))
+def test_cluster_on_fuzzed_files_exits_cleanly(graph, labels):
+    """cluster --graph --truth-labels on mutated files exits 0, or 2 with an
+    error naming a file and line. A well-formed graph that the spectral stage
+    cannot embed (an isolated vertex, or degrees summing beyond the float
+    range) fails there with exit 1 and says why; nothing else exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, labels_path = Path(tmp) / "g.txt", Path(tmp) / "t.txt"
+        graph_path.write_bytes(graph.encode("utf-8"))
+        labels_path.write_bytes(labels.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["cluster", "--graph", str(graph_path), "--truth-labels", str(labels_path),
+                         "--clusters", "2", "--output", str(Path(tmp) / "pred.txt")])
+        message = err.getvalue()
+    if code == 2:
+        assert re.search(rf"(g|t)\.txt:\d+", message), message
+    elif code == 1:
+        assert "isolated vertices" in message or "beyond the float range" in message, message
+    else:
+        assert code == 0, message

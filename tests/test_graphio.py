@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from llrgraph.graphio import read_graph, read_labels, write_graph, write_labels
+from llrgraph.graphio import _data_line, read_graph, read_labels, write_graph, write_labels
 
 
 def _random_symmetric(rng, n, density=0.3):
@@ -50,10 +50,10 @@ def test_write_graph_rejects_non_square(tmp_path):
 def test_read_graph_header_errors(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("")
-    with pytest.raises(ValueError, match="empty graph file"):
+    with pytest.raises(ValueError, match=r"g\.txt:1: empty graph file"):
         read_graph(path)
     path.write_text("llr-graph v2 n=3 sym=1\n")
-    with pytest.raises(ValueError, match="bad graph header"):
+    with pytest.raises(ValueError, match=r"g\.txt:1: bad graph header"):
         read_graph(path)
     path.write_text("3 nodes\n0 1 1.0\n")
     with pytest.raises(ValueError, match="bad graph header"):
@@ -143,3 +143,19 @@ def test_read_labels_bad_line_names_file_and_line(tmp_path):
     path.write_text("0\n1\n\n1.5\n")
     with pytest.raises(ValueError, match=r"labels\.txt:4: expected an integer label, got '1\.5'"):
         read_labels(path)
+
+
+def test_read_labels_rejects_labels_outside_int64(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n")
+    assert read_labels(path).tolist() == [0, 2**63 - 1, -(2**63)]
+    path.write_text(f"0\n\n{2**63}\n")
+    with pytest.raises(ValueError, match=r"labels\.txt:3: label 9223372036854775808 is outside the 64-bit integer range"):
+        read_labels(path)
+
+
+def test_data_line_counts_non_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("\ufeffllr-graph v1 n=3 sym=1\n0 1 1.0\n\n0 2 1.0\n1 2 1.0\n\n", encoding="utf-8")
+    assert [_data_line(path, e, first=2) for e in range(4)] == [2, 4, 5, 7]
+    assert [_data_line(path, i) for i in range(5)] == [1, 2, 4, 5, 7]

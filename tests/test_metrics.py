@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 
 from llrgraph.metrics import (
     classification_accuracy,
@@ -61,6 +62,27 @@ def test_hungarian_matches_exhaustive_rectangular():
         assert np.unique(assigned).size == assigned.size, "assignment must be injective"
         got_cost = sum(cost[r, c] for r, c in enumerate(got) if c >= 0)
         assert got_cost == pytest.approx(best_assignment(cost), abs=1e-12), f"trial {trial}"
+
+
+@pytest.mark.parametrize("kind", ["float", "ties"])
+def test_hungarian_matches_scipy_assignment_cost(kind):
+    """Optimal cost, injectivity and assigned-row count against SciPy's solver
+    up to 40 x 40, with 1 x m, m x 1 and more rows than columns included."""
+    rng = _rng(3 if kind == "float" else 4)
+    shapes = [(1, 1), (1, 7), (7, 1), (40, 40), (40, 13), (13, 40)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 41, 2)) for _ in range(60)]
+    for rows, cols in shapes:
+        if kind == "float":
+            cost = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+        else:
+            cost = rng.integers(0, 3, (rows, cols)).astype(float)  # many equal optima
+        got = hungarian(cost)
+        r, c = linear_sum_assignment(cost)
+        assigned = np.flatnonzero(got >= 0)
+        assert assigned.size == r.size == min(rows, cols), (rows, cols)
+        assert np.unique(got[assigned]).size == assigned.size, "assignment must be injective"
+        want = cost[r, c].sum()
+        assert cost[assigned, got[assigned]].sum() == pytest.approx(want, rel=1e-12, abs=1e-12), (rows, cols)
 
 
 def test_hungarian_rejects_bad_inputs():

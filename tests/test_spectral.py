@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -90,6 +91,12 @@ def test_embedding_rejects_isolated_vertex():
         normalized_laplacian_embedding(W, 1)
 
 
+def test_embedding_rejects_degrees_beyond_the_float_range():
+    W = sp.csr_matrix(np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 1.0], [1e308, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        normalized_laplacian_embedding(W, 2)
+
+
 def test_embedding_rejects_negative_weights():
     W = sp.csr_matrix(np.array([[0.0, 2.0, -1.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 0.0]]))
     with pytest.raises(ValueError, match=r"negative edge weights at vertices: \[0, 2\]"):
@@ -161,6 +168,45 @@ def test_components_equal_to_k_need_no_eigensolve(monkeypatch):
     first = [int(np.flatnonzero(labels == comp)[0]) for comp in range(3)]
     assert first == sorted(first)
     assert np.array_equal(coords, np.eye(3)[labels])
+
+
+def _assert_same_components(W):
+    want = connected_components(W != 0, directed=False)
+    got = spectral._components(W)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_components_match_scipy_on_random_patterns():
+    """Exact count and labels against SciPy on graphs with explicit stored
+    zeros, self-loops and patterns stored in one direction only."""
+    rng = _rng(14)
+    stored_zeros = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        e = int(rng.integers(0, 2 * n + 1))
+        rows, cols = rng.integers(0, n, e), rng.integers(0, n, e)
+        if trial % 3 == 0:
+            cols = np.where(rng.random(e) < 0.3, rows, cols)  # self-loops
+        vals = rng.choice([0.0, 1.0, 0.25], e)
+        W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        stored_zeros += W.nnz > np.count_nonzero(W.data)
+        _assert_same_components(W)
+    assert stored_zeros > 50
+    _assert_same_components(sp.csr_matrix((1, 1)))
+    _assert_same_components(sp.csr_matrix(([0.0, 2.0], ([0, 1], [1, 2])), shape=(4, 4)))
+
+
+def test_components_of_a_shuffled_long_path_take_few_rounds():
+    """Plain min-label propagation needs one round per path vertex here and
+    takes seconds; hook and jump needs a few rounds."""
+    n = 20_000
+    order = _rng(15).permutation(n)
+    W = sp.csr_matrix((np.ones(n - 1), (order[:-1], order[1:])), shape=(n, n))
+    start = time.perf_counter()
+    c, labels = spectral._components(W)
+    assert time.perf_counter() - start < 1.0
+    assert c == 1 and not labels.any()
 
 
 def test_more_components_than_k_keeps_dense_eigensolve():
