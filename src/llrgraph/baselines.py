@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ class HeatKernelParams:
         if isinstance(self.sigma, str):
             if self.sigma != "auto":
                 raise InputError(f"sigma must be a positive number or 'auto', got {self.sigma!r}")
+        elif not math.isfinite(self.sigma):
+            raise InputError(f"sigma must be finite, got {self.sigma}")
         elif not self.sigma > 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
         if n is not None and self.k_nn > n - 1:

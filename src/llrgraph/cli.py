@@ -4,7 +4,9 @@ Subcommands: synth, build-graph, cluster, embed-classify, eval. Every
 command resolves its configuration from defaults, an optional flat JSON
 config file, and flags (flags win), validates it before any computation,
 and can emit a machine-readable JSON report embedding the resolved config
-for exact replay. Exit codes: 0 success, 1 runtime or numerical error,
+for exact replay. A command with two modes (cluster, embed-classify, eval,
+synth) rejects a flag of the other mode, and its report records only the
+keys of the mode that ran. Exit codes: 0 success, 1 runtime or numerical error,
 2 usage or validation error.
 """
 
@@ -15,7 +17,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -37,7 +39,7 @@ from .embedding import save_projection
 from .graphio import _data_line, read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
-from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, resolve_d_dict, sweep_run
+from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, sweep_run
 from .spectral import KMeansConfig
 
 SCHEMA_VERSION = 1
@@ -57,19 +59,20 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class Param:
     key: str  # config/report key; flag is --key with dashes
-    kind: str  # coercion rule
+    kind: str  # coercion rule; an infile must exist, an outfile's directory must
     default: Any = None
-    required: bool = False
+    required: bool = False  # in the modes it applies in
     choices: tuple[str, ...] | None = None
     help: str = ""
+    modes: tuple[str, ...] = ()  # the command modes it applies in; () is every mode
 
     @property
     def flag(self) -> str:
         return "--" + self.key.replace("_", "-")
 
 
-def _graph_params() -> list[Param]:
-    out = [
+def _graph_params(modes: tuple[str, ...] = ()) -> list[Param]:
+    params = [
         Param("method", "choice", default="llr", choices=GRAPH_METHODS, help="graph construction method"),
         Param("lambda", "float", default=0.5, help="distance-regularization weight in [0, 1) (llr)"),
         Param("k_keep", "int", default=8, help="coefficients kept per point (llr)"),
@@ -78,42 +81,45 @@ def _graph_params() -> list[Param]:
         Param("k_nn", "int", default=8, help="neighbors per point (heat, lle)"),
         Param("sigma", "sigma", default="auto", help="heat kernel bandwidth, or 'auto' for the median retained distance"),
     ]
-    return out
+    return [replace(p, modes=modes) for p in params]
 
 
 _SYNTH_PARAMS = [
-    Param("preset", "choice", choices=PRESETS, help="named configuration (fig1: ambient 3, subspace dims 1,1,2)"),
-    Param("ambient_dim", "int", help="ambient dimension (custom mode)"),
-    Param("dims", "intlist", help="comma-separated intrinsic dimensions, one per subspace (custom mode)"),
+    Param("preset", "choice", choices=PRESETS, modes=("preset",),
+          help="named configuration (fig1: ambient 3, subspace dims 1,1,2)"),
+    Param("ambient_dim", "int", required=True, modes=("custom",), help="ambient dimension"),
+    Param("dims", "intlist", required=True, modes=("custom",),
+          help="comma-separated intrinsic dimensions, one per subspace"),
     Param("per_subspace", "int", default=50, help="points per subspace"),
     Param("noise", "float", default=0.01, help="isotropic noise standard deviation"),
     Param("seed", "int", default=0, help="generator seed"),
-    Param("output", "path", required=True, help="output CSV path"),
+    Param("output", "outfile", required=True, help="output CSV path"),
 ]
 
 _BUILD_GRAPH_PARAMS = [
-    Param("input", "path", required=True, help="input CSV path"),
+    Param("input", "infile", required=True, help="input CSV path"),
     Param("label_column", "labelcol", help="label column name or index (labels are carried, not used)"),
     Param("pca_energy", "energy", default=None, help="PCA energy fraction applied to all rows before the graph, or 'none'"),
     *_graph_params(),
-    Param("output", "path", required=True, help="output graph path"),
+    Param("output", "outfile", required=True, help="output graph path"),
 ]
 
 _CLUSTER_PARAMS = [
-    Param("input", "path", help="input CSV path (build the graph here)"),
-    Param("graph", "path", help="prebuilt graph path (skip construction)"),
-    Param("label_column", "labelcol", help="label column in the input CSV, enables AC/NMI"),
-    Param("truth_labels", "path", help="label file with ground truth (graph mode), enables AC/NMI"),
-    Param("pca_energy", "energy", default=None, help="PCA energy fraction applied to all rows before the graph, or 'none'"),
-    *_graph_params(),
+    Param("input", "infile", modes=("input",), help="input CSV path (build the graph here)"),
+    Param("graph", "infile", modes=("graph",), help="prebuilt graph path (skip construction)"),
+    Param("label_column", "labelcol", modes=("input",), help="label column in the input CSV, enables AC/NMI"),
+    Param("truth_labels", "infile", modes=("graph",), help="label file with ground truth, enables AC/NMI"),
+    Param("pca_energy", "energy", default=None, modes=("input",),
+          help="PCA energy fraction applied to all rows before the graph, or 'none'"),
+    *_graph_params(modes=("input",)),
     Param("clusters", "int", required=True, help="number of clusters"),
     Param("restarts", "int", default=20, help="k-means restarts"),
     Param("seed", "int", default=0, help="k-means seed"),
-    Param("output", "path", required=True, help="output label file"),
+    Param("output", "outfile", required=True, help="output label file"),
 ]
 
 _EMBED_PARAMS = [
-    Param("input", "path", required=True, help="input CSV path"),
+    Param("input", "infile", required=True, help="input CSV path"),
     Param("label_column", "labelcol", required=True, help="label column name or index"),
     Param("method", "choice", default="npe", choices=EMBED_METHODS, help="embedding method"),
     Param("embed_dim", "int", required=True, help="embedding dimension"),
@@ -121,24 +127,26 @@ _EMBED_PARAMS = [
     Param("stratified", "bool", default=True, help="split per class rather than globally"),
     Param("pca_energy", "energy", default=0.98, help="PCA energy fraction fit on the training split, or 'none'"),
     Param("seed", "int", default=0, help="split seed"),
-    Param("lambda", "float", default=0.5, help="distance-regularization weight in [0, 1) (npe)"),
-    Param("k_keep", "int", default=8, help="coefficients kept per point (npe)"),
-    Param("d_dict", "ddict", default="auto", help="dictionary size, or 'auto' for min(300, n_train-1) (npe)"),
-    Param("epsilon", "float", default=1e-9, help="ridge scale for the coefficient solve (npe)"),
-    Param("npe_weights", "choice", default="coefficients", choices=("coefficients", "symmetrized"),
-          help="reconstruction weights from raw coefficient rows or the symmetrized graph (npe)"),
-    Param("k_nn", "int", default=8, help="neighbors per point (lpp)"),
-    Param("sigma", "sigma", default="auto", help="heat kernel bandwidth or 'auto' (lpp)"),
-    Param("projection_out", "path", help="optional CSV path for the learned projection"),
-    Param("pred_out", "path", help="optional label file for test predictions"),
+    Param("lambda", "float", default=0.5, modes=("npe",), help="distance-regularization weight in [0, 1)"),
+    Param("k_keep", "int", default=8, modes=("npe",), help="coefficients kept per point"),
+    Param("d_dict", "ddict", default="auto", modes=("npe",),
+          help="dictionary size, or 'auto' for min(300, n_train-1)"),
+    Param("epsilon", "float", default=1e-9, modes=("npe",), help="ridge scale for the coefficient solve"),
+    Param("npe_weights", "choice", default="coefficients", choices=("coefficients", "symmetrized"), modes=("npe",),
+          help="reconstruction weights from raw coefficient rows or the symmetrized graph"),
+    Param("k_nn", "int", default=8, modes=("lpp",), help="neighbors per point"),
+    Param("sigma", "sigma", default="auto", modes=("lpp",), help="heat kernel bandwidth or 'auto'"),
+    Param("projection_out", "outfile", help="optional CSV path for the learned projection"),
+    Param("pred_out", "outfile", help="optional label file for test predictions"),
 ]
 
 _EVAL_PARAMS = [
-    Param("input", "path", help="input CSV path (fixed dataset mode)"),
-    Param("label_column", "labelcol", help="label column name or index (fixed dataset mode)"),
-    Param("preset", "choice", choices=PRESETS, help="synthetic preset regenerated per seed"),
-    Param("per_subspace", "int", default=50, help="points per subspace (preset mode)"),
-    Param("noise", "float", default=0.01, help="noise standard deviation (preset mode)"),
+    Param("input", "infile", modes=("input",), help="input CSV path (a fixed dataset)"),
+    Param("label_column", "labelcol", required=True, modes=("input",),
+          help="label column name or index; sweeps score against ground truth"),
+    Param("preset", "choice", choices=PRESETS, modes=("preset",), help="synthetic preset regenerated per seed"),
+    Param("per_subspace", "int", default=50, modes=("preset",), help="points per subspace"),
+    Param("noise", "float", default=0.01, modes=("preset",), help="noise standard deviation"),
     Param("clusters", "int", help="number of clusters (default: subspace count of the preset)"),
     Param("methods", "strlist", default=["llr", "heat", "lle"], choices=GRAPH_METHODS,
           help="comma-separated graph methods to compare"),
@@ -199,7 +207,7 @@ def _coerce(p: Param, raw: Any) -> Any:
         return _as_int(p, raw)
     if p.kind == "float":
         return _as_float(p, raw)
-    if p.kind == "path":
+    if p.kind in ("infile", "outfile"):
         if not isinstance(raw, str) or not raw:
             raise _fail(p, raw, "a path")
         return raw
@@ -268,50 +276,63 @@ def _load_config(path: str, command: str) -> dict[str, Any]:
     return doc
 
 
-def _resolve(params: list[Param], args: argparse.Namespace, command: str) -> tuple[dict[str, Any], set[str]]:
-    """Merge defaults, config file, and flags; flags win. Returns the resolved
-    mapping and the set of keys given explicitly on the command line."""
+def _one_of(a: str, b: str) -> Callable[[dict[str, Any]], str]:
+    """A mode rule: the mode is named after whichever of keys a and b is set."""
+    def mode(resolved: dict[str, Any]) -> str:
+        if (resolved[a] is None) == (resolved[b] is None):
+            raise UsageError(f"exactly one of --{a} and --{b} is required")
+        return a if resolved[a] is not None else b
+    return mode
+
+
+def _check_path(p: Param, path: str) -> None:
+    if p.kind == "infile" and not Path(path).is_file():
+        raise UsageError(f"{p.flag}: file not found: {path}")
+    if p.kind == "outfile" and not Path(path).parent.is_dir():
+        raise UsageError(f"{p.flag}: directory does not exist: {Path(path).parent}")
+
+
+_REPORT = Param("report", "outfile", help="write a JSON run report here")
+
+
+def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+    """Merge defaults, config file, and flags; flags win. Then pick the
+    command's mode and, for each parameter, reject a flag of another mode,
+    require the required ones of this mode and check this mode's files.
+
+    Returns every resolved value, config values of another mode included
+    (they change nothing, but the command receives them), and the keys of
+    this mode, which the report records."""
     config_data: dict[str, Any] = {}
     if args.config is not None:
-        config_data = _load_config(args.config, command)
-        known = {p.key for p in params}
-        unknown = sorted(set(config_data) - known)
+        config_data = _load_config(args.config, cmd.name)
+        unknown = sorted(set(config_data) - {p.key for p in cmd.params})
         if unknown:
-            raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
+            raise UsageError(f"unknown config keys for {cmd.name}: {', '.join(unknown)}")
 
     resolved: dict[str, Any] = {}
-    explicit: set[str] = set()
-    for p in params:
+    for p in cmd.params:
         raw = getattr(args, p.key)
-        if raw is not None:
-            explicit.add(p.key)
-        elif p.key in config_data:
-            raw = config_data[p.key]
         if raw is None:
+            raw = config_data.get(p.key)
+        resolved[p.key] = p.default if raw is None else _coerce(p, raw)
+
+    mode = cmd.mode(resolved)
+    keys: list[str] = []
+    for p in cmd.params:
+        if p.modes and mode not in p.modes:
+            if getattr(args, p.key) is not None:
+                raise UsageError(f"{p.flag} has no effect in {cmd.name} {mode} mode")
+            continue
+        if resolved[p.key] is None:
             if p.required:
-                raise UsageError(f"{p.flag} is required")
-            resolved[p.key] = p.default
+                raise UsageError(f"{p.flag} is required" + (f" in {cmd.name} {mode} mode" if p.modes else ""))
         else:
-            resolved[p.key] = _coerce(p, raw)
-    return resolved, explicit
-
-
-def _check_output_dir(p: Param, path: str) -> None:
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise UsageError(f"{p.flag}: directory does not exist: {parent}")
-
-
-def _require_file(flag: str, path: str) -> None:
-    if not Path(path).is_file():
-        raise UsageError(f"{flag}: file not found: {path}")
-
-
-def _reject_explicit(explicit: set[str], keys: list[str], why: str) -> None:
-    bad = [k for k in keys if k in explicit]
-    if bad:
-        flag = "--" + bad[0].replace("_", "-")
-        raise UsageError(f"{flag} has no effect {why}")
+            _check_path(p, resolved[p.key])
+        keys.append(p.key)
+    if args.report is not None:
+        _check_path(_REPORT, args.report)
+    return resolved, keys
 
 
 def _auto(value: Any) -> Any:
@@ -347,7 +368,6 @@ class Stages:
 
 @dataclass
 class CommandResult:
-    resolved: dict[str, Any]
     metrics: dict[str, Any]
     artifacts: dict[str, str] = field(default_factory=dict)
     derived: dict[str, Any] = field(default_factory=dict)
@@ -359,22 +379,16 @@ class CommandResult:
 # Command implementations
 
 
-def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
+def _cmd_synth(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     if resolved["preset"] is not None:
-        _reject_explicit(explicit, ["ambient_dim", "dims"], "together with --preset")
         spec = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], resolved["seed"])
-        resolved = {k: v for k, v in resolved.items() if k not in ("ambient_dim", "dims")}
     else:
-        if resolved["ambient_dim"] is None or resolved["dims"] is None:
-            raise UsageError("either --preset or both --ambient-dim and --dims are required")
         spec = SyntheticSpec(
             ambient_dim=resolved["ambient_dim"],
             subspaces=[(d, resolved["per_subspace"]) for d in resolved["dims"]],
             noise_sigma=resolved["noise"],
             seed=resolved["seed"],
         )
-        resolved = {k: v for k, v in resolved.items() if k != "preset"}
-    _check_output_dir(Param("output", "path"), resolved["output"])
 
     with stages.stage("synth"):
         ds = synth_union_of_subspaces(spec)
@@ -382,7 +396,6 @@ def _cmd_synth(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> 
         save_csv(resolved["output"], ds)
 
     return CommandResult(
-        resolved=resolved,
         metrics={"n": ds.n, "m": ds.m, "n_classes": ds.n_classes},
         artifacts={"dataset": resolved["output"]},
         seed=resolved["seed"],
@@ -415,9 +428,7 @@ def _graph_from_csv(
     return ds, W, derived
 
 
-def _cmd_build_graph(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    _require_file("--input", resolved["input"])
-    _check_output_dir(Param("output", "path"), resolved["output"])
+def _cmd_build_graph(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     ds, W, derived = _graph_from_csv(resolved, stages)
     with stages.stage("write"):
         write_graph(resolved["output"], W)
@@ -429,33 +440,17 @@ def _cmd_build_graph(resolved: dict[str, Any], explicit: set[str], stages: Stage
     if "intra_class_edge_mass" in metrics:
         lines.append(f"intra_class_edge_mass={metrics['intra_class_edge_mass']!r}")
     return CommandResult(
-        resolved=resolved, metrics=metrics, artifacts={"graph": resolved["output"]},
-        derived=derived, seed=None, lines=lines,
+        metrics=metrics, artifacts={"graph": resolved["output"]}, derived=derived, seed=None, lines=lines,
     )
 
 
-_GRAPH_ONLY_KEYS = ["method", "lambda", "k_keep", "d_dict", "epsilon", "k_nn", "sigma", "pca_energy", "label_column", "input"]
-
-
-def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    have_input = resolved["input"] is not None
-    have_graph = resolved["graph"] is not None
-    if have_input == have_graph:
-        raise UsageError("exactly one of --input and --graph is required")
-    _check_output_dir(Param("output", "path"), resolved["output"])
-
+def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     derived: dict[str, Any] = {}
-    if have_input:
-        _reject_explicit(explicit, ["truth_labels"], "with --input (labels come from --label-column)")
-        resolved = {k: v for k, v in resolved.items() if k not in ("graph", "truth_labels")}
-        _require_file("--input", resolved["input"])
+    if resolved["input"] is not None:
         kmeans = KMeansConfig(k=resolved["clusters"], restarts=resolved["restarts"], seed=resolved["seed"])
         ds, W, derived = _graph_from_csv(resolved, stages, kmeans)
         truth = ds.labels
     else:
-        _reject_explicit(explicit, _GRAPH_ONLY_KEYS, "with --graph (the graph is already built)")
-        resolved = {k: v for k, v in resolved.items() if k not in _GRAPH_ONLY_KEYS}
-        _require_file("--graph", resolved["graph"])
         graph = resolved["graph"]
         with stages.stage("load"):
             W = read_graph(graph)
@@ -471,7 +466,6 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
                 raise UsageError(f"{graph}:1: the graph has n={n} nodes, fewer than --clusters {resolved['clusters']}")
             truth = None
             if resolved["truth_labels"] is not None:
-                _require_file("--truth-labels", resolved["truth_labels"])
                 truth = read_labels(resolved["truth_labels"])
                 if truth.shape[0] != n:
                     line = _data_line(resolved["truth_labels"], n)
@@ -492,24 +486,12 @@ def _cmd_cluster(resolved: dict[str, Any], explicit: set[str], stages: Stages) -
         metrics.update(scores)
         lines.append(" ".join(f"{name}={scores[name]!r}" for name in ("ac", "nmi", "intra_class_edge_mass")))
     return CommandResult(
-        resolved=resolved, metrics=metrics, artifacts={"labels": resolved["output"]},
-        derived=derived, seed=resolved["seed"], lines=lines,
+        metrics=metrics, artifacts={"labels": resolved["output"]}, derived=derived, seed=resolved["seed"], lines=lines,
     )
 
 
-_NPE_KEYS = ["lambda", "k_keep", "d_dict", "epsilon", "npe_weights"]
-_LPP_KEYS = ["k_nn", "sigma"]
-
-
-def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
+def _cmd_embed_classify(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     method = resolved["method"]
-    ignored = _LPP_KEYS if method == "npe" else _NPE_KEYS
-    _reject_explicit(explicit, ignored, f"with --method {method}")
-    _require_file("--input", resolved["input"])
-    for key in ("projection_out", "pred_out"):
-        if resolved[key] is not None:
-            _check_output_dir(Param(key, "path"), resolved[key])
-
     with stages.stage("load"):
         ds = load_csv(resolved["input"], label_column=resolved["label_column"])
 
@@ -538,8 +520,7 @@ def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: St
 
     derived: dict[str, Any] = {"pca_dim": result["pca_dim"]}
     if method == "npe":
-        derived["d_dict"] = resolve_d_dict(_auto(resolved["d_dict"]), result["n_train"])
-    resolved = {k: v for k, v in resolved.items() if k not in ignored}
+        derived["d_dict"] = result["d_dict"]
     metrics = {
         "accuracy": result["accuracy"],
         "n_train": result["n_train"],
@@ -553,8 +534,7 @@ def _cmd_embed_classify(resolved: dict[str, Any], explicit: set[str], stages: St
         f"pca_dim={result['pca_dim']}, embed_dim={result['embed_dim']})"
     ]
     return CommandResult(
-        resolved=resolved, metrics=metrics, artifacts=artifacts,
-        derived=derived, seed=resolved["seed"], lines=lines,
+        metrics=metrics, artifacts=artifacts, derived=derived, seed=resolved["seed"], lines=lines,
     )
 
 
@@ -569,29 +549,17 @@ def _format_cell(cell: dict[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> CommandResult:
-    have_input = resolved["input"] is not None
-    have_preset = resolved["preset"] is not None
-    if have_input == have_preset:
-        raise UsageError("exactly one of --input and --preset is required")
-
+def _cmd_eval(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     dataset = None
-    if have_input:
-        ignored = ["preset", "per_subspace", "noise"]
-        _reject_explicit(explicit, ignored, "with --input")
+    if resolved["input"] is not None:
         if resolved["clusters"] is None:
             raise UsageError("--clusters is required with --input")
-        _require_file("--input", resolved["input"])
-        if resolved["label_column"] is None:
-            raise UsageError("--label-column is required with --input: sweeps score against ground truth")
         with stages.stage("load"):
             dataset = load_csv(resolved["input"], label_column=resolved["label_column"])
-    else:
-        ignored = ["input", "label_column"]
-        _reject_explicit(explicit, ignored, "with --preset")
-        if resolved["clusters"] is None:
-            preset = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], seed=0)
-            resolved["clusters"] = len(preset.subspaces)
+    elif resolved["clusters"] is None:
+        # recorded in the report, so a replay runs the same sweep
+        preset = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], seed=0)
+        resolved["clusters"] = len(preset.subspaces)
 
     with stages.stage("sweep"):
         out = sweep_run(
@@ -609,7 +577,6 @@ def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> C
             sigma=resolved["sigma"],
             restarts=resolved["restarts"],
         )
-    resolved = {k: v for k, v in resolved.items() if k not in ignored}
 
     header = f"{'method':<8}{'mean_ac':>9}{'max_ac':>9}{'mean_nmi':>10}{'max_nmi':>10}  best"
     lines = [header]
@@ -620,7 +587,6 @@ def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> C
             f"{s['mean_nmi']:>10.4f}{s['max_nmi']:>10.4f}  {_format_cell(s['best'])}"
         )
     return CommandResult(
-        resolved=resolved,
         metrics={"cells": out["cells"], "summary": out["summary"]},
         seed=resolved["seeds"],
         lines=lines,
@@ -635,17 +601,22 @@ def _cmd_eval(resolved: dict[str, Any], explicit: set[str], stages: Stages) -> C
 class Command:
     name: str
     params: list[Param]
-    run: Callable[[dict[str, Any], set[str], Stages], CommandResult]
+    run: Callable[[dict[str, Any], Stages], CommandResult]
     help: str
+    mode: Callable[[dict[str, Any]], str] = lambda resolved: ""  # names the mode from the resolved values
 
 
 COMMANDS = {
-    "synth": Command("synth", _SYNTH_PARAMS, _cmd_synth, "generate a labeled union-of-subspaces CSV"),
+    "synth": Command("synth", _SYNTH_PARAMS, _cmd_synth, "generate a labeled union-of-subspaces CSV",
+                     lambda resolved: "custom" if resolved["preset"] is None else "preset"),
     "build-graph": Command("build-graph", _BUILD_GRAPH_PARAMS, _cmd_build_graph, "build a similarity graph from a CSV"),
-    "cluster": Command("cluster", _CLUSTER_PARAMS, _cmd_cluster, "spectral clustering of a dataset or prebuilt graph"),
+    "cluster": Command("cluster", _CLUSTER_PARAMS, _cmd_cluster, "spectral clustering of a dataset or prebuilt graph",
+                       _one_of("input", "graph")),
     "embed-classify": Command("embed-classify", _EMBED_PARAMS, _cmd_embed_classify,
-                              "learn a linear embedding on a train split and score 1-NN on the test split"),
-    "eval": Command("eval", _EVAL_PARAMS, _cmd_eval, "grid comparison of graph methods under spectral clustering"),
+                              "learn a linear embedding on a train split and score 1-NN on the test split",
+                              lambda resolved: resolved["method"]),
+    "eval": Command("eval", _EVAL_PARAMS, _cmd_eval, "grid comparison of graph methods under spectral clustering",
+                    _one_of("input", "preset")),
 }
 
 
@@ -655,13 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in COMMANDS.values():
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for p in cmd.params:
+            text = f"{p.help} ({', '.join(p.modes)} mode)" if p.modes else p.help
             if p.kind == "bool":
-                sp.add_argument(p.flag, action=argparse.BooleanOptionalAction, default=None, help=p.help)
+                sp.add_argument(p.flag, action=argparse.BooleanOptionalAction, default=None, help=text)
             else:
-                sp.add_argument(p.flag, default=None, metavar=p.kind.upper(), help=p.help)
+                sp.add_argument(p.flag, default=None, metavar=p.kind.upper(), help=text)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="flat JSON config file (or a prior report); flags override it")
-        sp.add_argument("--report", default=None, metavar="PATH", help="write a JSON run report here")
+        sp.add_argument(_REPORT.flag, default=None, metavar=_REPORT.kind.upper(), help=_REPORT.help)
         sp.add_argument("--timings", action="store_true", default=False,
                         help="include wall-clock per stage in the report (reports then vary across runs)")
     return parser
@@ -679,11 +651,11 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _write_report(path: str, command: str, result: CommandResult, stages: Stages) -> None:
+def _write_report(path: str, command: str, config: dict[str, Any], result: CommandResult, stages: Stages) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "resolved_config": _jsonable(result.resolved),
+        "resolved_config": _jsonable(config),
         "derived": _jsonable(result.derived),
         "metrics": _jsonable(result.metrics),
         "artifacts": _jsonable(result.artifacts),
@@ -707,10 +679,8 @@ def main(argv: list[str] | None = None) -> int:
     cmd = COMMANDS[args.command]
     stages = Stages(enabled=args.timings)
     try:
-        resolved, explicit = _resolve(cmd.params, args, cmd.name)
-        if args.report is not None:
-            _check_output_dir(Param("report", "path"), args.report)
-        result = cmd.run(resolved, explicit, stages)
+        resolved, keys = _resolve(cmd, args)
+        result = cmd.run(resolved, stages)
     except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -721,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
     for line in result.lines:
         print(line)
     if args.report is not None:
-        _write_report(args.report, cmd.name, result, stages)
+        _write_report(args.report, cmd.name, {key: resolved[key] for key in keys}, result, stages)
     return 0
 
 

@@ -89,6 +89,8 @@ class SyntheticSpec:
                 raise InputError(f"intrinsic_dim {dim} must lie in [1, ambient_dim={self.ambient_dim}]")
             if count < dim + 1:
                 raise InputError(f"points_per_subspace {count} must be >= intrinsic_dim + 1 = {dim + 1}")
+        if not math.isfinite(self.noise_sigma):
+            raise InputError(f"noise must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise InputError(f"noise must be nonnegative, got {self.noise_sigma}")
 

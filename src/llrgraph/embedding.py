@@ -55,7 +55,7 @@ def generalized_sym_eig(
     return evals, evecs
 
 
-def _projection(A: np.ndarray, B: np.ndarray, d: int, delta: float) -> np.ndarray:
+def _projection(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
     """The d smallest generalized eigenvectors of (A, B), signs fixed.
 
     d may not exceed the numerical rank of B: the ridge alone would pick the rest.
@@ -66,7 +66,7 @@ def _projection(A: np.ndarray, B: np.ndarray, d: int, delta: float) -> np.ndarra
     rank = int(np.sum(b_evals > np.max(b_evals) * 1e-10))
     if d > rank:
         raise ValueError(f"d={d} exceeds the numerical rank {rank} of the data Gram matrix")
-    _, evecs = generalized_sym_eig(A, B, delta)
+    _, evecs = generalized_sym_eig(A, B)
     return _fix_column_signs(evecs[:, :d].copy())
 
 
@@ -75,7 +75,6 @@ def npe_from_graph(
     C: spmatrix,
     d: int,
     weights: str = "coefficients",
-    delta: float = 1e-10,
 ) -> np.ndarray:
     """Neighborhood-preserving projection driven by reconstruction coefficients.
 
@@ -107,10 +106,10 @@ def npe_from_graph(
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
     Wt = csr_matrix(base.multiply(1.0 / row_sums[:, None]))
     R = X - Wt @ X
-    return _projection(R.T @ R, X.T @ X, d, delta)
+    return _projection(R.T @ R, X.T @ X, d)
 
 
-def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.ndarray:
+def lpp_embed(X: np.ndarray, W: spmatrix, d: int) -> np.ndarray:
     """Locality-preserving projection from a symmetric affinity graph.
 
     With degrees D and Laplacian L = D - W, the projection columns are the
@@ -130,7 +129,7 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int, delta: float = 1e-10) -> np.nd
     edges = W.tocoo()
     E = X[edges.row] - X[edges.col]
     A = (E * edges.data[:, None]).T @ E / 2.0
-    return _projection(A, (X * degrees[:, None]).T @ X, d, delta)
+    return _projection(A, (X * degrees[:, None]).T @ X, d)
 
 
 def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ W_ij = |C_ij| + |C_ji|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,8 @@ class HyperParams:
             raise InputError(f"k_keep must be >= 1, got {self.k_keep}")
         if self.d_dict < 1:
             raise InputError(f"d_dict must be >= 1, got {self.d_dict}")
+        if not math.isfinite(self.epsilon):
+            raise InputError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
             raise InputError(f"epsilon must be nonnegative, got {self.epsilon}")
         if n is None:

@@ -170,7 +170,8 @@ def classify_run(
 
     Train data is optionally PCA-reduced (fit on train only); the projection
     is learned from the train graph and applied to both splits before nearest
-    neighbour classification. Returns metrics plus the learned projection.
+    neighbour classification. Returns metrics plus the learned projection,
+    and for npe the dictionary size it resolved (None for lpp).
     """
     if ds.labels is None:
         raise InputError("embedding evaluation requires labels")
@@ -213,21 +214,11 @@ def classify_run(
         "n_test": test.n,
         "pca_dim": pca_dim,
         "embed_dim": embed_dim,
+        "d_dict": params.d_dict if method == "npe" else None,
         "projection": P,
         "pred": pred,
         "test_labels": test.labels,
     }
-
-
-def _cluster_cell(
-    W: sp.csr_matrix,
-    truth: np.ndarray,
-    n_clusters: int,
-    restarts: int,
-    seed: int,
-) -> dict[str, float]:
-    pred = cluster_graph(W, n_clusters, restarts, seed)
-    return evaluate_clustering(pred, truth, W)
 
 
 def sweep_run(
@@ -300,7 +291,8 @@ def sweep_run(
                     graphs = {k: build_graph_by_method(X, method, k_nn=k, epsilon=epsilon, sigma=sigma)
                               for k in k_values}
                 for k in k_values:
-                    m = _cluster_cell(graphs[k], truth, n_clusters, restarts, seed)
+                    pred = cluster_graph(graphs[k], n_clusters, restarts, seed)
+                    m = evaluate_clustering(pred, truth, graphs[k])
                     cells.append({"method": method, "lambda": lam, "k": k, "seed": seed, **m})
 
     summary: dict[str, Any] = {}

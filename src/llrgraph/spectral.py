@@ -268,13 +268,12 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tup
         old = centers[active]
         d2 = np.empty((a, n, k))
         for c in range(k):
-            diff = points - old[:, None, c, :]
-            d2[:, :, c] = np.sum(np.square(diff, out=diff), axis=2)
+            d2[:, :, c] = _sq_dists(points, old[:, c])
         labels = np.argmin(d2, axis=2)  # ties resolve to the smaller centroid index
         counts = np.bincount((np.arange(a)[:, None] * k + labels).ravel(), minlength=a * k).reshape(a, k)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
             _repair_empty(d2[r], labels[r], counts[r])
-        del d2, diff  # freed before the objective's buffer of the same size
+        del d2  # freed before the objective's (a, n, dim) buffer
         new = _centroids(points, labels, counts, old)
         diff = new[np.arange(a)[:, None], labels]
         np.subtract(points, diff, out=diff)

@@ -581,7 +581,10 @@ def _argv(tmp_path, template):
     csv = tmp_path / "d.csv"
     if not csv.exists():
         _synth(tmp_path, name="d.csv", per=20)
-    return [arg.format(csv=csv, dir=tmp_path) for arg in template]
+    graph = tmp_path / "d-graph.txt"
+    if any("{graph}" in arg for arg in template) and not graph.exists():
+        assert main(["build-graph", "--input", str(csv), "--output", str(graph)]) == 0
+    return [arg.format(csv=csv, dir=tmp_path, graph=graph) for arg in template]
 
 
 @pytest.mark.parametrize("template, message", SIZE_CONFLICTS)
@@ -624,6 +627,23 @@ def test_size_conflicts_are_found_before_any_computation(tmp_path, monkeypatch, 
          "embed_dim must be >= 1, got 0"),
         (_EMBED + ["--pca-energy", "1.5"], None, "pca_energy must lie in (0, 1], got 1.5"),
         (_EMBED + ["--method", "lpp"], {"lambda": 1.5}, "lambda must lie in [0, 1), got 1.5"),
+        # non-finite values
+        (["synth", "--preset", "fig1", "--noise", "nan", "--output", "{dir}/s.csv"], None, "noise must be finite, got nan"),
+        (["synth", "--ambient-dim", "3", "--dims", "1,2", "--noise", "inf", "--output", "{dir}/s.csv"], None,
+         "noise must be finite, got inf"),
+        (["build-graph", "--input", "{csv}", "--epsilon", "nan", "--output", "{dir}/g.txt"], None,
+         "epsilon must be finite, got nan"),
+        (["build-graph", "--input", "{csv}", "--method", "heat", "--epsilon", "inf", "--output", "{dir}/g.txt"], None,
+         "epsilon must be finite, got inf"),
+        (["build-graph", "--input", "{csv}", "--method", "heat", "--sigma", "inf", "--output", "{dir}/g.txt"], None,
+         "sigma must be finite, got inf"),
+        (["build-graph", "--input", "{csv}", "--method", "lle", "--sigma", "inf", "--output", "{dir}/g.txt"], None,
+         "sigma must be finite, got inf"),
+        (_EMBED + ["--epsilon", "inf"], None, "epsilon must be finite, got inf"),
+        (_EMBED + ["--method", "lpp", "--sigma", "inf"], None, "sigma must be finite, got inf"),
+        (_EMBED + ["--method", "lpp"], {"epsilon": float("nan")}, "epsilon must be finite, got nan"),
+        (_EVAL + ["--methods", "llr", "--lambdas", "0.5", "--epsilon", "nan"], None, "epsilon must be finite, got nan"),
+        (_EVAL + ["--methods", "heat", "--noise", "inf"], None, "noise must be finite, got inf"),
     ],
 )
 def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_path, capsys, template, config, message):
@@ -632,9 +652,98 @@ def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_pa
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+# -- the mode rule -----------------------------------------------------------
+
+_GRAPH_KEYS = {"method", "lambda", "k_keep", "d_dict", "epsilon", "k_nn", "sigma"}
+_EMBED_KEYS = {"input", "label_column", "method", "embed_dim", "train_fraction", "stratified", "pca_energy", "seed",
+               "projection_out", "pred_out"}
+_SWEEP_KEYS = {"clusters", "methods", "lambdas", "k_values", "seeds", "d_dict", "epsilon", "sigma", "restarts"}
+_OTHER = ["--input", "{csv}"]  # a second data source, for modes chosen by their source
+
+# For each command and mode: a run in that mode, the keys its report records,
+# and every flag of the command's other mode, each with a valid value and the
+# error it must give. A flag that names the other mode's data source makes
+# two sources; any other is rejected as having no effect.
+MODES = [
+    ("synth", "preset", ["synth", "--preset", "fig1", "--per-subspace", "5", "--output", "{dir}/s.csv"],
+     {"preset", "per_subspace", "noise", "seed", "output"},
+     [(["--ambient-dim", "3"], None), (["--dims", "1,2"], None)]),
+    ("synth", "custom", ["synth", "--ambient-dim", "3", "--dims", "1,2", "--per-subspace", "5", "--output", "{dir}/s.csv"],
+     {"ambient_dim", "dims", "per_subspace", "noise", "seed", "output"},
+     [(["--preset", "fig1"], "--ambient-dim has no effect in synth preset mode")]),
+    ("build-graph", "", ["build-graph", "--input", "{csv}", "--output", "{dir}/g.txt"],
+     {"input", "label_column", "pca_energy", "output"} | _GRAPH_KEYS, []),
+    ("cluster", "input", ["cluster", "--input", "{csv}", "--clusters", "3", "--restarts", "2", "--output", "{dir}/p.txt"],
+     {"input", "label_column", "pca_energy", "clusters", "restarts", "seed", "output"} | _GRAPH_KEYS,
+     [(["--graph", "{graph}"], "exactly one of --input and --graph is required"),
+      (["--truth-labels", "{dir}/t.txt"], None)]),
+    ("cluster", "graph", ["cluster", "--graph", "{graph}", "--clusters", "3", "--restarts", "2", "--output", "{dir}/p.txt"],
+     {"graph", "truth_labels", "clusters", "restarts", "seed", "output"},
+     [(_OTHER, "exactly one of --input and --graph is required"), (["--label-column", "label"], None),
+      (["--pca-energy", "0.9"], None), (["--method", "heat"], None), (["--lambda", "0.3"], None),
+      (["--k-keep", "4"], None), (["--d-dict", "10"], None), (["--epsilon", "1e-8"], None), (["--k-nn", "4"], None),
+      (["--sigma", "1.0"], None)]),
+    ("embed-classify", "npe", _EMBED + ["--method", "npe"],
+     _EMBED_KEYS | {"lambda", "k_keep", "d_dict", "epsilon", "npe_weights"},
+     [(["--k-nn", "4"], None), (["--sigma", "1.0"], None)]),
+    ("embed-classify", "lpp", _EMBED + ["--method", "lpp"],
+     _EMBED_KEYS | {"k_nn", "sigma"},
+     [(["--lambda", "0.3"], None), (["--k-keep", "4"], None), (["--d-dict", "10"], None), (["--epsilon", "1e-8"], None),
+      (["--npe-weights", "symmetrized"], None)]),
+    ("eval", "input", ["eval", "--input", "{csv}", "--label-column", "label", "--clusters", "3", "--methods", "heat",
+                       "--k-values", "4", "--seeds", "0", "--restarts", "2"],
+     {"input", "label_column"} | _SWEEP_KEYS,
+     [(["--preset", "fig1"], "exactly one of --input and --preset is required"), (["--per-subspace", "9"], None),
+      (["--noise", "0.02"], None)]),
+    ("eval", "preset", ["eval", "--preset", "fig1", "--per-subspace", "8", "--methods", "heat", "--k-values", "4",
+                        "--seeds", "0", "--restarts", "2"],
+     {"preset", "per_subspace", "noise"} | _SWEEP_KEYS,
+     [(_OTHER, "exactly one of --input and --preset is required"), (["--label-column", "label"], None)]),
+]
+_MODE_IDS = [f"{command} {mode}".strip() for command, mode, *_ in MODES]
+
+
+@pytest.mark.parametrize("command, mode, template, keys, others", MODES, ids=_MODE_IDS)
+def test_report_records_exactly_the_keys_of_the_mode_that_ran(tmp_path, command, mode, template, keys, others):
+    report = tmp_path / "r.json"
+    assert main(_argv(tmp_path, template) + ["--report", str(report)]) == 0
+    assert set(_load_report(report)["resolved_config"]) == keys
+
+
+@pytest.mark.parametrize("command, mode, template, keys, others", MODES, ids=_MODE_IDS)
+def test_every_flag_of_the_other_mode_exits_two(tmp_path, capsys, command, mode, template, keys, others):
+    from llrgraph.cli import COMMANDS
+
+    listed = {flag for extra, _ in others for flag in extra[::2]}
+    declared = {p.flag for p in COMMANDS[command].params if p.modes and mode not in p.modes}
+    assert listed == declared  # the table above names every one
+    for extra, message in others:
+        argv = _argv(tmp_path, template + extra)
+        capsys.readouterr()
+        assert main(argv) == 2, extra
+        assert (message or f"{extra[0]} has no effect in {command} {mode} mode") in capsys.readouterr().err
+
+
+def test_config_values_of_the_other_mode_are_ignored_and_left_out(tmp_path):
+    """An npe report replays as an lpp run: its npe keys are neither errors
+    nor recorded."""
+    npe, lpp = tmp_path / "npe.json", tmp_path / "lpp.json"
+    assert main(_argv(tmp_path, _EMBED + ["--report", str(npe)])) == 0
+    assert main(["embed-classify", "--config", str(npe), "--method", "lpp", "--report", str(lpp)]) == 0
+    assert set(_load_report(lpp)["resolved_config"]) == _EMBED_KEYS | {"k_nn", "sigma"}
+
+
+@pytest.mark.parametrize("name", ["synth", "build-graph", "cluster", "embed-classify", "eval"])
+def test_subcommand_help_renders(name, capsys):
+    assert main([name, "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 # -- fuzzed graph and label files ------------------------------------------
