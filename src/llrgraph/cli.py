@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from scipy.sparse import triu
 
 from .baselines import heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .data import (
@@ -36,7 +35,7 @@ from .data import (
     synth_union_of_subspaces,
 )
 from .embedding import save_projection
-from .graphio import _data_line, read_graph, read_labels, write_graph, write_labels
+from .graphio import read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, sweep_run
@@ -46,10 +45,6 @@ SCHEMA_VERSION = 1
 
 EMBED_METHODS = ("npe", "lpp")
 PRESETS = ("fig1",)
-
-
-class UsageError(Exception):
-    """Invalid flags, config files or paths; maps to exit code 2, as InputError does."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +160,8 @@ _EVAL_PARAMS = [
 # Coercion
 
 
-def _fail(p: Param, raw: Any, expected: str) -> UsageError:
-    return UsageError(f"{p.flag}: expected {expected}, got {raw!r}")
+def _fail(p: Param, raw: Any, expected: str) -> InputError:
+    return InputError(f"{p.flag}: expected {expected}, got {raw!r}")
 
 
 def _as_int(p: Param, raw: Any) -> int:
@@ -259,20 +254,20 @@ def _coerce(p: Param, raw: Any) -> Any:
 def _load_config(path: str, command: str) -> dict[str, Any]:
     p = Path(path)
     if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "resolved_config" in doc:
         # replaying a report: take its embedded config
         if doc.get("command") != command:
-            raise UsageError(
+            raise InputError(
                 f"config file {path} is a report for command {doc.get('command')!r}, not {command!r}"
             )
         doc = doc["resolved_config"]
     if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     return doc
 
 
@@ -280,16 +275,16 @@ def _one_of(a: str, b: str) -> Callable[[dict[str, Any]], str]:
     """A mode rule: the mode is named after whichever of keys a and b is set."""
     def mode(resolved: dict[str, Any]) -> str:
         if (resolved[a] is None) == (resolved[b] is None):
-            raise UsageError(f"exactly one of --{a} and --{b} is required")
+            raise InputError(f"exactly one of --{a} and --{b} is required")
         return a if resolved[a] is not None else b
     return mode
 
 
 def _check_path(p: Param, path: str) -> None:
     if p.kind == "infile" and not Path(path).is_file():
-        raise UsageError(f"{p.flag}: file not found: {path}")
+        raise InputError(f"{p.flag}: file not found: {path}")
     if p.kind == "outfile" and not Path(path).parent.is_dir():
-        raise UsageError(f"{p.flag}: directory does not exist: {Path(path).parent}")
+        raise InputError(f"{p.flag}: directory does not exist: {Path(path).parent}")
 
 
 _REPORT = Param("report", "outfile", help="write a JSON run report here")
@@ -308,7 +303,7 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[dict[str, Any], li
         config_data = _load_config(args.config, cmd.name)
         unknown = sorted(set(config_data) - {p.key for p in cmd.params})
         if unknown:
-            raise UsageError(f"unknown config keys for {cmd.name}: {', '.join(unknown)}")
+            raise InputError(f"unknown config keys for {cmd.name}: {', '.join(unknown)}")
 
     resolved: dict[str, Any] = {}
     for p in cmd.params:
@@ -322,11 +317,11 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[dict[str, Any], li
     for p in cmd.params:
         if p.modes and mode not in p.modes:
             if getattr(args, p.key) is not None:
-                raise UsageError(f"{p.flag} has no effect in {cmd.name} {mode} mode")
+                raise InputError(f"{p.flag} has no effect in {cmd.name} {mode} mode")
             continue
         if resolved[p.key] is None:
             if p.required:
-                raise UsageError(f"{p.flag} is required" + (f" in {cmd.name} {mode} mode" if p.modes else ""))
+                raise InputError(f"{p.flag} is required" + (f" in {cmd.name} {mode} mode" if p.modes else ""))
         else:
             _check_path(p, resolved[p.key])
         keys.append(p.key)
@@ -455,23 +450,9 @@ def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
         with stages.stage("load"):
             W = read_graph(graph)
             n = W.shape[0]
-            if W.nnz and W.data.min() < 0:
-                # Stored upper-triangle entries are the file's edge lines, in order.
-                upper = triu(W, k=1, format="coo")
-                e = int(np.argmax(upper.data < 0))
-                raise UsageError(f"{graph}: edge ({upper.row[e]}, {upper.col[e]}) has negative weight "
-                                 f"{float(upper.data[e])!r} ({graph}:{_data_line(graph, e, first=2)}); "
-                                 "similarity weights must be nonnegative")
             if resolved["clusters"] > n:
-                raise UsageError(f"{graph}:1: the graph has n={n} nodes, fewer than --clusters {resolved['clusters']}")
-            truth = None
-            if resolved["truth_labels"] is not None:
-                truth = read_labels(resolved["truth_labels"])
-                if truth.shape[0] != n:
-                    line = _data_line(resolved["truth_labels"], n)
-                    raise UsageError(
-                        f"{resolved['truth_labels']}:{line}: got {truth.shape[0]} labels for a graph on {n} nodes"
-                    )
+                raise InputError(f"{graph}:1: the graph has n={n} nodes, fewer than --clusters {resolved['clusters']}")
+            truth = None if resolved["truth_labels"] is None else read_labels(resolved["truth_labels"], n)
 
     k = resolved["clusters"]
     with stages.stage("cluster"):
@@ -553,7 +534,7 @@ def _cmd_eval(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     dataset = None
     if resolved["input"] is not None:
         if resolved["clusters"] is None:
-            raise UsageError("--clusters is required with --input")
+            raise InputError("--clusters is required with --input")
         with stages.stage("load"):
             dataset = load_csv(resolved["input"], label_column=resolved["label_column"])
     elif resolved["clusters"] is None:
@@ -681,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved, keys = _resolve(cmd, args)
         result = cmd.run(resolved, stages)
-    except (UsageError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical/runtime failures map to exit 1

@@ -93,6 +93,11 @@ class SyntheticSpec:
             raise InputError(f"noise must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise InputError(f"noise must be nonnegative, got {self.noise_sigma}")
+        n = sum(count for _, count in self.subspaces)
+        if n * self.ambient_dim > np.iinfo(np.intp).max // 8:
+            raise InputError(f"{n} points in ambient_dim {self.ambient_dim} exceed the largest array numpy can allocate")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -122,8 +127,9 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     """Load a labeled dataset from a CSV file.
 
     The file may carry a single header row, auto-detected by the first row
-    containing any cell that does not parse as a number. label_column
-    selects the label column by header name or by 0-based column index.
+    containing any cell that does not parse as a number; it must be as wide
+    as the data rows. label_column selects the label column by header name
+    or by 0-based column index.
     Cell positions in error messages are 1-based (file row, column).
     """
     path = Path(path)
@@ -145,16 +151,15 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     has_header = not all(_is_number(c) for c in rows[0])
     header = [c.strip() for c in rows[0]] if has_header else None
     data_rows = rows[1:] if has_header else rows
-    first_data_line = 2 if has_header else 1
+    first_row = 2 if has_header else 1
     if not data_rows:
         raise InputError(f"{path}: no data rows")
 
+    # The header, checked last, must be as wide as the data rows.
     arity = len(data_rows[0])
-    for r, row in enumerate(data_rows):
+    for number, row in [*enumerate(data_rows, start=first_row), (1, rows[0])]:
         if len(row) != arity:
-            raise InputError(
-                f"{path}: ragged row {first_data_line + r}: expected {arity} cells, got {len(row)}"
-            )
+            raise InputError(f"{path}: ragged row {number}: expected {arity} cells, got {len(row)}")
 
     label_idx: int | None = None
     if label_column is not None:
@@ -182,11 +187,11 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
                 value = float(cell)
             except ValueError:
                 raise InputError(
-                    f"{path}: non-numeric cell at row {first_data_line + r}, column {j + 1}: {cell!r}"
+                    f"{path}: non-numeric cell at row {first_row + r}, column {j + 1}: {cell!r}"
                 ) from None
             if not math.isfinite(value):
                 raise InputError(
-                    f"{path}: non-finite cell at row {first_data_line + r}, column {j + 1}: {cell!r}"
+                    f"{path}: non-finite cell at row {first_row + r}, column {j + 1}: {cell!r}"
                 )
             X[r, out_j] = value
         if label_idx is not None:
@@ -229,6 +234,8 @@ def train_test_split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise InputError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = _rng(seed)
     n = ds.n
 

@@ -6,9 +6,9 @@ Graph format, one file per graph:
     <i> <j> <weight>
     ...
 
-with 0-based indices, i < j, finite full-precision decimal weights, and
-lines strictly sorted by (i, j), so each edge appears once. Only one
-triangle is stored; readers mirror it.
+with 0-based indices, i < j, finite nonnegative full-precision decimal
+weights, and lines strictly sorted by (i, j), so each edge appears once.
+Only one triangle is stored; readers mirror it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix, spmatrix, triu
+from scipy.sparse import csr_matrix, spmatrix
 
 from .data import InputError
 
@@ -27,13 +27,18 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 
 def write_graph(path: str | Path, W: spmatrix) -> None:
+    """Write the upper triangle of W; a weight read_graph would reject raises ValueError first."""
     if W.shape[0] != W.shape[1]:
         raise ValueError(f"graph must be square, got {W.shape}")
     n = W.shape[0]
-    upper = triu(W.tocoo(), k=1).tocoo()
-    order = np.lexsort((upper.col, upper.row))
+    coo = W.tocoo()
+    upper = coo.row < coo.col
+    order = np.lexsort((coo.col[upper], coo.row[upper]))
     lines = [f"llr-graph v1 n={n} sym=1"]
-    for i, j, w in zip(upper.row[order], upper.col[order], upper.data[order]):
+    rows, cols, vals = (a[upper][order] for a in (coo.row, coo.col, coo.data))
+    for i, j, w in zip(rows, cols, vals):
+        if not 0 <= w < math.inf:  # false for NaN too
+            raise ValueError(f"edge ({i}, {j}) has weight {float(w)!r}; graph weights must be finite and nonnegative")
         lines.append(f"{i} {j} {float(w)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -43,7 +48,8 @@ def read_graph(path: str | Path) -> csr_matrix:
 
     Malformed lines raise InputError naming the file and line: not three
     numeric fields, indices outside 0 <= i < j < n, a repeated or out-of-order
-    (i, j), or a NaN or infinite weight. Signed weights are read as written.
+    (i, j), or a NaN or infinite weight. The first negative weight is
+    reported once every line has parsed, so a malformed line is named first.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig").splitlines()
@@ -55,6 +61,7 @@ def read_graph(path: str | Path) -> csr_matrix:
     n = int(match.group(1))
     rows, cols, vals = [], [], []
     prev = (-1, -1)
+    negative = None
     for lineno, line in enumerate(text[1:], start=2):
         line = line.strip()
         if not line:
@@ -70,10 +77,15 @@ def read_graph(path: str | Path) -> csr_matrix:
             raise InputError(f"{path}:{lineno}: edge ({i}, {j}) after {prev}: lines must be unique and sorted by (i, j)")
         if not math.isfinite(w):
             raise InputError(f"{path}:{lineno}: weight must be finite, got {c!r}")
+        if w < 0 and negative is None:
+            negative = (f"{path}: edge ({i}, {j}) has negative weight {w!r} ({path}:{lineno}); "
+                        "similarity weights must be nonnegative")
         prev = (i, j)
         rows += [i, j]
         cols += [j, i]
         vals += [w, w]
+    if negative is not None:
+        raise InputError(negative)
     W = csr_matrix((vals, (rows, cols)), shape=(n, n))
     W.sort_indices()
     return W
@@ -83,25 +95,21 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
     Path(path).write_text("".join(f"{int(v)}\n" for v in labels), encoding="utf-8")
 
 
-def read_labels(path: str | Path) -> np.ndarray:
-    """One 64-bit integer label per non-blank line; a bad line is named by file and line."""
-    labels = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+def read_labels(path: str | Path, n: int | None = None) -> np.ndarray:
+    """One 64-bit integer label per non-blank line; a bad line is named by file and line. Given n, another
+    label count is an error at the line of label n (the first extra one) or at the line past the end."""
+    text = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    labels, line_n = [], len(text) + 1
+    for lineno, line in enumerate(text, start=1):
         if line.strip():
+            if len(labels) == n:
+                line_n = lineno
             try:
                 labels.append(int(line))
             except ValueError:
                 raise InputError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
             if not _INT64_MIN <= labels[-1] <= _INT64_MAX:
                 raise InputError(f"{path}:{lineno}: label {line.strip()} is outside the 64-bit integer range")
+    if n is not None and len(labels) != n:
+        raise InputError(f"{path}:{line_n}: got {len(labels)} labels for a graph on {n} nodes")
     return np.asarray(labels, dtype=np.int64)
-
-
-def _data_line(path: str | Path, index: int, first: int = 1) -> int:
-    """Line number of the index-th non-blank line at or after line `first`,
-    or of the line past the end when the file has fewer: the line of label
-    `index` in a labels file, or (first=2) of edge `index`, in (i, j) order,
-    in a graph file."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    numbers = [no for no, line in enumerate(lines, start=1) if no >= first and line.strip()]
-    return numbers[index] if index < len(numbers) else len(lines) + 1

@@ -257,7 +257,7 @@ def sweep_run(
     if dataset is not None and dataset.labels is None:
         raise InputError("evaluation sweeps require labels")
     if preset is not None:
-        spec = preset_spec(preset, per_subspace, noise_sigma, seeds[0])
+        spec = preset_spec(preset, per_subspace, noise_sigma, seed=0)  # n does not depend on the seed; seeds come last
         spec.validate()
         n = sum(count for _, count in spec.subspaces)
     else:
@@ -270,7 +270,8 @@ def sweep_run(
         for lam_kw in lam_grid:
             for k in k_values:
                 graph_builder(method, n, **lam_kw, k_keep=k, k_nn=k, d_dict=d_dict, epsilon=epsilon, sigma=sigma)
-    KMeansConfig(k=n_clusters, restarts=restarts).validate(n)
+    for seed in seeds:
+        KMeansConfig(k=n_clusters, restarts=restarts, seed=seed).validate(n)
 
     cells: list[dict[str, Any]] = []
     for seed in seeds:

@@ -36,6 +36,8 @@ class KMeansConfig:
             raise InputError(f"tol must be positive, got {self.tol}")
         if n is not None and self.k > n:
             raise InputError(f"clusters k={self.k} must not exceed the sample count n={n}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

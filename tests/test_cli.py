@@ -170,6 +170,24 @@ def test_build_graph_usage_errors(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, command, message",
+    [
+        # one column too many, once an IndexError with exit 1
+        ("f0,f1,f2,label", ["cluster", "--clusters", "2"], "h.csv: ragged row 1: expected 3 cells, got 4"),
+        # one too few, once read as labels taken from the second data column
+        ("f0,label", ["build-graph"], "h.csv: ragged row 1: expected 3 cells, got 2"),
+    ],
+)
+def test_csv_header_of_another_width_exits_two(tmp_path, capsys, header, command, message):
+    data = tmp_path / "h.csv"
+    data.write_text(header + "\n" + "".join(f"{i}.0,{i % 7}.5,{i % 3}\n" for i in range(30)))
+    out = tmp_path / "o.txt"
+    assert main(command + ["--input", str(data), "--label-column", "label", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_graph_lle_equals_llr_at_lambda_zero(tmp_path):
     data = _synth(tmp_path, per=8)
     a, b = tmp_path / "lle.txt", tmp_path / "llr0.txt"
@@ -644,6 +662,15 @@ def test_size_conflicts_are_found_before_any_computation(tmp_path, monkeypatch, 
         (_EMBED + ["--method", "lpp"], {"epsilon": float("nan")}, "epsilon must be finite, got nan"),
         (_EVAL + ["--methods", "llr", "--lambdas", "0.5", "--epsilon", "nan"], None, "epsilon must be finite, got nan"),
         (_EVAL + ["--methods", "heat", "--noise", "inf"], None, "noise must be finite, got inf"),
+        # negative seeds
+        (["synth", "--preset", "fig1", "--seed", "-1", "--output", "{dir}/s.csv"], None, "seed must be >= 0, got -1"),
+        (["cluster", "--input", "{csv}", "--clusters", "3", "--seed", "-1", "--output", "{dir}/p.txt"], None,
+         "seed must be >= 0, got -1"),
+        (["cluster", "--graph", "{graph}", "--clusters", "3", "--seed", "-1", "--output", "{dir}/p.txt"], None,
+         "seed must be >= 0, got -1"),
+        (_EMBED + ["--seed", "-1", "--pred-out", "{dir}/pred.txt"], None, "seed must be >= 0, got -1"),
+        (["eval", "--preset", "fig1", "--methods", "heat", "--k-values", "4", "--seeds", "0,-1"], None,
+         "seed must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_path, capsys, template, config, message):
@@ -763,9 +790,10 @@ _FUZZ_TOKENS = st.sampled_from([
 
 
 @st.composite
-def _mutated(draw, lines):
+def _mutated(draw, lines, vocabulary=_FUZZ_TOKENS, sep=None):
     """A file made from lines by a few deletions, duplications, swaps, token
-    replacements, inserted lines, truncation or a changed line ending."""
+    replacements, inserted lines, truncation or a changed line ending. Tokens
+    are split at sep (None: whitespace) and drawn from vocabulary."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "insert", "truncate"]))
@@ -780,11 +808,11 @@ def _mutated(draw, lines):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "token":
-            tokens = lines[i].split() or [""]
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKENS)
-            lines[i] = " ".join(tokens)
+            tokens = lines[i].split(sep) or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(vocabulary)
+            lines[i] = (sep or " ").join(tokens)
         elif op == "insert":
-            lines.insert(i, " ".join(draw(st.lists(_FUZZ_TOKENS, max_size=4))))
+            lines.insert(i, (sep or " ").join(draw(st.lists(vocabulary, max_size=4))))
         else:
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
     return draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
@@ -815,3 +843,106 @@ def test_cluster_on_fuzzed_files_exits_cleanly(graph, labels):
         assert "isolated vertices" in message or "beyond the float range" in message, message
     else:
         assert code == 0, message
+
+
+# -- fuzzed CSV and config files -------------------------------------------
+
+# The numerical failures the README lists for exit 1.
+_NUMERICAL = ("degenerate coefficient", "isolated vertices", "beyond the float range", "zero total variance",
+              "exceeds available dimension", "numerical rank", "exceeds contract")
+
+# Three classes of five points in R^3, on three lines through the origin.
+_FUZZ_CSV = [
+    "f0,f1,f2,label",
+    "1.0,0.1,0.0,0", "-0.5,-0.1,0.1,0", "0.75,0.0,-0.1,0", "-1.25,0.1,0.0,0", "1.5,0.0,0.1,0",
+    "0.1,1.0,0.0,1", "0.0,-0.75,0.1,1", "-0.1,1.25,0.0,1", "0.1,-1.5,-0.1,1", "0.0,0.5,0.1,1",
+    "0.5,0.0,1.0,2", "-0.6,0.1,-1.25,2", "0.4,-0.1,0.75,2", "-0.75,0.0,-1.5,2", "0.25,0.1,0.5,2",
+]
+# Magnitudes stay at or below 1e100: data whose squares leave the float
+# range fails in several stages (see CHANGES.md).
+_CSV_TOKENS = st.sampled_from([
+    "0", "1", "-1", "2.5", "-0.5", "0.0", "1e-300", "5e-324", "1e100", "-1e100", "1e400", "nan", "inf", "-inf",
+    "", " ", "x", "a", "label", "f0", "0,1", "1 2", "0x1", "1_0", "\"1\"", "\"", "\ufeff1",
+])
+_CSV_RUNS = [
+    ["cluster", "--clusters", "2", "--restarts", "2", "--k-keep", "4", "--output", "p.txt"],
+    ["cluster", "--method", "heat", "--clusters", "2", "--restarts", "2", "--k-nn", "4", "--output", "p.txt"],
+    ["embed-classify", "--embed-dim", "1", "--k-keep", "4", "--pred-out", "pred.txt"],
+    ["embed-classify", "--method", "lpp", "--embed-dim", "1", "--k-nn", "4", "--pred-out", "pred.txt"],
+]
+
+
+@contextlib.contextmanager
+def _in_directory(path):
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, message):
+    if code == 1:
+        assert any(reason in message for reason in _NUMERICAL), message
+    else:
+        assert code in (0, 2), message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(csv=_mutated(_FUZZ_CSV, _CSV_TOKENS, ","), run=st.sampled_from(_CSV_RUNS))
+@example(csv="\n".join(["f0,f1,f2,f3,label"] + _FUZZ_CSV[1:]), run=_CSV_RUNS[0])
+@example(csv="\n".join(["f0,label"] + _FUZZ_CSV[1:]), run=_CSV_RUNS[2])
+def test_csv_commands_on_fuzzed_files_exit_cleanly(csv, run):
+    """cluster --input and embed-classify on a mutated CSV exit 0 or 2, or
+    exit 1 only for a numerical failure the README lists."""
+    with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
+        Path("d.csv").write_bytes(csv.encode("utf-8"))
+        code, message = _exit_and_stderr(run + ["--input", "d.csv", "--label-column", "label"])
+    _assert_clean_exit(code, message)
+
+
+_CONFIG_VALUES = st.sampled_from(
+    [None, True, False, 0, 1, -1, 1.5, float("nan"), "auto", "none", "", "x", [], [1], [0.5, 2], {"x": 1}, 2**70]
+)
+# Flags that pick each command's data source and bound its run time; the
+# config file sets any of the command's other parameters.
+_CONFIG_RUNS = {
+    "synth": ["synth", "--output", "s.csv"],
+    "build-graph": ["build-graph", "--input", "d.csv", "--output", "g.txt"],
+    "cluster": ["cluster", "--input", "d.csv", "--clusters", "2", "--restarts", "2", "--output", "p.txt"],
+    "embed-classify": ["embed-classify", "--input", "d.csv", "--label-column", "label", "--embed-dim", "1"],
+    "eval": ["eval", "--preset", "fig1", "--per-subspace", "5", "--methods", "heat", "--k-values", "2",
+             "--seeds", "0", "--restarts", "2"],
+}
+
+
+@st.composite
+def _configs(draw):
+    from llrgraph.cli import COMMANDS
+
+    name = draw(st.sampled_from(sorted(_CONFIG_RUNS)))
+    keys = [p.key for p in COMMANDS[name].params if p.flag not in _CONFIG_RUNS[name][1::2]]
+    return name, draw(st.dictionaries(st.sampled_from(keys), _CONFIG_VALUES, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(run=_configs())
+@example(run=("cluster", {"seed": -1}))
+@example(run=("synth", {"ambient_dim": 2**70, "dims": [1]}))
+def test_commands_on_fuzzed_config_files_exit_cleanly(run):
+    """Every command with a config file of odd values exits 0 or 2, or exit 1
+    only for a numerical failure the README lists."""
+    name, config = run
+    with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
+        Path("d.csv").write_text("\n".join(_FUZZ_CSV) + "\n")
+        Path("cfg.json").write_text(json.dumps(config))
+        code, message = _exit_and_stderr(_CONFIG_RUNS[name] + ["--config", "cfg.json"])
+    _assert_clean_exit(code, message)

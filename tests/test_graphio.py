@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from llrgraph.graphio import _data_line, read_graph, read_labels, write_graph, write_labels
+from llrgraph.graphio import read_graph, read_labels, write_graph, write_labels
 
 
 def _random_symmetric(rng, n, density=0.3):
     mask = rng.random((n, n)) < density
-    vals = rng.standard_normal((n, n)) * np.exp(rng.standard_normal((n, n)))
+    vals = np.abs(rng.standard_normal((n, n))) * np.exp(rng.standard_normal((n, n)))
     upper = np.triu(np.where(mask, vals, 0.0), 1)
     return sp.csr_matrix(upper + upper.T)
 
@@ -97,6 +97,31 @@ def test_read_graph_rejects_bad_lines(tmp_path, body, message):
         read_graph(path)
 
 
+def test_read_graph_rejects_a_negative_weight_at_its_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("\ufeffllr-graph v1 n=3 sym=1\n0 1 1.0\n\n0 2 -0.5\n1 2 1.0\n\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_graph(path)
+    assert str(info.value) == (f"{path}: edge (0, 2) has negative weight -0.5 ({path}:4); "
+                               "similarity weights must be nonnegative")
+    # a malformed line anywhere is named before the sign of a weight
+    path.write_text("llr-graph v1 n=3 sym=1\n0 1 -1.0\n\n0 2 x\n")
+    with pytest.raises(ValueError, match=r"g\.txt:4: expected 'i j w'"):
+        read_graph(path)
+    # negative zero is not negative
+    path.write_text("llr-graph v1 n=2 sym=1\n0 1 -0.0\n")
+    assert read_graph(path).nnz == 2
+
+
+@pytest.mark.parametrize("weight", [-1.5, np.nan, np.inf])
+def test_write_graph_rejects_weights_the_reader_rejects(tmp_path, weight):
+    W = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, weight], [0.0, weight, 0.0]]))
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match=rf"edge \(1, 2\) has weight {weight!r}; graph weights must be finite and"):
+        write_graph(path, W)
+    assert not path.exists()
+
+
 def test_read_graph_accepts_zero_weights(tmp_path):
     # heat-kernel weights can underflow to 0.0; the edge stays in the file
     path = tmp_path / "g.txt"
@@ -154,8 +179,23 @@ def test_read_labels_rejects_labels_outside_int64(tmp_path):
         read_labels(path)
 
 
-def test_data_line_counts_non_blank_lines(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("\ufeffllr-graph v1 n=3 sym=1\n0 1 1.0\n\n0 2 1.0\n1 2 1.0\n\n", encoding="utf-8")
-    assert [_data_line(path, e, first=2) for e in range(4)] == [2, 4, 5, 7]
-    assert [_data_line(path, i) for i in range(5)] == [1, 2, 4, 5, 7]
+def test_read_labels_checks_the_count_against_n(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("\ufeff0\n1\n\n1\n0\n\n", encoding="utf-8")
+    assert read_labels(path, 4).tolist() == [0, 1, 1, 0]
+    # too many: the line of the first extra label
+    with pytest.raises(ValueError) as info:
+        read_labels(path, 2)
+    assert str(info.value) == f"{path}:4: got 4 labels for a graph on 2 nodes"
+    with pytest.raises(ValueError, match=r"labels\.txt:5: got 4 labels for a graph on 3 nodes"):
+        read_labels(path, 3)
+    # too few: the line past the end
+    with pytest.raises(ValueError, match=r"labels\.txt:7: got 4 labels for a graph on 5 nodes"):
+        read_labels(path, 5)
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"labels\.txt:1: got 0 labels for a graph on 1 nodes"):
+        read_labels(path, 1)
+    # a malformed line is named before the count
+    path.write_text("0\n1\n2\nx\n")
+    with pytest.raises(ValueError, match=r"labels\.txt:4: expected an integer label"):
+        read_labels(path, 2)
