@@ -4,7 +4,22 @@ Builds sparse similarity graphs by reconstructing each sample from its
 nearest-neighbor dictionary under a distance-weighted regularizer, with
 spectral clustering and linear embedding pipelines on top, plus heat-kernel
 and unregularized reconstruction baselines.
+
+Importing the package limits OpenBLAS to one thread, unless the caller has
+set a BLAS thread variable or numpy is already loaded. Every dense solve and
+eigensolve here is small, so a second thread mostly spins, and the basis
+LAPACK returns for a degenerate eigenspace would follow the core count.
 """
+
+import os
+import sys
+
+# OpenBLAS reads the limit when it loads: numpy's copy on the import below,
+# SciPy's on first use. Once numpy has loaded, setting it would change only
+# SciPy's copy and child processes, so the caller's counts are left alone.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(name) for name in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (

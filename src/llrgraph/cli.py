@@ -28,6 +28,7 @@ from .data import (
     InputError,
     LabeledDataset,
     SyntheticSpec,
+    check_pca_energy,
     load_csv,
     pca_fit,
     pca_transform,
@@ -38,7 +39,16 @@ from .embedding import save_projection
 from .graphio import read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
-from .runs import GRAPH_METHODS, classify_run, cluster_graph, evaluate_clustering, graph_builder, preset_spec, sweep_run
+from .runs import (
+    GRAPH_METHODS,
+    check_graph_params,
+    classify_run,
+    cluster_graph,
+    evaluate_clustering,
+    graph_builder,
+    preset_spec,
+    sweep_run,
+)
 from .spectral import KMeansConfig
 
 SCHEMA_VERSION = 1
@@ -334,6 +344,12 @@ def _auto(value: Any) -> Any:
     return None if value == "auto" else value
 
 
+def _graph_kwargs(resolved: dict[str, Any]) -> dict[str, Any]:
+    """The graph parameters as the library's graph functions take them."""
+    return {"lam": resolved["lambda"], "d_dict": _auto(resolved["d_dict"]),
+            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")}}
+
+
 # ---------------------------------------------------------------------------
 # Stage timing
 
@@ -375,15 +391,18 @@ class CommandResult:
 
 
 def _cmd_synth(resolved: dict[str, Any], stages: Stages) -> CommandResult:
+    # In preset mode the custom values come only from a config file: unused,
+    # but range-checked all the same, with the loosest stand-in for one unset.
+    dims = [1] if resolved["dims"] is None else resolved["dims"]
+    spec = SyntheticSpec(
+        ambient_dim=max([1, *dims]) if resolved["ambient_dim"] is None else resolved["ambient_dim"],
+        subspaces=[(d, resolved["per_subspace"]) for d in dims],
+        noise_sigma=resolved["noise"],
+        seed=resolved["seed"],
+    )
     if resolved["preset"] is not None:
+        spec.validate()
         spec = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], resolved["seed"])
-    else:
-        spec = SyntheticSpec(
-            ambient_dim=resolved["ambient_dim"],
-            subspaces=[(d, resolved["per_subspace"]) for d in resolved["dims"]],
-            noise_sigma=resolved["noise"],
-            seed=resolved["seed"],
-        )
 
     with stages.stage("synth"):
         ds = synth_union_of_subspaces(spec)
@@ -406,10 +425,7 @@ def _graph_from_csv(
     the graph with --method."""
     with stages.stage("load"):
         ds = load_csv(resolved["input"], label_column=resolved["label_column"])
-    build, derived = graph_builder(
-        resolved["method"], ds.n, lam=resolved["lambda"], d_dict=_auto(resolved["d_dict"]),
-        **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")},
-    )
+    build, derived = graph_builder(resolved["method"], ds.n, **_graph_kwargs(resolved))
     if kmeans is not None:
         kmeans.validate(ds.n)
     X = ds.X
@@ -446,6 +462,11 @@ def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
         ds, W, derived = _graph_from_csv(resolved, stages, kmeans)
         truth = ds.labels
     else:
+        # Input-mode values from a config file build nothing here, but are
+        # range-checked as in input mode.
+        check_graph_params(resolved["method"], **_graph_kwargs(resolved))
+        if resolved["pca_energy"] is not None:
+            check_pca_energy(resolved["pca_energy"])
         graph = resolved["graph"]
         with stages.stage("load"):
             W = read_graph(graph)
@@ -485,9 +506,8 @@ def _cmd_embed_classify(resolved: dict[str, Any], stages: Stages) -> CommandResu
             pca_energy=resolved["pca_energy"],
             seed=resolved["seed"],
             stratified=resolved["stratified"],
-            lam=resolved["lambda"],
-            d_dict=_auto(resolved["d_dict"]),
-            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma", "npe_weights")},
+            npe_weights=resolved["npe_weights"],
+            **_graph_kwargs(resolved),
         )
 
     artifacts: dict[str, str] = {}

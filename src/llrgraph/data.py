@@ -277,6 +277,12 @@ def _fix_column_signs(V: np.ndarray) -> np.ndarray:
     return V
 
 
+def check_pca_energy(energy: float) -> None:
+    """The energy fraction PCA retains must lie in (0, 1]; raises InputError."""
+    if not 0.0 < energy <= 1.0:
+        raise InputError(f"pca_energy must lie in (0, 1], got {energy}")
+
+
 def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
     """Fit PCA retaining the smallest dimensionality that reaches `energy`.
 
@@ -285,8 +291,7 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
     eigenvalue mass divided by the total is >= energy.
     """
     X = validate_data_matrix(X)
-    if not 0.0 < energy <= 1.0:
-        raise InputError(f"pca_energy must lie in (0, 1], got {energy}")
+    check_pca_energy(energy)
     n = X.shape[0]
     if n < 2:
         raise ValueError("pca_fit needs at least 2 samples")

@@ -323,12 +323,17 @@ def coefficient_table(X: np.ndarray, params: HyperParams) -> tuple[np.ndarray, n
 
 def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix:
     """Sparsify each coefficient row to its k_keep strongest entries and
-    scatter them to global indices as an (n, n) matrix."""
+    scatter them to global indices as an (n, n) matrix.
+
+    The entries come grouped by row, so the row pointer is a running count;
+    each row's columns are distinct, so one sort by (row, column) orders them.
+    """
     n = idx.shape[0]
     rows, cols, vals = _strongest(idx, coef, k_keep)
-    C = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    C.sort_indices()
-    return C
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
 def build_llr_coefficients(X: np.ndarray, params: HyperParams) -> csr_matrix:

@@ -66,11 +66,13 @@ def _checked_params(
 ) -> tuple[HyperParams, HeatKernelParams]:
     """Check every parameter's own range, and against n the bounds of the
     parameters that method uses: k_keep <= d_dict <= n - 1 for llr, k_nn <= n - 1
-    for heat and lle."""
+    for heat and lle. With n None, only the own ranges are checked."""
     if method not in GRAPH_METHODS:
         raise InputError(f"unknown graph method {method!r}")
     hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
     hk.validate(None if method == "llr" else n)
+    if n is None and d_dict is None:
+        d_dict = DEFAULT_D_DICT_CAP  # 'auto' is in range for any n
     params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
     params.validate(n if method == "llr" else None)
     return params, hk
@@ -101,6 +103,21 @@ def graph_builder(
     if method == "heat":
         return lambda X: heat_kernel_graph(X, hk), {}
     return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
+
+
+def check_graph_params(
+    method: str = "llr",
+    *,
+    lam: float = 0.5,
+    k_keep: int = 8,
+    d_dict: int | None = None,
+    epsilon: float = 1e-9,
+    k_nn: int = 8,
+    sigma: float | str = "auto",
+) -> None:
+    """Check each graph parameter's own range where no graph is built, as
+    graph_builder does; no sample count bounds them. Raises InputError."""
+    _checked_params(method, None, lam, k_keep, d_dict, epsilon, k_nn, sigma)
 
 
 def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
@@ -261,6 +278,9 @@ def sweep_run(
         spec.validate()
         n = sum(count for _, count in spec.subspaces)
     else:
+        # Unused without a preset, but range-checked all the same, against
+        # the loosest spec: one line.
+        SyntheticSpec(ambient_dim=1, subspaces=[(1, per_subspace)], noise_sigma=noise_sigma, seed=0).validate()
         n = dataset.n
     # Every cell against n before the first seed's data: llr cells span
     # lambdas x k_values, heat and lle cells k_values. Heat and lle ignore
@@ -324,6 +344,7 @@ __all__ = [
     "resolve_d_dict",
     "preset_spec",
     "graph_builder",
+    "check_graph_params",
     "build_graph_by_method",
     "llr_graph_family",
     "cluster_graph",

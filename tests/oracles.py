@@ -242,6 +242,15 @@ def sparsify_table_loop(idx: np.ndarray, coef: np.ndarray, k_keep: int):
     return C
 
 
+def csr_from_triplets(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """An (n, n) CSR matrix from (row, column, value) triplets, built as
+    sparsify_table built it before it counted rows itself: SciPy's COO
+    conversion, then a sort of each row's columns."""
+    C = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    C.sort_indices()
+    return C
+
+
 def kmeanspp_init_one(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))

@@ -58,16 +58,57 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_env(**blas_threads):
+    """The environment of a fresh process that imports this llrgraph, with
+    only the given BLAS thread variables set."""
+    src = str(Path(llrgraph.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **blas_threads}
+
+
 def test_cli_import_adds_no_heavy_scipy_subpackage():
     """A fresh process importing the CLI loads nothing beyond numpy and
     scipy.sparse from the list above. The baseline is taken after importing
     those two, because some SciPy versions load csgraph with scipy.sparse."""
-    src = str(Path(llrgraph.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=_fresh_env(), capture_output=True, text=True,
+                         check=True)
     added = json.loads(out.stdout)
     heavy = [m for m in added if any(m == p or m.startswith(p + ".") for p in FIRST_USE_ONLY)]
     assert heavy == []
+
+
+def test_default_report_does_not_depend_on_the_core_count(tmp_path):
+    """With no BLAS thread variable set, the CLI runs OpenBLAS on one thread,
+    so its report matches a run with OPENBLAS_NUM_THREADS=1 on any machine.
+    Heat and lle at k=4, seed 0, give graphs with more components than
+    clusters, whose eigenvector basis follows the thread count."""
+    argv = [sys.executable, "-m", "llrgraph.cli", "eval", "--preset", "fig1", "--seeds", "0", "--methods", "heat,lle",
+            "--k-values", "4", "--report"]
+    for name, threads in (("default.json", {}), ("one.json", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run(argv + [str(tmp_path / name)], env=_fresh_env(**threads), capture_output=True, check=True)
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "first, caller, after",
+    [
+        ("", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+        ("", {"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+        # numpy's OpenBLAS has read the variables already, so none is set
+        ("import numpy", {}, {}),
+    ],
+)
+def test_import_sets_one_blas_thread_unless_the_caller_chose(first, caller, after):
+    code = f"import json, os; {first or 'pass'}; import llrgraph; print(json.dumps(dict(os.environ)))"
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**caller), capture_output=True, text=True,
+                         check=True)
+    env = json.loads(out.stdout)
+    assert {key: env[key] for key in BLAS_THREAD_VARIABLES if key in env} == after
 
 
 # -- synth --------------------------------------------------------------
@@ -671,6 +712,16 @@ def test_size_conflicts_are_found_before_any_computation(tmp_path, monkeypatch, 
         (_EMBED + ["--seed", "-1", "--pred-out", "{dir}/pred.txt"], None, "seed must be >= 0, got -1"),
         (["eval", "--preset", "fig1", "--methods", "heat", "--k-values", "4", "--seeds", "0,-1"], None,
          "seed must be >= 0, got -1"),
+        # config values of the mode that does not run
+        (["cluster", "--graph", "{graph}", "--clusters", "3", "--output", "{dir}/p.txt"], {"lambda": 1.5},
+         "lambda must lie in [0, 1), got 1.5"),
+        (["cluster", "--graph", "{graph}", "--clusters", "3", "--output", "{dir}/p.txt"], {"pca_energy": 1.5},
+         "pca_energy must lie in (0, 1], got 1.5"),
+        (["eval", "--input", "{csv}", "--label-column", "label", "--clusters", "3", "--seeds", "0", "--methods", "heat",
+          "--k-values", "4"], {"noise": -1}, "noise must be nonnegative, got -1.0"),
+        (["synth", "--preset", "fig1", "--output", "{dir}/s.csv"], {"ambient_dim": 0}, "ambient_dim must be >= 1, got 0"),
+        (["synth", "--preset", "fig1", "--output", "{dir}/s.csv"], {"dims": [1, 0]},
+         "intrinsic_dim 0 must lie in [1, ambient_dim=1]"),
     ],
 )
 def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_path, capsys, template, config, message):

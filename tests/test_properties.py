@@ -12,7 +12,14 @@ from llrgraph.llr import HyperParams, build_llr_coefficients, coefficient_table,
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
 from llrgraph.spectral import KMeansConfig, kmeans
 
-from oracles import coefficient_table_loop, kmeans_loop, kmeanspp_init_one, lloyd_one, sparsify_table_loop
+from oracles import (
+    coefficient_table_loop,
+    csr_from_triplets,
+    kmeans_loop,
+    kmeanspp_init_one,
+    lloyd_one,
+    sparsify_table_loop,
+)
 
 # A fixed example sequence, so that every run checks the same inputs.
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -117,6 +124,20 @@ def test_sparsify_table_matches_row_at_a_time(inputs, data):
     idx = neighbour_table(X, p["d_dict"])[0]
     coef = data.draw(arrays(np.float64, idx.shape, elements=coordinates))
     assert _same_csr(sparsify_table(idx, coef, p["k_keep"]), sparsify_table_loop(idx, coef, p["k_keep"]))
+
+
+@PROPERTY_SETTINGS
+@given(graph_inputs(), st.data())
+def test_sparsify_table_builds_the_csr_arrays_of_the_coo_conversion(inputs, data):
+    # Half the coefficients are exact zeros, so whole rows often keep nothing.
+    X, p = inputs
+    idx = neighbour_table(X, p["d_dict"])[0]
+    coef = data.draw(arrays(np.float64, idx.shape, elements=coordinates | st.just(0.0)))
+    got = sparsify_table(idx, coef, p["k_keep"])
+    want = csr_from_triplets(*llr._strongest(idx, coef, p["k_keep"]), idx.shape[0])
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @st.composite
