@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -178,8 +179,28 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not feature_cols:
         raise InputError("no feature columns left after removing the label column")
 
+    # One pass converts every feature cell. Only when a cell is non-numeric or
+    # non-finite does the cell-by-cell conversion run, to name the first such
+    # cell; float() strips the same whitespace as str.strip(), so both passes
+    # give the same values.
+    shape = (len(data_rows), len(feature_cols))
+    try:
+        cells = chain.from_iterable([row[j] for j in feature_cols] for row in data_rows)
+        X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+    except ValueError:
+        X = None
+    if X is None or not np.isfinite(X).all():
+        X = _parse_cells(path, data_rows, first_row, feature_cols)
+
+    if label_idx is None:
+        return LabeledDataset(X=X)
+    labels, names = _canonicalize_labels([row[label_idx].strip() for row in data_rows])
+    return LabeledDataset(X=X, labels=labels, label_names=names)
+
+
+def _parse_cells(path: Path, data_rows: list[list[str]], first_row: int, feature_cols: list[int]) -> np.ndarray:
+    """load_csv's feature cells converted one at a time; raises InputError at the first bad cell."""
     X = np.empty((len(data_rows), len(feature_cols)), dtype=float)
-    raw_labels: list[str] = []
     for r, row in enumerate(data_rows):
         for out_j, j in enumerate(feature_cols):
             cell = row[j].strip()
@@ -194,13 +215,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
                     f"{path}: non-finite cell at row {first_row + r}, column {j + 1}: {cell!r}"
                 )
             X[r, out_j] = value
-        if label_idx is not None:
-            raw_labels.append(row[label_idx].strip())
-
-    if label_idx is None:
-        return LabeledDataset(X=X)
-    labels, names = _canonicalize_labels(raw_labels)
-    return LabeledDataset(X=X, labels=labels, label_names=names)
+    return X
 
 
 def save_csv(path: str | Path, ds: LabeledDataset) -> None:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix, spmatrix
 
+from . import llr
 from .data import _fix_column_signs, validate_data_matrix
 from .llr import DEGENERATE_TOL, _ridge, symmetrize
 from .spectral import _degrees
@@ -142,7 +143,11 @@ def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """1-nearest-neighbor labels, ties broken by the smaller training index."""
+    """1-nearest-neighbor labels, ties broken by the smaller training index.
+
+    Distances are computed for blocks of test rows of at most
+    llr._CHUNK_VALUES entries, so no n_test x n_train matrix is built.
+    """
     train = validate_data_matrix(train, "train")
     test = validate_data_matrix(test, "test")
     train_labels = np.asarray(train_labels)
@@ -152,7 +157,10 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
         raise ValueError("train and test dimensionality differ")
     from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
 
-    nearest = np.argmin(cdist(test, train), axis=1)
+    nearest = np.empty(test.shape[0], dtype=np.intp)
+    block = max(1, llr._CHUNK_VALUES // train.shape[0])
+    for a in range(0, test.shape[0], block):
+        nearest[a : a + block] = np.argmin(cdist(test[a : a + block], train), axis=1)
     return train_labels[nearest]
 
 

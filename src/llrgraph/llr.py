@@ -43,8 +43,8 @@ DEGENERATE_TOL = 1e-12
 #: is solved through the low-rank (Woodbury) path; below it the direct solve
 #: keeps the LLE limit lambda = 0 exact.
 LOW_RANK_MIN_LAMBDA = 1e-3
-#: Largest number of values in one per-chunk array of the batched neighbour
-#: sort and coefficient solve (512 KB of float64).
+#: Largest number of values in one per-chunk array of the neighbour search,
+#: the 1-NN search and the batched coefficient solve (512 KB of float64).
 _CHUNK_VALUES = 2**16
 
 
@@ -98,25 +98,50 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest other samples of every sample, as (n, k) index and distance tables.
 
     Row i excludes i itself and is ordered by ascending Euclidean distance,
-    ties broken by smaller global index. Rows are sorted in blocks of at most
-    _CHUNK_VALUES entries, so that the n x n distance matrix is the only
-    quadratic buffer. Distances are taken on X scaled by the exact power of
-    two that brings max|X| into [0.5, 1) and scaled back, so data above about
-    1e154 does not overflow the squared differences.
+    ties broken by smaller global index. Distances are taken on X scaled by
+    the exact power of two that brings max|X| into [0.5, 1) and scaled back,
+    so data above about 1e154 does not overflow the squared differences; a
+    neighbour whose distance still leaves the float range raises ValueError.
+
+    Distances are computed for blocks of rows of at most _CHUNK_VALUES
+    entries, so no n x n matrix is built. In each row a partition selects k
+    candidates, which are sorted by index and then stably by distance. A row
+    with more than k entries at or below its k-th distance (a tie at the
+    threshold), and every row when k = n - 1, is stably sorted whole instead.
     """
     from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
 
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
     Xs = np.ldexp(X, -e)
-    dists = cdist(Xs, Xs)
-    np.ldexp(dists, e, out=dists)
-    np.fill_diagonal(dists, np.inf)
-    n = X.shape[0]
+    n = Xs.shape[0]
     idx = np.empty((n, k), dtype=np.intp)
+    dist = np.empty((n, k))
     block = max(1, _CHUNK_VALUES // n)
     for a in range(0, n, block):
-        idx[a : a + block] = np.argsort(dists[a : a + block], axis=1, kind="stable")[:, :k]
-    return idx, np.take_along_axis(dists, idx, axis=1)
+        D = cdist(Xs[a : a + block], Xs)
+        with np.errstate(over="ignore"):  # an overflowed neighbour is reported below
+            np.ldexp(D, e, out=D)
+        rows = np.arange(D.shape[0])
+        D[rows, a + rows] = np.inf
+        if k < n - 1:
+            sel = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
+            near = np.take_along_axis(D, sel, axis=1)
+            sel = np.take_along_axis(sel, np.argsort(near, axis=1, kind="stable"), axis=1)
+            tied = np.count_nonzero(D <= near.max(axis=1)[:, None], axis=1) > k
+        else:
+            sel, tied = np.empty((D.shape[0], k), dtype=np.intp), rows
+        sel[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, :k]
+        near = np.take_along_axis(D, sel, axis=1)
+        overflowed = np.isinf(near).any(axis=1)
+        if overflowed.any():
+            # The diagonal is inf too, so an overflowed row may have selected
+            # its own sample; name an overflowed pair of two samples.
+            r = int(np.argmax(overflowed))
+            far = np.flatnonzero(np.isinf(D[r]))
+            j = int(far[far != a + r][0])
+            raise ValueError(f"distance between samples {a + r} and {j} is beyond the float range")
+        idx[a : a + block], dist[a : a + block] = sel, near
+    return idx, dist
 
 
 def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:

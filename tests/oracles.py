@@ -12,6 +12,7 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.spatial.distance import cdist
 
 
 def quadratic_matrix(x: np.ndarray, atoms: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
@@ -214,6 +215,18 @@ def coefficients_one(x, atoms, s, lam, epsilon, low_rank_min_lambda):
     solve = low_rank_solve_one if m < d and lam >= low_rank_min_lambda else direct_solve_one
     u = solve(B, s, lam, epsilon)
     return u / float(u.sum())
+
+
+def neighbour_table_full(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour table the slow way: the whole n x n distance matrix
+    (power-of-two scaled like the library's), self set to inf, every row
+    stably sorted in full, so ties go to the smaller index."""
+    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
+    Xs = np.ldexp(X, -e)
+    dists = np.ldexp(cdist(Xs, Xs), e)
+    np.fill_diagonal(dists, np.inf)
+    idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(dists, idx, axis=1)
 
 
 def coefficient_table_loop(X, idx, dist, lam, epsilon, low_rank_min_lambda):

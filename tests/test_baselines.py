@@ -61,6 +61,12 @@ def test_heat_kernel_auto_sigma_is_median_retained_distance():
     assert np.abs((W_auto - W_explicit).toarray()).max() == 0.0
 
 
+def test_heat_kernel_names_samples_whose_distance_overflows():
+    X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"samples 0 and 1 is beyond the float range"):
+        heat_kernel_graph(X, HeatKernelParams(k_nn=3))
+
+
 def test_heat_kernel_auto_sigma_zero_median_rejected():
     X = np.zeros((6, 2))  # all points identical: every distance is zero
     with pytest.raises(ValueError, match="median"):

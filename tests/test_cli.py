@@ -338,6 +338,22 @@ def test_cluster_runtime_failure_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-graph", "--method", "heat", "--k-nn", "4", "--output", "g.txt"],
+        ["cluster", "--clusters", "2", "--d-dict", "4", "--k-keep", "2", "--output", "p.txt"],
+    ],
+)
+def test_distance_beyond_the_float_range_exits_one_naming_the_samples(tmp_path, monkeypatch, capsys, argv):
+    # Rows 0 and 1 lie 2e308 apart, and k = n - 1 makes them neighbours.
+    monkeypatch.chdir(tmp_path)
+    Path("big.csv").write_text("f0,f1,label\n1e308,0,0\n-1e308,0,0\n0,0,1\n1,0,1\n0,1,1\n")
+    code = main(argv + ["--input", "big.csv", "--label-column", "label", "--pca-energy", "none"])
+    assert code == 1
+    assert "distance between samples 0 and 1 is beyond the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "body, message",
     [
         ("0 1 1.0\n0 2 nan\n1 2 1.0\n", "g.txt:3: weight must be finite"),

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from llrgraph import llr
 from llrgraph.embedding import (
     generalized_sym_eig,
     load_projection,
@@ -13,6 +14,8 @@ from llrgraph.embedding import (
     transform,
 )
 from llrgraph.llr import build_llr_coefficients, HyperParams
+
+from oracles import pairwise_distances
 
 
 def _rng(seed):
@@ -269,6 +272,21 @@ def test_nn_classify_tie_prefers_smaller_index():
     labels = np.array([7, 8, 9])
     pred = nn_classify(train, labels, np.array([[0.0, 0.0]]))
     assert pred[0] == 7
+
+
+@pytest.mark.parametrize("budget", [1, 50, 2**16])
+def test_nn_classify_in_blocks_keeps_the_first_nearest(monkeypatch, budget):
+    # A half-step grid repeats training points and ties test points between
+    # them; squared distances on it are exact, so the naive distances match
+    # bit for bit. Each training point has its own label, so a prediction
+    # names the training index. A budget of 50 values makes blocks of 2 rows.
+    rng = _rng(12)
+    train = rng.integers(-2, 3, size=(24, 2)) / 2.0
+    test = rng.integers(-4, 5, size=(31, 2)) / 4.0
+    labels = np.arange(24)
+    want = np.argmin(pairwise_distances(test, train), axis=1)
+    monkeypatch.setattr(llr, "_CHUNK_VALUES", budget)
+    assert np.array_equal(nn_classify(train, labels, test), want)
 
 
 def test_nn_classify_errors():

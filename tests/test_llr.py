@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from llrgraph.llr import (
     build_llr_coefficients,
     build_llr_graph,
     distance_diagonal,
+    neighbour_table,
     solve_coefficients,
     sparsify,
     symmetrize,
@@ -110,12 +113,40 @@ def test_solution_sums_to_one():
 def test_scale_invariance_exact_through_trace_ridge():
     # The ridge scales with trace(M), so alpha*X gives identical coefficients.
     rng = _rng(21)
-    for alpha in (0.01, 1.0, 100.0, 1e8, 1e-150, 1e154):
+    for alpha in (0.01, 1.0, 100.0, 1e8, 1e-150, 1e154, 1e306):
         X = rng.standard_normal((12, 4))
         params = HyperParams(lam=0.4, k_keep=3, d_dict=8)
         base = build_llr_coefficients(X, params).toarray()
         scaled = build_llr_coefficients(alpha * X, params).toarray()
         assert np.abs(base - scaled).max() < 1e-9, f"alpha={alpha}"
+
+
+def test_neighbour_table_names_samples_whose_distance_overflows():
+    # Samples 0 and 1 are 2e308 apart, beyond the largest float. The search
+    # used to rank sample 0 among its own neighbours, tied with its inf self.
+    X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"samples 0 and 1 is beyond the float range"):
+        neighbour_table(X, 3)
+    with pytest.raises(ValueError, match=r"samples 1 and 3 is beyond the float range"):
+        neighbour_table(X[[2, 1, 3, 0]], 3)
+    # Rows whose k nearest are in range are unaffected by the far pair.
+    idx, dist = neighbour_table(X, 2)
+    assert idx.tolist() == [[2, 3], [2, 3], [3, 0], [2, 0]]
+    assert np.isfinite(dist).all()
+
+
+def test_neighbour_table_builds_no_n_by_n_matrix():
+    # One 3000 x 3000 float64 distance matrix takes 72 MB; blocks of rows
+    # within the chunk budget and the (n, k) tables need well under 8 MB.
+    X = _rng(24).standard_normal((3000, 5))
+    neighbour_table(X[:3], 1)  # loads SciPy outside the traced call
+    tracemalloc.start()
+    try:
+        neighbour_table(X, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_tiny_data_solves_without_underflow():

@@ -18,6 +18,7 @@ from oracles import (
     kmeans_loop,
     kmeanspp_init_one,
     lloyd_one,
+    neighbour_table_full,
     sparsify_table_loop,
 )
 
@@ -98,6 +99,30 @@ budgets = st.sampled_from([1, 7, 40, 300, 2**16, 2**18])
 
 def _same_csr(A, B):
     return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("indptr", "indices", "data"))
+
+
+@st.composite
+def neighbour_inputs(draw):
+    """Up to 40 points on a grid of 5 or 81 steps per axis, so that duplicate
+    points and distances tied at the k-th neighbour are common, and any k."""
+    n = draw(st.integers(2, 40))
+    steps = draw(st.sampled_from([2, 40]))
+    grid = st.integers(-steps, steps).map(lambda v: v / 4.0)
+    X = draw(arrays(np.float64, (n, draw(st.integers(1, 3))), elements=grid))
+    return X, draw(st.integers(1, n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(neighbour_inputs(), st.sampled_from([1, 7, 64, 2**16]))
+def test_neighbour_table_matches_the_full_sort(inputs, budget):
+    # Small budgets split the search into many row blocks; 2**16 is the library's own.
+    X, k = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        idx, dist = neighbour_table(X, k)
+    want_idx, want_dist = neighbour_table_full(X, k)
+    assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
+    assert dist.tobytes() == want_dist.tobytes()
 
 
 @PROPERTY_SETTINGS
