@@ -145,8 +145,10 @@ def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels, ties broken by the smaller training index.
 
-    Distances are computed for blocks of test rows of at most
-    llr._CHUNK_VALUES entries, so no n_test x n_train matrix is built.
+    The search is llr's neighbour kernel (k = 1, no sample excluded), on both
+    sets scaled by the one power of two that brings their largest entry into
+    [0.5, 1), so distances beyond the float range still rank. No
+    n_test x n_train matrix is built.
     """
     train = validate_data_matrix(train, "train")
     test = validate_data_matrix(test, "test")
@@ -155,12 +157,8 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
         raise ValueError("train_labels length must match train rows")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test dimensionality differ")
-    from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
-
-    nearest = np.empty(test.shape[0], dtype=np.intp)
-    block = max(1, llr._CHUNK_VALUES // train.shape[0])
-    for a in range(0, test.shape[0], block):
-        nearest[a : a + block] = np.argmin(cdist(test[a : a + block], train), axis=1)
+    e = int(np.frexp(max(np.abs(train).max(), np.abs(test).max()))[1])
+    nearest = llr._nearest(np.ldexp(train, -e), 1, np.ldexp(test, -e))[0][:, 0]
     return train_labels[nearest]
 
 

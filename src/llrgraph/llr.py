@@ -102,35 +102,108 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the exact power of two that brings max|X| into [0.5, 1) and scaled back,
     so data above about 1e154 does not overflow the squared differences; a
     neighbour whose distance still leaves the float range raises ValueError.
-
-    Distances are computed for blocks of rows of at most _CHUNK_VALUES
-    entries, so no n x n matrix is built. In each row a partition selects k
-    candidates, which are sorted by index and then stably by distance. A row
-    with more than k entries at or below its k-th distance (a tie at the
-    threshold), and every row when k = n - 1, is stably sorted whole instead.
+    The distances are those of scipy.spatial.distance.cdist, bit for bit, and
+    the table is the first k columns of each row stably sorted in full; see
+    _nearest for how it is found without an n x n matrix.
     """
-    from scipy.spatial.distance import cdist  # imported on first use, to keep the CLI's start-up light
-
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
-    Xs = np.ldexp(X, -e)
-    n = Xs.shape[0]
-    idx = np.empty((n, k), dtype=np.intp)
-    dist = np.empty((n, k))
+    return _nearest(np.ldexp(X, -e), k, e=e)
+
+
+def _exact_distances(Q, R) -> np.ndarray:
+    """sqrt(sum_j (q_j - r_j)^2) over broadcast pairs, with Q and R given
+    column by column (iterables of m arrays). The squares are summed from
+    column 0 up, acc += (q_j - r_j)^2, the order and rounding of cdist's
+    Euclidean distance, so the results equal its bit for bit."""
+    acc = None
+    for q, r in zip(Q, R):
+        d = q - r
+        d *= d
+        if acc is None:
+            acc = d
+        else:
+            acc += d
+    return np.sqrt(acc, out=acc)
+
+
+def _nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None, e: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest rows of R to each row of Q, as index and distance tables.
+
+    Without Q, the queries are the rows of R, each excluding itself. R and Q
+    are scaled so that every entry lies in (-1, 1); the distances come back
+    multiplied by 2^e. Each row is ordered by ascending distance, ties broken
+    by smaller index: the first k entries of the row stably sorted in full.
+
+    A screen picks each row's k candidates from A = |r|^2 - 2 q.r, the squared
+    distance less |q|^2 (the same along a row), one BLAS product per block of
+    rows within _CHUNK_VALUES. Whatever order BLAS sums in, with or without
+    FMA and at any thread count, A + |q|^2 is within gamma_{m+1} (|q| + |r|)^2
+    of d^2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1); the exact sum is within gamma_{m+2} d^2 of d^2; and sums
+    more than a relative 8u apart keep distinct square roots. The margin is
+    twice what those bounds need (u = 2^-53), with room for underflow, even
+    flushed to zero; so when no sample outside the k candidates has A within
+    the margin of the k-th candidate's, every sample outside has an exact
+    distance strictly above every candidate's. Exact distances are then taken
+    for the (rows, k) candidates only, in index order, scaled back and stably
+    sorted. Rows that fail the screen (ties and near-ties at the k-th
+    candidate), rows whose k-th distance leaves the normal float range when
+    scaled back (where scaling could merge distances), and every row when k
+    covers all of R, get the exact distances of the whole row and a stable
+    sort instead. The result is a function of the data alone, equal to the
+    full sort bit for bit.
+    """
+    self_search = Q is None
+    Q = R if self_search else Q
+    n, m = R.shape
+    if not 1 <= k <= n - self_search:
+        raise ValueError(f"k must lie in [1, {n - self_search}], got {k}")
+    nq = Q.shape[0]
+    Rt, Qt = np.ascontiguousarray(R.T), np.ascontiguousarray(Q.T)
+    idx = np.empty((nq, k), dtype=np.intp)
+    dist = np.empty((nq, k))
     block = max(1, _CHUNK_VALUES // n)
-    for a in range(0, n, block):
-        D = cdist(Xs[a : a + block], Xs)
+    if k == n - self_search:
+        full = np.ones(nq, dtype=bool)  # every sample is a neighbour: nothing to screen
+    else:
+        full = np.zeros(nq, dtype=bool)
+        r_sq = np.einsum("ij,ij->i", R, R)
+        q_sq = r_sq if self_search else np.einsum("ij,ij->i", Q, Q)
+        bound = (np.sqrt(q_sq) + np.sqrt(r_sq.max())) ** 2
+        margin = (8 * m + 64) * (np.ldexp(bound, -53) + np.finfo(float).tiny)
+        for a in range(0, nq, block):
+            b = min(a + block, nq)
+            A = (-2.0 * Q[a:b]) @ Rt
+            A += r_sq  # |q|^2 is the same along the row, so it changes no comparison
+            rows = np.arange(b - a)
+            if self_search:
+                A[rows, a + rows] = np.inf
+            sel = np.argpartition(A, k - 1, axis=1)[:, :k]
+            kth = np.take_along_axis(A, sel, axis=1).max(axis=1)
+            full[a:b] = np.count_nonzero(A <= (kth + margin[a:b])[:, None], axis=1) > k
+            idx[a:b] = np.sort(sel, axis=1)
+        # Exact distances of the candidates, for chunks of rows within _CHUNK_VALUES.
+        rows_per = max(1, _CHUNK_VALUES // k)
+        for a in range(0, nq, rows_per):
+            sel = idx[a : a + rows_per]
+            near = _exact_distances(Qt[:, a : a + rows_per, None], (r[sel] for r in Rt))
+            with np.errstate(over="ignore"):  # an overflowed row is searched in full, which reports it
+                np.ldexp(near, e, out=near)
+            # The candidates are in index order, so a stable sort by distance puts ties in index order too.
+            order = np.argsort(near, axis=1, kind="stable")
+            idx[a : a + rows_per] = np.take_along_axis(sel, order, axis=1)
+            dist[a : a + rows_per] = np.take_along_axis(near, order, axis=1)
+        kth = dist[:, -1]
+        full |= ~(np.isfinite(kth) & ((kth >= np.finfo(float).tiny) | (e >= 0)))
+    redo = np.flatnonzero(full)
+    for a in range(0, redo.size, block):
+        rows = redo[a : a + block]
+        D = _exact_distances(Qt[:, rows, None], Rt)
         with np.errstate(over="ignore"):  # an overflowed neighbour is reported below
             np.ldexp(D, e, out=D)
-        rows = np.arange(D.shape[0])
-        D[rows, a + rows] = np.inf
-        if k < n - 1:
-            sel = np.sort(np.argpartition(D, k - 1, axis=1)[:, :k], axis=1)
-            near = np.take_along_axis(D, sel, axis=1)
-            sel = np.take_along_axis(sel, np.argsort(near, axis=1, kind="stable"), axis=1)
-            tied = np.count_nonzero(D <= near.max(axis=1)[:, None], axis=1) > k
-        else:
-            sel, tied = np.empty((D.shape[0], k), dtype=np.intp), rows
-        sel[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, :k]
+        if self_search:
+            D[np.arange(rows.size), rows] = np.inf
+        sel = np.argsort(D, axis=1, kind="stable")[:, :k]
         near = np.take_along_axis(D, sel, axis=1)
         overflowed = np.isinf(near).any(axis=1)
         if overflowed.any():
@@ -138,9 +211,9 @@ def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             # its own sample; name an overflowed pair of two samples.
             r = int(np.argmax(overflowed))
             far = np.flatnonzero(np.isinf(D[r]))
-            j = int(far[far != a + r][0])
-            raise ValueError(f"distance between samples {a + r} and {j} is beyond the float range")
-        idx[a : a + block], dist[a : a + block] = sel, near
+            j = int(far[far != rows[r]][0])
+            raise ValueError(f"distance between samples {rows[r]} and {j} is beyond the float range")
+        idx[rows], dist[rows] = sel, near
     return idx, dist
 
 

@@ -223,10 +223,17 @@ def neighbour_table_full(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     stably sorted in full, so ties go to the smaller index."""
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
     Xs = np.ldexp(X, -e)
-    dists = np.ldexp(cdist(Xs, Xs), e)
+    with np.errstate(over="ignore"):  # an overflowed distance is inf, as the library sees it
+        dists = np.ldexp(cdist(Xs, Xs), e)
     np.fill_diagonal(dists, np.inf)
     idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
     return idx, np.take_along_axis(dists, idx, axis=1)
+
+
+def nearest_training_index(train: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Index of each test row's nearest training row by the whole cdist
+    matrix, the first on ties."""
+    return np.argmin(cdist(test, train), axis=1)
 
 
 def coefficient_table_loop(X, idx, dist, lam, epsilon, low_rank_min_lambda):

@@ -47,7 +47,9 @@ def _load_report(path):
 
 # SciPy subpackages the CLI loads on first use only; scipy.sparse.csgraph
 # pulls in scipy.linalg and scipy.sparse.linalg.
-FIRST_USE_ONLY = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+FIRST_USE_ONLY = ("scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+# SciPy subpackages no command loads: the neighbour search is llr's own.
+NEVER_LOADED = ("scipy.spatial",)
 
 _ADDED_BY_CLI = """
 import json, sys
@@ -77,8 +79,35 @@ def test_cli_import_adds_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=_fresh_env(), capture_output=True, text=True,
                          check=True)
     added = json.loads(out.stdout)
-    heavy = [m for m in added if any(m == p or m.startswith(p + ".") for p in FIRST_USE_ONLY)]
+    heavy = [m for m in added if any(m == p or m.startswith(p + ".") for p in FIRST_USE_ONLY + NEVER_LOADED)]
     assert heavy == []
+
+
+_MODULES_AFTER_COMMAND = """
+import json, sys
+from llrgraph.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
+        ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp", "--embed-dim", "2"],
+        ["eval", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--seeds", "0",
+         "--methods", "heat,llr", "--k-values", "4", "--restarts", "2"],
+    ],
+    ids=["build-graph heat", "embed-classify lpp", "eval"],
+)
+def test_commands_that_search_neighbours_never_load_scipy_spatial(tmp_path, argv):
+    _synth(tmp_path, per=12)
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert [m for m in modules if any(m == p or m.startswith(p + ".") for p in NEVER_LOADED)] == []
 
 
 def test_default_report_does_not_depend_on_the_core_count(tmp_path):

@@ -289,6 +289,14 @@ def test_nn_classify_in_blocks_keeps_the_first_nearest(monkeypatch, budget):
     assert np.array_equal(nn_classify(train, labels, test), want)
 
 
+def test_nn_classify_ranks_distances_beyond_the_float_range():
+    # The test point is 4e200 from training point 0 and 2e200 from point 1.
+    # Unscaled, both squared distances overflow to inf and tie, which gave
+    # point 0's label; on the scaled data they rank.
+    pred = nn_classify(np.array([[3e200], [1e200]]), np.array([7, 9]), np.array([[-1e200]]))
+    assert pred.tolist() == [9]
+
+
 def test_nn_classify_errors():
     train = np.zeros((3, 2))
     with pytest.raises(ValueError, match="train_labels length"):

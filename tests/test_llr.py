@@ -139,7 +139,7 @@ def test_neighbour_table_builds_no_n_by_n_matrix():
     # One 3000 x 3000 float64 distance matrix takes 72 MB; blocks of rows
     # within the chunk budget and the (n, k) tables need well under 8 MB.
     X = _rng(24).standard_normal((3000, 5))
-    neighbour_table(X[:3], 1)  # loads SciPy outside the traced call
+    neighbour_table(X[:3], 1)  # first-call set-up happens outside the traced call
     tracemalloc.start()
     try:
         neighbour_table(X, 8)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from llrgraph import llr, spectral
+from llrgraph.embedding import nn_classify
 from llrgraph.llr import HyperParams, build_llr_coefficients, coefficient_table, neighbour_table, sparsify_table
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
 from llrgraph.spectral import KMeansConfig, kmeans
@@ -18,6 +19,7 @@ from oracles import (
     kmeans_loop,
     kmeanspp_init_one,
     lloyd_one,
+    nearest_training_index,
     neighbour_table_full,
     sparsify_table_loop,
 )
@@ -123,6 +125,96 @@ def test_neighbour_table_matches_the_full_sort(inputs, budget):
     want_idx, want_dist = neighbour_table_full(X, k)
     assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
     assert dist.tobytes() == want_dist.tobytes()
+
+
+# The neighbour search screens candidates with a BLAS product and takes exact
+# distances, summed column by column as cdist sums them, only where the screen
+# cannot separate the k-th neighbour from the rest; on these inputs it must
+# still equal the full sort bit for bit. The order of summation shows from
+# about 8 columns up, so the data go up to 64.
+
+
+def _seeded(draw, shape):
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
+@st.composite
+def continuous_inputs(draw):
+    """Gaussian data, n <= 60 points in up to 64 dimensions, and any k."""
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 64))
+    return _seeded(draw, (n, m)), draw(st.integers(1, n - 1))
+
+
+@st.composite
+def far_cluster_inputs(draw):
+    """Up to four clusters of spread 10^-s, s up to 12, around centres 10^6
+    from the origin: the distances within a cluster are far below the
+    screen's margin, which grows with the distance from the origin."""
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 64))
+    centres = 1e6 + _seeded(draw, (draw(st.integers(1, 4)), m))
+    spread = 10.0 ** -draw(st.integers(0, 12))
+    members = draw(arrays(np.intp, n, elements=st.integers(0, centres.shape[0] - 1)))
+    return centres[members] + spread * _seeded(draw, (n, m)), draw(st.integers(1, n - 1))
+
+
+@st.composite
+def extreme_scale_inputs(draw):
+    """Rows uniform in (-1, 1)^m scaled by 2^p, p at or up to 3 or 40 below a
+    base from -1074 to 1023: distances overflow or fall below the normal
+    range when scaled back, and small rows vanish beside large ones."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 16))
+    base = draw(st.sampled_from([-1074, -1040, -1000, 0, 1000, 1023]))
+    spread = draw(st.sampled_from([0, 3, 40]))
+    powers = base - draw(arrays(np.int64, (n, 1), elements=st.integers(0, spread)))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (n, m))
+    return np.ldexp(X, powers), draw(st.integers(1, n - 1))
+
+
+def _assert_matches_the_full_sort(X, k, budget):
+    want_idx, want_dist = neighbour_table_full(X, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        if np.isinf(want_dist).any():
+            row = int(np.flatnonzero(np.isinf(want_dist).any(axis=1))[0])
+            with pytest.raises(ValueError, match=rf"samples {row} and \d+ is beyond the float range"):
+                neighbour_table(X, k)
+            return
+        idx, dist = neighbour_table(X, k)
+    assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(continuous_inputs(), st.sampled_from([1, 64, 2**16]))
+def test_neighbour_table_matches_the_full_sort_on_continuous_data(inputs, budget):
+    _assert_matches_the_full_sort(*inputs, budget)
+
+
+@PROPERTY_SETTINGS
+@given(far_cluster_inputs(), st.sampled_from([1, 64, 2**16]))
+def test_neighbour_table_matches_the_full_sort_on_tight_clusters_far_out(inputs, budget):
+    _assert_matches_the_full_sort(*inputs, budget)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(extreme_scale_inputs(), st.sampled_from([1, 64, 2**16]))
+def test_neighbour_table_matches_the_full_sort_at_extreme_scales(inputs, budget):
+    _assert_matches_the_full_sort(*inputs, budget)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 50), st.integers(1, 30), st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 64, 2**16]))
+def test_nn_classify_matches_the_first_argmin_of_cdist(n_train, n_test, m, grid, seed, budget):
+    # On a coarse grid, test points tie between training points and repeat them.
+    rng = np.random.default_rng(seed)
+    train, test = rng.standard_normal((n_train, m)), rng.standard_normal((n_test, m))
+    if grid:
+        train, test = np.round(train), np.round(test)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        got = nn_classify(train, np.arange(n_train), test)
+    assert np.array_equal(got, nearest_training_index(train, test))
 
 
 @PROPERTY_SETTINGS
