@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from .baselines import heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .data import (
     InputError,
@@ -76,17 +74,20 @@ class Param:
         return "--" + self.key.replace("_", "-")
 
 
-def _graph_params(modes: tuple[str, ...] = ()) -> list[Param]:
-    params = [
-        Param("method", "choice", default="llr", choices=GRAPH_METHODS, help="graph construction method"),
-        Param("lambda", "float", default=0.5, help="distance-regularization weight in [0, 1) (llr)"),
-        Param("k_keep", "int", default=8, help="coefficients kept per point (llr)"),
-        Param("d_dict", "ddict", default="auto", help="dictionary size, or 'auto' for min(300, n-1) (llr)"),
-        Param("epsilon", "float", default=1e-9, help="ridge scale for the coefficient solve (llr, lle)"),
-        Param("k_nn", "int", default=8, help="neighbors per point (heat, lle)"),
-        Param("sigma", "sigma", default="auto", help="heat kernel bandwidth, or 'auto' for the median retained distance"),
+def _graph_params(llr: tuple[str, ...], heat: tuple[str, ...]) -> list[Param]:
+    """The graph parameters: llr's four apply in the modes llr, the heat kernel's two in the modes heat."""
+    return [
+        Param("lambda", "float", default=0.5, modes=llr, help="distance-regularization weight in [0, 1) (llr)"),
+        Param("k_keep", "int", default=8, modes=llr, help="coefficients kept per point (llr)"),
+        Param("d_dict", "ddict", default="auto", modes=llr, help="dictionary size, or 'auto' for min(300, n-1) (llr)"),
+        Param("epsilon", "float", default=1e-9, modes=llr, help="ridge scale for the coefficient solve (llr, lle)"),
+        Param("k_nn", "int", default=8, modes=heat, help="neighbors per point (heat, lle)"),
+        Param("sigma", "sigma", default="auto", modes=heat,
+              help="heat kernel bandwidth, or 'auto' for the median retained distance"),
     ]
-    return [replace(p, modes=modes) for p in params]
+
+
+_METHOD = Param("method", "choice", default="llr", choices=GRAPH_METHODS, help="graph construction method")
 
 
 _SYNTH_PARAMS = [
@@ -105,7 +106,8 @@ _BUILD_GRAPH_PARAMS = [
     Param("input", "infile", required=True, help="input CSV path"),
     Param("label_column", "labelcol", help="label column name or index (labels are carried, not used)"),
     Param("pca_energy", "energy", default=None, help="PCA energy fraction applied to all rows before the graph, or 'none'"),
-    *_graph_params(),
+    _METHOD,
+    *_graph_params((), ()),
     Param("output", "outfile", required=True, help="output graph path"),
 ]
 
@@ -116,7 +118,8 @@ _CLUSTER_PARAMS = [
     Param("truth_labels", "infile", modes=("graph",), help="label file with ground truth, enables AC/NMI"),
     Param("pca_energy", "energy", default=None, modes=("input",),
           help="PCA energy fraction applied to all rows before the graph, or 'none'"),
-    *_graph_params(modes=("input",)),
+    replace(_METHOD, modes=("input",)),
+    *_graph_params(("input",), ("input",)),
     Param("clusters", "int", required=True, help="number of clusters"),
     Param("restarts", "int", default=20, help="k-means restarts"),
     Param("seed", "int", default=0, help="k-means seed"),
@@ -132,15 +135,9 @@ _EMBED_PARAMS = [
     Param("stratified", "bool", default=True, help="split per class rather than globally"),
     Param("pca_energy", "energy", default=0.98, help="PCA energy fraction fit on the training split, or 'none'"),
     Param("seed", "int", default=0, help="split seed"),
-    Param("lambda", "float", default=0.5, modes=("npe",), help="distance-regularization weight in [0, 1)"),
-    Param("k_keep", "int", default=8, modes=("npe",), help="coefficients kept per point"),
-    Param("d_dict", "ddict", default="auto", modes=("npe",),
-          help="dictionary size, or 'auto' for min(300, n_train-1)"),
-    Param("epsilon", "float", default=1e-9, modes=("npe",), help="ridge scale for the coefficient solve"),
+    *_graph_params(("npe",), ("lpp",)),
     Param("npe_weights", "choice", default="coefficients", choices=("coefficients", "symmetrized"), modes=("npe",),
           help="reconstruction weights from raw coefficient rows or the symmetrized graph"),
-    Param("k_nn", "int", default=8, modes=("lpp",), help="neighbors per point"),
-    Param("sigma", "sigma", default="auto", modes=("lpp",), help="heat kernel bandwidth or 'auto'"),
     Param("projection_out", "outfile", help="optional CSV path for the learned projection"),
     Param("pred_out", "outfile", help="optional label file for test predictions"),
 ]
@@ -174,28 +171,6 @@ def _fail(p: Param, raw: Any, expected: str) -> InputError:
     return InputError(f"{p.flag}: expected {expected}, got {raw!r}")
 
 
-def _as_int(p: Param, raw: Any) -> int:
-    if isinstance(raw, bool):
-        raise _fail(p, raw, "an integer")
-    if isinstance(raw, int):
-        return raw
-    try:
-        return int(str(raw), 10)
-    except ValueError:
-        raise _fail(p, raw, "an integer") from None
-
-
-def _as_float(p: Param, raw: Any) -> float:
-    if isinstance(raw, bool):
-        raise _fail(p, raw, "a number")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    try:
-        return float(str(raw))
-    except ValueError:
-        raise _fail(p, raw, "a number") from None
-
-
 def _split_list(p: Param, raw: Any) -> list[Any]:
     if isinstance(raw, (list, tuple)):
         return list(raw)
@@ -207,11 +182,28 @@ def _split_list(p: Param, raw: Any) -> list[Any]:
     raise _fail(p, raw, "a comma-separated list")
 
 
+# Kinds that follow a base kind's rule: each word kind also takes one word,
+# which stands for a value, and each list kind is a comma list of items.
+_WORDS = {"sigma": ("float", "auto", "auto"), "ddict": ("int", "auto", "auto"), "energy": ("float", "none", None)}
+_LISTS = {"intlist": "int", "floatlist": "float", "strlist": "choice"}
+
+
 def _coerce(p: Param, raw: Any) -> Any:
-    if p.kind == "int":
-        return _as_int(p, raw)
-    if p.kind == "float":
-        return _as_float(p, raw)
+    if p.kind in _WORDS:
+        base, word, value = _WORDS[p.kind]
+        return value if raw == word else _coerce(replace(p, kind=base), raw)
+    if p.kind in _LISTS:
+        item = replace(p, kind=_LISTS[p.kind])
+        # Choice items are matched, and named in errors, as text.
+        return [_coerce(item, str(part) if item.kind == "choice" else part) for part in _split_list(p, raw)]
+    if p.kind in ("int", "float"):
+        number, expected = (int, "an integer") if p.kind == "int" else (float, "a number")
+        if isinstance(raw, (int, number)) and not isinstance(raw, bool):  # a JSON number of the kind
+            return number(raw)
+        try:
+            return number(str(raw))
+        except ValueError:
+            raise _fail(p, raw, expected) from None
     if p.kind in ("infile", "outfile"):
         if not isinstance(raw, str) or not raw:
             raise _fail(p, raw, "a path")
@@ -224,18 +216,6 @@ def _coerce(p: Param, raw: Any) -> Any:
         if isinstance(raw, bool):
             return raw
         raise _fail(p, raw, "true or false")
-    if p.kind == "sigma":
-        if raw == "auto":
-            return "auto"
-        return _as_float(p, raw)
-    if p.kind == "ddict":
-        if raw == "auto":
-            return "auto"
-        return _as_int(p, raw)
-    if p.kind == "energy":
-        if raw is None or raw == "none":
-            return None
-        return _as_float(p, raw)
     if p.kind == "labelcol":
         if isinstance(raw, bool):
             raise _fail(p, raw, "a column name or index")
@@ -244,16 +224,6 @@ def _coerce(p: Param, raw: Any) -> Any:
         if isinstance(raw, str) and raw:
             return int(raw) if raw.lstrip("-").isdigit() else raw
         raise _fail(p, raw, "a column name or index")
-    if p.kind == "intlist":
-        return [_as_int(p, part) for part in _split_list(p, raw)]
-    if p.kind == "floatlist":
-        return [_as_float(p, part) for part in _split_list(p, raw)]
-    if p.kind == "strlist":
-        items = [str(part) for part in _split_list(p, raw)]
-        for item in items:
-            if p.choices and item not in p.choices:
-                raise _fail(p, item, f"one of {', '.join(p.choices)}")
-        return items
     raise AssertionError(f"unknown param kind {p.kind}")
 
 
@@ -354,27 +324,21 @@ def _graph_kwargs(resolved: dict[str, Any]) -> dict[str, Any]:
 # Stage timing
 
 
-class Stages:
-    """Wall-clock per stage; disabled unless --timings so that reports stay
-    byte-identical across reruns by default."""
+Timings = dict[str, float] | None  # seconds per stage; None without --timings
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.seconds: dict[str, float] = {}
 
-    @contextmanager
-    def stage(self, name: str):
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] = time.perf_counter() - start
-
-    def report(self) -> dict[str, float] | None:
-        return dict(self.seconds) if self.enabled else None
+@contextmanager
+def _stage(timings: Timings, name: str):
+    """Record the block's wall-clock seconds as timings[name]; with timings
+    None, record nothing, so that default reports stay byte-identical across reruns."""
+    if timings is None:
+        yield
+        return
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - start
 
 
 @dataclass
@@ -390,7 +354,7 @@ class CommandResult:
 # Command implementations
 
 
-def _cmd_synth(resolved: dict[str, Any], stages: Stages) -> CommandResult:
+def _cmd_synth(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     # In preset mode the custom values come only from a config file: unused,
     # but range-checked all the same, with the loosest stand-in for one unset.
     dims = [1] if resolved["dims"] is None else resolved["dims"]
@@ -404,9 +368,9 @@ def _cmd_synth(resolved: dict[str, Any], stages: Stages) -> CommandResult:
         spec.validate()
         spec = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], resolved["seed"])
 
-    with stages.stage("synth"):
+    with _stage(timings, "synth"):
         ds = synth_union_of_subspaces(spec)
-    with stages.stage("write"):
+    with _stage(timings, "write"):
         save_csv(resolved["output"], ds)
 
     return CommandResult(
@@ -418,30 +382,30 @@ def _cmd_synth(resolved: dict[str, Any], stages: Stages) -> CommandResult:
 
 
 def _graph_from_csv(
-    resolved: dict[str, Any], stages: Stages, kmeans: KMeansConfig | None = None
+    resolved: dict[str, Any], timings: Timings, kmeans: KMeansConfig | None = None
 ) -> tuple[LabeledDataset, Any, dict[str, Any]]:
     """Load --input, validate the graph parameters (and the optional k-means
     configuration) against its size, then apply the optional PCA and build
     the graph with --method."""
-    with stages.stage("load"):
+    with _stage(timings, "load"):
         ds = load_csv(resolved["input"], label_column=resolved["label_column"])
     build, derived = graph_builder(resolved["method"], ds.n, **_graph_kwargs(resolved))
     if kmeans is not None:
         kmeans.validate(ds.n)
     X = ds.X
-    with stages.stage("pca"):
+    with _stage(timings, "pca"):
         if resolved["pca_energy"] is not None:
             model = pca_fit(X, energy=resolved["pca_energy"])
             X = pca_transform(model, X)
             derived["pca_dim"] = model.d
-    with stages.stage("graph"):
+    with _stage(timings, "graph"):
         W = build(X)
     return ds, W, derived
 
 
-def _cmd_build_graph(resolved: dict[str, Any], stages: Stages) -> CommandResult:
-    ds, W, derived = _graph_from_csv(resolved, stages)
-    with stages.stage("write"):
+def _cmd_build_graph(resolved: dict[str, Any], timings: Timings) -> CommandResult:
+    ds, W, derived = _graph_from_csv(resolved, timings)
+    with _stage(timings, "write"):
         write_graph(resolved["output"], W)
 
     metrics: dict[str, Any] = {"n": ds.n, "m": ds.m, "nnz": int(W.nnz)}
@@ -455,11 +419,11 @@ def _cmd_build_graph(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     )
 
 
-def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
+def _cmd_cluster(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     derived: dict[str, Any] = {}
     if resolved["input"] is not None:
         kmeans = KMeansConfig(k=resolved["clusters"], restarts=resolved["restarts"], seed=resolved["seed"])
-        ds, W, derived = _graph_from_csv(resolved, stages, kmeans)
+        ds, W, derived = _graph_from_csv(resolved, timings, kmeans)
         truth = ds.labels
     else:
         # Input-mode values from a config file build nothing here, but are
@@ -468,7 +432,7 @@ def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
         if resolved["pca_energy"] is not None:
             check_pca_energy(resolved["pca_energy"])
         graph = resolved["graph"]
-        with stages.stage("load"):
+        with _stage(timings, "load"):
             W = read_graph(graph)
             n = W.shape[0]
             if resolved["clusters"] > n:
@@ -476,9 +440,9 @@ def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
             truth = None if resolved["truth_labels"] is None else read_labels(resolved["truth_labels"], n)
 
     k = resolved["clusters"]
-    with stages.stage("cluster"):
+    with _stage(timings, "cluster"):
         pred = cluster_graph(W, k, resolved["restarts"], resolved["seed"])
-    with stages.stage("write"):
+    with _stage(timings, "write"):
         write_labels(resolved["output"], pred)
 
     metrics: dict[str, Any] = {"n": int(W.shape[0]), "clusters": k}
@@ -492,12 +456,12 @@ def _cmd_cluster(resolved: dict[str, Any], stages: Stages) -> CommandResult:
     )
 
 
-def _cmd_embed_classify(resolved: dict[str, Any], stages: Stages) -> CommandResult:
+def _cmd_embed_classify(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     method = resolved["method"]
-    with stages.stage("load"):
+    with _stage(timings, "load"):
         ds = load_csv(resolved["input"], label_column=resolved["label_column"])
 
-    with stages.stage("run"):
+    with _stage(timings, "run"):
         result = classify_run(
             ds,
             method=method,
@@ -511,7 +475,7 @@ def _cmd_embed_classify(resolved: dict[str, Any], stages: Stages) -> CommandResu
         )
 
     artifacts: dict[str, str] = {}
-    with stages.stage("write"):
+    with _stage(timings, "write"):
         if resolved["projection_out"] is not None:
             save_projection(resolved["projection_out"], result["projection"])
             artifacts["projection"] = resolved["projection_out"]
@@ -550,19 +514,19 @@ def _format_cell(cell: dict[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _cmd_eval(resolved: dict[str, Any], stages: Stages) -> CommandResult:
+def _cmd_eval(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     dataset = None
     if resolved["input"] is not None:
         if resolved["clusters"] is None:
             raise InputError("--clusters is required with --input")
-        with stages.stage("load"):
+        with _stage(timings, "load"):
             dataset = load_csv(resolved["input"], label_column=resolved["label_column"])
     elif resolved["clusters"] is None:
         # recorded in the report, so a replay runs the same sweep
         preset = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], seed=0)
         resolved["clusters"] = len(preset.subspaces)
 
-    with stages.stage("sweep"):
+    with _stage(timings, "sweep"):
         out = sweep_run(
             dataset=dataset,
             preset=resolved["preset"],
@@ -602,7 +566,7 @@ def _cmd_eval(resolved: dict[str, Any], stages: Stages) -> CommandResult:
 class Command:
     name: str
     params: list[Param]
-    run: Callable[[dict[str, Any], Stages], CommandResult]
+    run: Callable[[dict[str, Any], Timings], CommandResult]
     help: str
     mode: Callable[[dict[str, Any]], str] = lambda resolved: ""  # names the mode from the resolved values
 
@@ -640,28 +604,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
-def _write_report(path: str, command: str, config: dict[str, Any], result: CommandResult, stages: Stages) -> None:
+def _write_report(path: str, command: str, config: dict[str, Any], result: CommandResult, timings: Timings) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "resolved_config": _jsonable(config),
-        "derived": _jsonable(result.derived),
-        "metrics": _jsonable(result.metrics),
-        "artifacts": _jsonable(result.artifacts),
-        "seed": _jsonable(result.seed),
-        "timings": stages.report(),
+        "resolved_config": config,
+        "derived": result.derived,
+        "metrics": result.metrics,
+        "artifacts": result.artifacts,
+        "seed": result.seed,
+        "timings": timings,
     }
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -678,10 +630,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     cmd = COMMANDS[args.command]
-    stages = Stages(enabled=args.timings)
+    timings: Timings = {} if args.timings else None
     try:
         resolved, keys = _resolve(cmd, args)
-        result = cmd.run(resolved, stages)
+        result = cmd.run(resolved, timings)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -692,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     for line in result.lines:
         print(line)
     if args.report is not None:
-        _write_report(args.report, cmd.name, {key: resolved[key] for key in keys}, result, stages)
+        _write_report(args.report, cmd.name, {key: resolved[key] for key in keys}, result, timings)
     return 0
 
 

@@ -238,12 +238,13 @@ def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:
 def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
     """Distances from the owner point to each dictionary atom, in atom order.
 
-    Taken like neighbour_table's: on data scaled by the exact power of two
-    that brings max|X| into [0.5, 1), then scaled back.
+    The distances of neighbour_table, bit for bit: summed by _exact_distances
+    on data scaled by the exact power of two that brings max|X| into [0.5, 1),
+    then scaled back.
     """
     X = validate_data_matrix(X)
     e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
-    return np.ldexp(np.linalg.norm(np.ldexp(X[dic.owner][:, None] - dic.atoms, -e), axis=0), e)
+    return np.ldexp(_exact_distances(np.ldexp(X[dic.owner], -e)[:, None], np.ldexp(dic.atoms, -e)), e)
 
 
 def _uses_low_rank(m: int, d: int, lam: float) -> bool:

@@ -271,6 +271,10 @@ def sweep_run(
         raise InputError("at least one k value is required")
     if not seeds:
         raise InputError("at least one seed is required")
+    for name, values in (("methods", methods), ("lambdas", lambdas), ("k_values", k_values), ("seeds", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise InputError(f"{name} lists {repeated[0]!r} more than once")
     if dataset is not None and dataset.labels is None:
         raise InputError("evaluation sweeps require labels")
     if preset is not None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import llrgraph
 from llrgraph.cli import main
+from llrgraph.data import InputError
 from llrgraph.graphio import read_graph, read_labels
 
 
@@ -610,6 +611,157 @@ def test_config_errors(tmp_path):
                  "--output", out]) == 2
 
 
+_NAN = float("nan")
+
+# For one parameter of each kind: values as a flag gives them (strings) and as
+# a config file gives them (JSON values), each with the value it coerces to or
+# the error it gives.
+COERCIONS = {
+    ("synth", "ambient_dim"): [
+        ("3", 3), (" 7 ", 7), ("-1", -1), (3, 3), (2**70, 2**70),
+        (True, InputError("--ambient-dim: expected an integer, got True")),
+        (False, InputError("--ambient-dim: expected an integer, got False")),
+        (1.5, InputError("--ambient-dim: expected an integer, got 1.5")),
+        (_NAN, InputError("--ambient-dim: expected an integer, got nan")),
+        ("1.5", InputError("--ambient-dim: expected an integer, got '1.5'")),
+        ("1e3", InputError("--ambient-dim: expected an integer, got '1e3'")),
+        ("auto", InputError("--ambient-dim: expected an integer, got 'auto'")),
+        ("", InputError("--ambient-dim: expected an integer, got ''")),
+        ([1], InputError("--ambient-dim: expected an integer, got [1]")),
+        ({"x": 1}, InputError("--ambient-dim: expected an integer, got {'x': 1}")),
+    ],
+    ("synth", "noise"): [
+        ("1.5", 1.5), (" 7 ", 7.0), ("1e3", 1000.0), ("nan", _NAN), ("inf", float("inf")),
+        (3, 3.0), (1.5, 1.5), (_NAN, _NAN), (2**70, float(2**70)),
+        (True, InputError("--noise: expected a number, got True")),
+        ("auto", InputError("--noise: expected a number, got 'auto'")),
+        ("none", InputError("--noise: expected a number, got 'none'")),
+        ("", InputError("--noise: expected a number, got ''")),
+        ([0.5], InputError("--noise: expected a number, got [0.5]")),
+        ({"x": 1}, InputError("--noise: expected a number, got {'x': 1}")),
+    ],
+    ("build-graph", "sigma"): [
+        ("auto", "auto"), ("1.5", 1.5), ("nan", _NAN), (2, 2.0), (2**70, float(2**70)),
+        (True, InputError("--sigma: expected a number, got True")),
+        ("none", InputError("--sigma: expected a number, got 'none'")),
+        ("", InputError("--sigma: expected a number, got ''")),
+        (["auto"], InputError("--sigma: expected a number, got ['auto']")),
+        ({"x": 1}, InputError("--sigma: expected a number, got {'x': 1}")),
+    ],
+    ("build-graph", "d_dict"): [
+        ("auto", "auto"), ("5", 5), (5, 5), (2**70, 2**70),
+        (False, InputError("--d-dict: expected an integer, got False")),
+        (5.0, InputError("--d-dict: expected an integer, got 5.0")),
+        (_NAN, InputError("--d-dict: expected an integer, got nan")),
+        ("none", InputError("--d-dict: expected an integer, got 'none'")),
+        ("", InputError("--d-dict: expected an integer, got ''")),
+        ([5], InputError("--d-dict: expected an integer, got [5]")),
+        ({"x": 1}, InputError("--d-dict: expected an integer, got {'x': 1}")),
+    ],
+    ("build-graph", "pca_energy"): [
+        ("none", None), ("0.9", 0.9), (1, 1.0), (_NAN, _NAN), (2**70, float(2**70)),
+        (True, InputError("--pca-energy: expected a number, got True")),
+        ("auto", InputError("--pca-energy: expected a number, got 'auto'")),
+        ("", InputError("--pca-energy: expected a number, got ''")),
+        ([0.9], InputError("--pca-energy: expected a number, got [0.9]")),
+        ({"x": 1}, InputError("--pca-energy: expected a number, got {'x': 1}")),
+    ],
+    ("eval", "seeds"): [
+        ("0,1", [0, 1]), (" 4 , 8 ", [4, 8]), ("3", [3]), ([1, "2"], [1, 2]), ([], []), ([2**70], [2**70]),
+        ("1,,2", InputError("--seeds: expected a comma-separated list, got '1,,2'")),
+        ("", InputError("--seeds: expected a comma-separated list, got ''")),
+        (3, InputError("--seeds: expected a comma-separated list, got 3")),
+        (True, InputError("--seeds: expected a comma-separated list, got True")),
+        ([True], InputError("--seeds: expected an integer, got True")),
+        ([0.5, "x"], InputError("--seeds: expected an integer, got 0.5")),
+        ("1,nan", InputError("--seeds: expected an integer, got 'nan'")),
+        ("auto", InputError("--seeds: expected an integer, got 'auto'")),
+        ({"x": 1}, InputError("--seeds: expected a comma-separated list, got {'x': 1}")),
+    ],
+    ("eval", "lambdas"): [
+        ("0.1, 0.2", [0.1, 0.2]), ([1, "2"], [1.0, 2.0]), ("nan", [_NAN]), ([_NAN], [_NAN]), ([], []),
+        ([2**70], [float(2**70)]),
+        ([True], InputError("--lambdas: expected a number, got True")),
+        ([0.5, "x"], InputError("--lambdas: expected a number, got 'x'")),
+        ("none", InputError("--lambdas: expected a number, got 'none'")),
+        (0.5, InputError("--lambdas: expected a comma-separated list, got 0.5")),
+        ("", InputError("--lambdas: expected a comma-separated list, got ''")),
+        ({"x": 1}, InputError("--lambdas: expected a comma-separated list, got {'x': 1}")),
+    ],
+    ("eval", "methods"): [
+        ("llr,heat", ["llr", "heat"]), (" lle ", ["lle"]), (["heat", "llr"], ["heat", "llr"]), ([], []),
+        (["llr", 1], InputError("--methods: expected one of llr, heat, lle, got '1'")),
+        ([True], InputError("--methods: expected one of llr, heat, lle, got 'True'")),
+        ("llr,x", InputError("--methods: expected one of llr, heat, lle, got 'x'")),
+        ("auto", InputError("--methods: expected one of llr, heat, lle, got 'auto'")),
+        ("llr,,heat", InputError("--methods: expected a comma-separated list, got 'llr,,heat'")),
+        ("", InputError("--methods: expected a comma-separated list, got ''")),
+        (False, InputError("--methods: expected a comma-separated list, got False")),
+        ({"x": 1}, InputError("--methods: expected a comma-separated list, got {'x': 1}")),
+    ],
+    ("build-graph", "method"): [
+        ("heat", "heat"),
+        ("x", InputError("--method: expected one of llr, heat, lle, got 'x'")),
+        ("none", InputError("--method: expected one of llr, heat, lle, got 'none'")),
+        ("", InputError("--method: expected one of llr, heat, lle, got ''")),
+        (1, InputError("--method: expected one of llr, heat, lle, got 1")),
+        (True, InputError("--method: expected one of llr, heat, lle, got True")),
+        (["llr"], InputError("--method: expected one of llr, heat, lle, got ['llr']")),
+        ({"x": 1}, InputError("--method: expected one of llr, heat, lle, got {'x': 1}")),
+    ],
+    ("embed-classify", "stratified"): [
+        (True, True), (False, False),
+        (1, InputError("--stratified: expected true or false, got 1")),
+        ("true", InputError("--stratified: expected true or false, got 'true'")),
+        ("", InputError("--stratified: expected true or false, got ''")),
+        (_NAN, InputError("--stratified: expected true or false, got nan")),
+        ([True], InputError("--stratified: expected true or false, got [True]")),
+        ({"x": 1}, InputError("--stratified: expected true or false, got {'x': 1}")),
+    ],
+    ("build-graph", "input"): [
+        ("d.csv", "d.csv"), ("none", "none"),
+        ("", InputError("--input: expected a path, got ''")),
+        (1, InputError("--input: expected a path, got 1")),
+        (True, InputError("--input: expected a path, got True")),
+        (["d.csv"], InputError("--input: expected a path, got ['d.csv']")),
+        ({"x": 1}, InputError("--input: expected a path, got {'x': 1}")),
+    ],
+    ("build-graph", "output"): [
+        ("g.txt", "g.txt"), ("auto", "auto"),
+        ("", InputError("--output: expected a path, got ''")),
+        (2**70, InputError("--output: expected a path, got 1180591620717411303424")),
+        (False, InputError("--output: expected a path, got False")),
+        ({"x": 1}, InputError("--output: expected a path, got {'x': 1}")),
+    ],
+    ("build-graph", "label_column"): [
+        ("label", "label"), ("3", 3), ("-1", -1), (2, 2), (2**70, 2**70), (" 7 ", " 7 "), ("1.5", "1.5"),
+        ("none", "none"),
+        (True, InputError("--label-column: expected a column name or index, got True")),
+        ("", InputError("--label-column: expected a column name or index, got ''")),
+        (1.5, InputError("--label-column: expected a column name or index, got 1.5")),
+        (_NAN, InputError("--label-column: expected a column name or index, got nan")),
+        ([0], InputError("--label-column: expected a column name or index, got [0]")),
+        ({"x": 1}, InputError("--label-column: expected a column name or index, got {'x': 1}")),
+    ],
+}
+
+
+def test_coercion_of_each_kind_from_flags_and_config_values():
+    from llrgraph.cli import COMMANDS, _coerce
+
+    params = {(name, p.key): p for name, cmd in COMMANDS.items() for p in cmd.params}
+    assert {params[key].kind for key in COERCIONS} == {p.kind for p in params.values()}  # every kind
+    for key, cases in COERCIONS.items():
+        p = params[key]
+        for raw, expected in cases:
+            if isinstance(expected, InputError):
+                with pytest.raises(InputError) as caught:
+                    _coerce(p, raw)
+                assert str(caught.value) == str(expected), (key, raw)
+            else:
+                assert repr(_coerce(p, raw)) == repr(expected), (key, raw)  # repr tells 3 from 3.0, and nan from nan
+
+
 def test_report_replay_reproduces_run(tmp_path):
     """A report doubles as a config file; replaying it reproduces the original
     metrics and artifacts exactly."""
@@ -767,6 +919,9 @@ def test_size_conflicts_are_found_before_any_computation(tmp_path, monkeypatch, 
         (["synth", "--preset", "fig1", "--output", "{dir}/s.csv"], {"ambient_dim": 0}, "ambient_dim must be >= 1, got 0"),
         (["synth", "--preset", "fig1", "--output", "{dir}/s.csv"], {"dims": [1, 0]},
          "intrinsic_dim 0 must lie in [1, ambient_dim=1]"),
+        # a repeated grid entry, which would run its cells again
+        (["eval", "--preset", "fig1", "--seeds", "0,0", "--methods", "heat,heat", "--k-values", "4,4", "--restarts", "2",
+          "--report", "{dir}/r.json"], None, "methods lists 'heat' more than once"),
     ],
 )
 def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_path, capsys, template, config, message):
@@ -852,6 +1007,29 @@ def test_every_flag_of_the_other_mode_exits_two(tmp_path, capsys, command, mode,
         capsys.readouterr()
         assert main(argv) == 2, extra
         assert (message or f"{extra[0]} has no effect in {command} {mode} mode") in capsys.readouterr().err
+
+
+# The stages --timings reports for each command and mode.
+STAGES = {
+    "synth preset": {"synth", "write"},
+    "synth custom": {"synth", "write"},
+    "build-graph": {"load", "pca", "graph", "write"},
+    "cluster input": {"load", "pca", "graph", "cluster", "write"},
+    "cluster graph": {"load", "cluster", "write"},
+    "embed-classify npe": {"load", "run", "write"},
+    "embed-classify lpp": {"load", "run", "write"},
+    "eval input": {"load", "sweep"},
+    "eval preset": {"sweep"},
+}
+
+
+@pytest.mark.parametrize("command, mode, template, keys, others", MODES, ids=_MODE_IDS)
+def test_timings_name_the_stages_of_the_mode_that_ran(tmp_path, command, mode, template, keys, others):
+    report = tmp_path / "r.json"
+    assert main(_argv(tmp_path, template) + ["--timings", "--report", str(report)]) == 0
+    timings = _load_report(report)["timings"]
+    assert set(timings) == STAGES[f"{command} {mode}".strip()]
+    assert all(t >= 0 for t in timings.values())
 
 
 def test_config_values_of_the_other_mode_are_ignored_and_left_out(tmp_path):

@@ -210,6 +210,16 @@ def test_distance_diagonal_matches_naive():
     assert np.abs(s - naive).max() < 1e-12
 
 
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_distance_diagonal_is_the_neighbour_tables_distances(m, d):
+    # d = 1 with m >= 9 is where np.linalg.norm's sum can differ from the kernel's in the last bit.
+    X = _rng(0).standard_normal((12, m))
+    D = neighbour_table(X, d)[1]
+    for i in range(12):
+        assert np.array_equal(distance_diagonal(X, build_dictionary(X, i, d)), D[i]), i
+
+
 def test_solver_rejects_bad_lambda_and_epsilon():
     rng = _rng(9)
     X = rng.standard_normal((6, 3))

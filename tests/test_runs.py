@@ -237,3 +237,24 @@ def test_sweep_run_validation():
         sweep_run(preset="fig1", n_clusters=151, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])
     with pytest.raises(InputError, match="points_per_subspace"):
         sweep_run(preset="fig1", per_subspace=1, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4], seeds=[0])
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"methods": ["heat", "llr", "heat"]}, "methods lists 'heat' more than once"),
+        ({"lambdas": [0.5, 0.2, 0.5]}, "lambdas lists 0.5 more than once"),
+        ({"k_values": [4, 4]}, "k_values lists 4 more than once"),
+        ({"seeds": [0, 1, 0]}, "seeds lists 0 more than once"),
+    ],
+    ids=["methods", "lambdas", "k_values", "seeds"],
+)
+def test_sweep_run_rejects_a_repeated_grid_entry_before_drawing_data(monkeypatch, grid, message):
+    def drawn(*args, **kwargs):
+        raise RuntimeError("data drawn")
+
+    monkeypatch.setattr("llrgraph.runs.synth_union_of_subspaces", drawn)
+    kwargs = {"methods": ["heat", "llr"], "lambdas": [0.5], "k_values": [4], "seeds": [0], **grid}
+    with pytest.raises(InputError) as caught:
+        sweep_run(preset="fig1", n_clusters=3, **kwargs)
+    assert str(caught.value) == message
