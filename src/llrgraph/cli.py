@@ -38,8 +38,8 @@ from .graphio import read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import (
+    EMBED_METHODS,
     GRAPH_METHODS,
-    check_graph_params,
     classify_run,
     cluster_graph,
     evaluate_clustering,
@@ -51,7 +51,6 @@ from .spectral import KMeansConfig
 
 SCHEMA_VERSION = 1
 
-EMBED_METHODS = ("npe", "lpp")
 PRESETS = ("fig1",)
 
 
@@ -290,6 +289,8 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[dict[str, Any], li
         raw = getattr(args, p.key)
         if raw is None:
             raw = config_data.get(p.key)
+            if raw is None and p.kind == "energy" and p.key in config_data:
+                raw = "none"  # a report records 'none' as null
         resolved[p.key] = p.default if raw is None else _coerce(p, raw)
 
     mode = cmd.mode(resolved)
@@ -428,7 +429,7 @@ def _cmd_cluster(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     else:
         # Input-mode values from a config file build nothing here, but are
         # range-checked as in input mode.
-        check_graph_params(resolved["method"], **_graph_kwargs(resolved))
+        graph_builder(resolved["method"], None, **_graph_kwargs(resolved))
         if resolved["pca_energy"] is not None:
             check_pca_energy(resolved["pca_energy"])
         graph = resolved["graph"]

@@ -32,17 +32,19 @@ from .llr import (
     sparsify_table,
     symmetrize,
 )
-from .metrics import clustering_accuracy, intra_class_edge_mass, nmi
+from .metrics import classification_accuracy, clustering_accuracy, intra_class_edge_mass, nmi
 from .spectral import KMeansConfig, spectral_cluster
 
 DEFAULT_D_DICT_CAP = 300
 GRAPH_METHODS = ("llr", "heat", "lle")
+EMBED_METHODS = ("npe", "lpp")
 
 
-def resolve_d_dict(requested: int | None, n: int) -> int:
-    """Dictionary size to use for n samples; None selects min(cap, n - 1)."""
+def resolve_d_dict(requested: int | None, n: int | None) -> int:
+    """Dictionary size to use for n samples; None selects min(cap, n - 1),
+    and the cap itself when n is None, as 'auto' is in range for any n."""
     if requested is None:
-        return min(DEFAULT_D_DICT_CAP, n - 1)
+        return DEFAULT_D_DICT_CAP if n is None else min(DEFAULT_D_DICT_CAP, n - 1)
     return requested
 
 
@@ -61,26 +63,9 @@ def preset_spec(name: str, per_subspace: int, noise_sigma: float, seed: int) -> 
     raise InputError(f"unknown preset {name!r}")
 
 
-def _checked_params(
-    method: str, n: int, lam: float, k_keep: int, d_dict: int | None, epsilon: float, k_nn: int, sigma: float | str
-) -> tuple[HyperParams, HeatKernelParams]:
-    """Check every parameter's own range, and against n the bounds of the
-    parameters that method uses: k_keep <= d_dict <= n - 1 for llr, k_nn <= n - 1
-    for heat and lle. With n None, only the own ranges are checked."""
-    if method not in GRAPH_METHODS:
-        raise InputError(f"unknown graph method {method!r}")
-    hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
-    hk.validate(None if method == "llr" else n)
-    if n is None and d_dict is None:
-        d_dict = DEFAULT_D_DICT_CAP  # 'auto' is in range for any n
-    params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
-    params.validate(n if method == "llr" else None)
-    return params, hk
-
-
 def graph_builder(
     method: str,
-    n: int,
+    n: int | None,
     *,
     lam: float = 0.5,
     k_keep: int = 8,
@@ -94,30 +79,22 @@ def graph_builder(
     Returns the builder, which maps an (n, m) data matrix to the symmetric
     graph, and the parameter values resolved from n. Each parameter's own
     range is checked whether or not the method uses it, its bound against n
-    only if the method uses it; both raise InputError here, and the builder
-    raises only on numerical failure.
+    (k_keep <= d_dict <= n - 1 for llr, k_nn <= n - 1 for heat and lle) only
+    if the method uses it; both raise InputError here, and the builder raises
+    only on numerical failure. With n None, as where no graph is built, only
+    the own ranges are checked, and 'auto' resolves d_dict to the cap.
     """
-    params, hk = _checked_params(method, n, lam, k_keep, d_dict, epsilon, k_nn, sigma)
+    if method not in GRAPH_METHODS:
+        raise InputError(f"unknown graph method {method!r}")
+    hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
+    hk.validate(None if method == "llr" else n)
+    params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
+    params.validate(n if method == "llr" else None)
     if method == "llr":
         return lambda X: build_llr_graph(X, params), {"d_dict": params.d_dict}
     if method == "heat":
         return lambda X: heat_kernel_graph(X, hk), {}
     return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
-
-
-def check_graph_params(
-    method: str = "llr",
-    *,
-    lam: float = 0.5,
-    k_keep: int = 8,
-    d_dict: int | None = None,
-    epsilon: float = 1e-9,
-    k_nn: int = 8,
-    sigma: float | str = "auto",
-) -> None:
-    """Check each graph parameter's own range where no graph is built, as
-    graph_builder does; no sample count bounds them. Raises InputError."""
-    _checked_params(method, None, lam, k_keep, d_dict, epsilon, k_nn, sigma)
 
 
 def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
@@ -192,14 +169,14 @@ def classify_run(
     """
     if ds.labels is None:
         raise InputError("embedding evaluation requires labels")
-    if method not in ("npe", "lpp"):
+    if method not in EMBED_METHODS:
         raise InputError(f"unknown embedding method {method!r}")
     if embed_dim < 1:
         raise InputError(f"embed_dim must be >= 1, got {embed_dim}")
     train, test = train_test_split(ds, train_fraction, seed=seed, stratified=stratified)
     # npe learns from llr coefficients, lpp from a heat kernel graph
-    graph_method = "llr" if method == "npe" else "heat"
-    params, hk = _checked_params(graph_method, train.n, lam, k_keep, d_dict, epsilon, k_nn, sigma)
+    build, derived = graph_builder("llr" if method == "npe" else "heat", train.n, lam=lam, k_keep=k_keep,
+                                   d_dict=d_dict, epsilon=epsilon, k_nn=k_nn, sigma=sigma)
 
     if pca_energy is not None:
         model = pca_fit(train.X, energy=pca_energy)
@@ -214,27 +191,25 @@ def classify_run(
         raise ValueError(f"embed_dim {embed_dim} exceeds available dimension {pca_dim} after PCA")
 
     if method == "npe":
+        params = HyperParams(lam=lam, k_keep=k_keep, d_dict=derived["d_dict"], epsilon=epsilon)
         C = build_llr_coefficients(Xtr, params)
         P = npe_from_graph(Xtr, C, embed_dim, weights=npe_weights)
     else:
-        W = heat_kernel_graph(Xtr, hk)
-        P = lpp_embed(Xtr, W, embed_dim)
+        P = lpp_embed(Xtr, build(Xtr), embed_dim)
 
     Ytr = transform(P, Xtr)
     Yte = transform(P, Xte)
     pred = nn_classify(Ytr, train.labels, Yte)
-    acc = float(np.mean(pred == test.labels))
 
     return {
-        "accuracy": acc,
+        "accuracy": classification_accuracy(pred, test.labels),
         "n_train": train.n,
         "n_test": test.n,
         "pca_dim": pca_dim,
         "embed_dim": embed_dim,
-        "d_dict": params.d_dict if method == "npe" else None,
+        "d_dict": derived.get("d_dict"),
         "projection": P,
         "pred": pred,
-        "test_labels": test.labels,
     }
 
 
@@ -289,13 +264,17 @@ def sweep_run(
     # Every cell against n before the first seed's data: llr cells span
     # lambdas x k_values, heat and lle cells k_values. Heat and lle ignore
     # lambda but are given each one, so that every lambda is range-checked.
+    # The heat and lle cells are then built by the builders it returns.
     lam_grid = [{"lam": lam} for lam in lambdas] or [{}]
+    builders = {}
     for method in methods:
         for lam_kw in lam_grid:
             for k in k_values:
-                graph_builder(method, n, **lam_kw, k_keep=k, k_nn=k, d_dict=d_dict, epsilon=epsilon, sigma=sigma)
+                builders[method, k], _ = graph_builder(method, n, **lam_kw, k_keep=k, k_nn=k, d_dict=d_dict,
+                                                       epsilon=epsilon, sigma=sigma)
     for seed in seeds:
         KMeansConfig(k=n_clusters, restarts=restarts, seed=seed).validate(n)
+    dd = resolve_d_dict(d_dict, n)
 
     cells: list[dict[str, Any]] = []
     for seed in seeds:
@@ -304,7 +283,6 @@ def sweep_run(
         else:
             ds = dataset
         X, truth = ds.X, ds.labels
-        dd = resolve_d_dict(d_dict, X.shape[0])
 
         for method in methods:
             # llr shares its solves across k through the family; the other
@@ -313,8 +291,7 @@ def sweep_run(
                 if method == "llr":
                     graphs = llr_graph_family(X, lam, dd, epsilon, k_values)
                 else:
-                    graphs = {k: build_graph_by_method(X, method, k_nn=k, epsilon=epsilon, sigma=sigma)
-                              for k in k_values}
+                    graphs = {k: builders[method, k](X) for k in k_values}
                 for k in k_values:
                     pred = cluster_graph(graphs[k], n_clusters, restarts, seed)
                     m = evaluate_clustering(pred, truth, graphs[k])
@@ -345,10 +322,10 @@ def sweep_run(
 __all__ = [
     "DEFAULT_D_DICT_CAP",
     "GRAPH_METHODS",
+    "EMBED_METHODS",
     "resolve_d_dict",
     "preset_spec",
     "graph_builder",
-    "check_graph_params",
     "build_graph_by_method",
     "llr_graph_family",
     "cluster_graph",

@@ -459,6 +459,22 @@ def test_embed_classify_report_and_artifacts(tmp_path):
     assert read_labels(pred).shape[0] == doc["metrics"]["n_test"]
 
 
+def test_embed_classify_replay_keeps_no_pca(tmp_path):
+    """A report records --pca-energy none as null, which a replay must read
+    as no PCA, not as the command's default of 0.98."""
+    data = tmp_path / "c.csv"
+    assert main(["synth", "--ambient-dim", "6", "--dims", "2,3", "--per-subspace", "15", "--output", str(data)]) == 0
+    pred, report = tmp_path / "pred.txt", tmp_path / "r1.json"
+    assert main(["embed-classify", "--input", str(data), "--label-column", "label", "--method", "npe",
+                 "--embed-dim", "2", "--pca-energy", "none", "--pred-out", str(pred), "--report", str(report)]) == 0
+    original = pred.read_bytes()
+    replay = tmp_path / "r2.json"
+    assert main(["embed-classify", "--config", str(report), "--report", str(replay)]) == 0
+    assert _load_report(report)["derived"]["pca_dim"] == 6
+    assert replay.read_bytes() == report.read_bytes()
+    assert pred.read_bytes() == original
+
+
 def test_embed_classify_lpp_runs(tmp_path):
     data = _synth(tmp_path, per=20)
     report = tmp_path / "r.json"

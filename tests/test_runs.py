@@ -28,6 +28,7 @@ def test_resolve_d_dict():
     assert resolve_d_dict(None, 50) == 49
     assert resolve_d_dict(None, 5000) == 300
     assert resolve_d_dict(17, 5000) == 17
+    assert resolve_d_dict(None, None) == 300  # no sample count: the cap
 
 
 def test_preset_spec_fig1():
@@ -88,6 +89,12 @@ def test_graph_builder_checks_n_bounds_only_for_its_method():
         graph_builder("heat", 5, k_nn=2, lam=1.5)
     with pytest.raises(InputError, match="k_nn must be >= 1"):
         graph_builder("llr", 5, k_keep=2, k_nn=0)
+    # with n None no sample count bounds any value, but each own range holds
+    graph_builder("llr", None, k_keep=500)
+    with pytest.raises(InputError, match="lambda"):
+        graph_builder("heat", None, lam=1.5)
+    with pytest.raises(InputError, match="unknown graph method"):
+        graph_builder("cosine", None)
 
 
 def test_cluster_and_evaluate_on_clean_blocks():
