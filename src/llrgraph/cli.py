@@ -131,12 +131,9 @@ _EMBED_PARAMS = [
     Param("method", "choice", default="npe", choices=EMBED_METHODS, help="embedding method"),
     Param("embed_dim", "int", required=True, help="embedding dimension"),
     Param("train_fraction", "float", default=0.5, help="fraction of each class used for training"),
-    Param("stratified", "bool", default=True, help="split per class rather than globally"),
     Param("pca_energy", "energy", default=0.98, help="PCA energy fraction fit on the training split, or 'none'"),
     Param("seed", "int", default=0, help="split seed"),
     *_graph_params(("npe",), ("lpp",)),
-    Param("npe_weights", "choice", default="coefficients", choices=("coefficients", "symmetrized"), modes=("npe",),
-          help="reconstruction weights from raw coefficient rows or the symmetrized graph"),
     Param("projection_out", "outfile", help="optional CSV path for the learned projection"),
     Param("pred_out", "outfile", help="optional label file for test predictions"),
 ]
@@ -211,10 +208,6 @@ def _coerce(p: Param, raw: Any) -> Any:
         if raw not in p.choices:
             raise _fail(p, raw, f"one of {', '.join(p.choices)}")
         return raw
-    if p.kind == "bool":
-        if isinstance(raw, bool):
-            return raw
-        raise _fail(p, raw, "true or false")
     if p.kind == "labelcol":
         if isinstance(raw, bool):
             raise _fail(p, raw, "a column name or index")
@@ -470,8 +463,6 @@ def _cmd_embed_classify(resolved: dict[str, Any], timings: Timings) -> CommandRe
             train_fraction=resolved["train_fraction"],
             pca_energy=resolved["pca_energy"],
             seed=resolved["seed"],
-            stratified=resolved["stratified"],
-            npe_weights=resolved["npe_weights"],
             **_graph_kwargs(resolved),
         )
 
@@ -593,10 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for p in cmd.params:
             text = f"{p.help} ({', '.join(p.modes)} mode)" if p.modes else p.help
-            if p.kind == "bool":
-                sp.add_argument(p.flag, action=argparse.BooleanOptionalAction, default=None, help=text)
-            else:
-                sp.add_argument(p.flag, default=None, metavar=p.kind.upper(), help=text)
+            sp.add_argument(p.flag, default=None, metavar=p.kind.upper(), help=text)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="flat JSON config file (or a prior report); flags override it")
         sp.add_argument(_REPORT.flag, default=None, metavar=_REPORT.kind.upper(), help=_REPORT.help)

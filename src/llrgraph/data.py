@@ -238,46 +238,39 @@ def train_test_split(
     ds: LabeledDataset,
     train_fraction: float,
     seed: int,
-    stratified: bool = True,
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split a dataset into train and test parts.
+    """Split a labeled dataset into train and test parts, class by class.
 
-    Stratified mode draws ceil(train_fraction * n_c) samples per class c
-    without replacement; unstratified mode draws ceil(train_fraction * n)
-    samples globally. Indices within each part keep ascending order, and
-    the two parts always partition the input exactly.
+    Draws ceil(train_fraction * n_c) samples of each class c without
+    replacement. Indices within each part keep ascending order, and the two
+    parts always partition the input exactly; the test part is never empty.
     """
+    if ds.labels is None:
+        raise InputError("the train/test split requires labels")
     if not 0.0 < train_fraction < 1.0:
         raise InputError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     rng = _rng(seed)
-    n = ds.n
+    train_parts = []
+    for c in range(ds.n_classes):
+        idx_c = np.flatnonzero(ds.labels == c)
+        if idx_c.size < 2:
+            raise InputError(f"class {c} has {idx_c.size} sample(s); stratified split needs >= 2")
+        take = math.ceil(train_fraction * idx_c.size)
+        train_parts.append(rng.permutation(idx_c)[:take])
+    train_idx = np.sort(np.concatenate(train_parts))
+    if train_idx.size == ds.n:
+        raise InputError(
+            f"train_fraction {train_fraction} leaves no test sample: ceil(train_fraction * n_c) = n_c for every class c"
+        )
 
-    if stratified:
-        if ds.labels is None:
-            raise ValueError("stratified split requires labels")
-        train_parts = []
-        for c in range(ds.n_classes):
-            idx_c = np.flatnonzero(ds.labels == c)
-            if idx_c.size < 2:
-                raise InputError(f"class {c} has {idx_c.size} sample(s); stratified split needs >= 2")
-            take = math.ceil(train_fraction * idx_c.size)
-            perm = rng.permutation(idx_c)
-            train_parts.append(perm[:take])
-        train_idx = np.sort(np.concatenate(train_parts))
-    else:
-        take = math.ceil(train_fraction * n)
-        perm = rng.permutation(n)
-        train_idx = np.sort(perm[:take])
-
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(ds.n, dtype=bool)
     mask[train_idx] = True
     test_idx = np.flatnonzero(~mask)
 
     def _subset(idx: np.ndarray) -> LabeledDataset:
-        labels = ds.labels[idx] if ds.labels is not None else None
-        return LabeledDataset(X=ds.X[idx].copy(), labels=labels, label_names=ds.label_names)
+        return LabeledDataset(X=ds.X[idx].copy(), labels=ds.labels[idx], label_names=ds.label_names)
 
     return _subset(train_idx), _subset(test_idx)
 

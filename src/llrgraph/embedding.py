@@ -17,16 +17,17 @@ from scipy.sparse import csr_matrix, spmatrix
 
 from . import llr
 from .data import _fix_column_signs, validate_data_matrix
-from .llr import DEGENERATE_TOL, _ridge, symmetrize
+from .llr import DEGENERATE_TOL, _ridge
+from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .spectral import _degrees
 
+_B_RIDGE = 1e-10  # generalized_sym_eig's ridge on B, relative to trace(B)/m
 
-def generalized_sym_eig(
-    A: np.ndarray, B: np.ndarray, delta: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+
+def generalized_sym_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A v = gamma B v for a symmetric pencil, eigenvalues ascending.
 
-    B gets a trace-relative ridge delta * (trace(B)/m) before factorization;
+    B gets a trace-relative ridge of 1e-10 * (trace(B)/m) (_B_RIDGE) before factorization;
     eigenvectors are B-orthonormal (v^T B v = 1). The residual contract
     ||A v - gamma B v|| <= 1e-6 * (1 + ||A||) is enforced per solve.
     """
@@ -43,7 +44,7 @@ def generalized_sym_eig(
     import scipy.linalg  # imported on first use, to keep the CLI's start-up light
 
     m = A.shape[0]
-    B_reg = B + _ridge(float(np.trace(B)), delta, m) * np.eye(m)
+    B_reg = B + _ridge(float(np.trace(B)), _B_RIDGE, m) * np.eye(m)
     try:
         evals, evecs = scipy.linalg.eigh(A, B_reg)
     except np.linalg.LinAlgError as exc:
@@ -71,22 +72,13 @@ def _projection(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
     return _fix_column_signs(evecs[:, :d].copy())
 
 
-def npe_from_graph(
-    X: np.ndarray,
-    C: spmatrix,
-    d: int,
-    weights: str = "coefficients",
-) -> np.ndarray:
+def npe_from_graph(X: np.ndarray, C: spmatrix, d: int) -> np.ndarray:
     """Neighborhood-preserving projection driven by reconstruction coefficients.
 
     Each retained coefficient row of C is renormalized to sum one, giving a
     row-stochastic weight matrix Wt; with M = (I - Wt)^T (I - Wt), the
     projection columns are the eigenvectors of the d smallest eigenvalues of
     (X^T M X) a = gamma (X^T X) a, with X^T M X formed as R^T R, R = X - Wt X.
-
-    weights='coefficients' uses the rows of C directly (the derivation's
-    reading); weights='symmetrized' substitutes the symmetrized graph
-    |C| + |C^T| before renormalization, exposed for experimentation.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -94,18 +86,12 @@ def npe_from_graph(
         raise ValueError(f"coefficient matrix shape {C.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    if weights == "coefficients":
-        base = C.tocsr()
-    elif weights == "symmetrized":
-        base = symmetrize(C)
-    else:
-        raise ValueError(f"weights must be 'coefficients' or 'symmetrized', got {weights!r}")
-
-    row_sums = np.asarray(base.sum(axis=1)).ravel()
+    C = C.tocsr()
+    row_sums = np.asarray(C.sum(axis=1)).ravel()
     bad = np.flatnonzero(np.abs(row_sums) < DEGENERATE_TOL)
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
-    Wt = csr_matrix(base.multiply(1.0 / row_sums[:, None]))
+    Wt = csr_matrix(C.multiply(1.0 / row_sums[:, None]))
     R = X - Wt @ X
     return _projection(R.T @ R, X.T @ X, d)
 

@@ -151,14 +151,12 @@ def classify_run(
     train_fraction: float = 0.5,
     pca_energy: float | None = 0.98,
     seed: int = 0,
-    stratified: bool = True,
     lam: float = 0.5,
     k_keep: int = 8,
     d_dict: int | None = None,
     epsilon: float = 1e-9,
     k_nn: int = 8,
     sigma: float | str = "auto",
-    npe_weights: str = "coefficients",
 ) -> dict[str, Any]:
     """Split, reduce, learn a linear embedding on train, classify test by 1-NN.
 
@@ -167,13 +165,11 @@ def classify_run(
     neighbour classification. Returns metrics plus the learned projection,
     and for npe the dictionary size it resolved (None for lpp).
     """
-    if ds.labels is None:
-        raise InputError("embedding evaluation requires labels")
     if method not in EMBED_METHODS:
         raise InputError(f"unknown embedding method {method!r}")
     if embed_dim < 1:
         raise InputError(f"embed_dim must be >= 1, got {embed_dim}")
-    train, test = train_test_split(ds, train_fraction, seed=seed, stratified=stratified)
+    train, test = train_test_split(ds, train_fraction, seed=seed)
     # npe learns from llr coefficients, lpp from a heat kernel graph
     build, derived = graph_builder("llr" if method == "npe" else "heat", train.n, lam=lam, k_keep=k_keep,
                                    d_dict=d_dict, epsilon=epsilon, k_nn=k_nn, sigma=sigma)
@@ -193,7 +189,7 @@ def classify_run(
     if method == "npe":
         params = HyperParams(lam=lam, k_keep=k_keep, d_dict=derived["d_dict"], epsilon=epsilon)
         C = build_llr_coefficients(Xtr, params)
-        P = npe_from_graph(Xtr, C, embed_dim, weights=npe_weights)
+        P = npe_from_graph(Xtr, C, embed_dim)
     else:
         P = lpp_embed(Xtr, build(Xtr), embed_dim)
 

@@ -499,6 +499,10 @@ def test_embed_classify_usage_errors(tmp_path, capsys):
     assert main(base + ["--method", "lpp", "--lambda", "0.3"]) == 2
     # split fraction bounds
     assert main(base + ["--train-fraction", "1.0"]) == 2
+    # ceil(0.95 * 10) = 10 puts every sample of each class in train
+    capsys.readouterr()
+    assert main(base + ["--train-fraction", "0.95"]) == 2
+    assert "train_fraction 0.95 leaves no test sample" in capsys.readouterr().err
     # label column must exist
     assert main(["embed-classify", "--input", str(data), "--label-column",
                  "class", "--embed-dim", "2"]) == 2
@@ -521,17 +525,6 @@ def test_embed_classify_single_sample_class_exits_two(tmp_path, capsys):
                  "--embed-dim", "2"])
     assert code == 2
     assert "class 2 has 1 sample(s)" in capsys.readouterr().err
-
-
-def test_embed_classify_no_stratified_flag(tmp_path):
-    data = _synth(tmp_path, per=20)
-    report = tmp_path / "r.json"
-    code = main(
-        ["embed-classify", "--input", str(data), "--label-column", "label",
-         "--embed-dim", "2", "--no-stratified", "--report", str(report)]
-    )
-    assert code == 0
-    assert _load_report(report)["resolved_config"]["stratified"] is False
 
 
 # -- eval -----------------------------------------------------------------
@@ -610,6 +603,21 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                  "--output", str(tmp_path / "g.txt")])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+    # An embed-classify report from before --stratified and --npe-weights
+    # were removed replays once those two keys are deleted from it.
+    report = tmp_path / "r.json"
+    assert main(["embed-classify", "--input", str(data), "--label-column", "label", "--embed-dim", "2",
+                 "--report", str(report)]) == 0
+    doc = _load_report(report)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**doc, "resolved_config": {**doc["resolved_config"], "stratified": True,
+                                                          "npe_weights": "coefficients"}}))
+    capsys.readouterr()
+    assert main(["embed-classify", "--config", str(old)]) == 2
+    assert "unknown config keys for embed-classify: npe_weights, stratified" in capsys.readouterr().err
+    old.write_text(json.dumps(doc))
+    assert main(["embed-classify", "--config", str(old)]) == 0
 
 
 def test_config_errors(tmp_path):
@@ -724,15 +732,6 @@ COERCIONS = {
         (True, InputError("--method: expected one of llr, heat, lle, got True")),
         (["llr"], InputError("--method: expected one of llr, heat, lle, got ['llr']")),
         ({"x": 1}, InputError("--method: expected one of llr, heat, lle, got {'x': 1}")),
-    ],
-    ("embed-classify", "stratified"): [
-        (True, True), (False, False),
-        (1, InputError("--stratified: expected true or false, got 1")),
-        ("true", InputError("--stratified: expected true or false, got 'true'")),
-        ("", InputError("--stratified: expected true or false, got ''")),
-        (_NAN, InputError("--stratified: expected true or false, got nan")),
-        ([True], InputError("--stratified: expected true or false, got [True]")),
-        ({"x": 1}, InputError("--stratified: expected true or false, got {'x': 1}")),
     ],
     ("build-graph", "input"): [
         ("d.csv", "d.csv"), ("none", "none"),
@@ -956,7 +955,7 @@ def test_out_of_range_values_exit_two_whether_or_not_the_method_uses_them(tmp_pa
 # -- the mode rule -----------------------------------------------------------
 
 _GRAPH_KEYS = {"method", "lambda", "k_keep", "d_dict", "epsilon", "k_nn", "sigma"}
-_EMBED_KEYS = {"input", "label_column", "method", "embed_dim", "train_fraction", "stratified", "pca_energy", "seed",
+_EMBED_KEYS = {"input", "label_column", "method", "embed_dim", "train_fraction", "pca_energy", "seed",
                "projection_out", "pred_out"}
 _SWEEP_KEYS = {"clusters", "methods", "lambdas", "k_values", "seeds", "d_dict", "epsilon", "sigma", "restarts"}
 _OTHER = ["--input", "{csv}"]  # a second data source, for modes chosen by their source
@@ -985,12 +984,11 @@ MODES = [
       (["--k-keep", "4"], None), (["--d-dict", "10"], None), (["--epsilon", "1e-8"], None), (["--k-nn", "4"], None),
       (["--sigma", "1.0"], None)]),
     ("embed-classify", "npe", _EMBED + ["--method", "npe"],
-     _EMBED_KEYS | {"lambda", "k_keep", "d_dict", "epsilon", "npe_weights"},
+     _EMBED_KEYS | {"lambda", "k_keep", "d_dict", "epsilon"},
      [(["--k-nn", "4"], None), (["--sigma", "1.0"], None)]),
     ("embed-classify", "lpp", _EMBED + ["--method", "lpp"],
      _EMBED_KEYS | {"k_nn", "sigma"},
-     [(["--lambda", "0.3"], None), (["--k-keep", "4"], None), (["--d-dict", "10"], None), (["--epsilon", "1e-8"], None),
-      (["--npe-weights", "symmetrized"], None)]),
+     [(["--lambda", "0.3"], None), (["--k-keep", "4"], None), (["--d-dict", "10"], None), (["--epsilon", "1e-8"], None)]),
     ("eval", "input", ["eval", "--input", "{csv}", "--label-column", "label", "--clusters", "3", "--methods", "heat",
                        "--k-values", "4", "--seeds", "0", "--restarts", "2"],
      {"input", "label_column"} | _SWEEP_KEYS,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from llrgraph.data import (
+    InputError,
     LabeledDataset,
     SyntheticSpec,
     load_csv,
@@ -119,10 +120,19 @@ def test_split_small_class_rejected():
         train_test_split(ds, 0.5, seed=0)
 
 
-def test_split_unstratified_needs_no_labels():
+def test_split_with_no_test_sample_rejected():
+    # ceil(0.9 * 5) = 5 and ceil(0.9 * 8) = 8: every sample lands in train
+    ds = LabeledDataset(X=np.zeros((13, 2)), labels=np.repeat([0, 1], [5, 8]))
+    with pytest.raises(InputError, match="train_fraction 0.9 leaves no test sample"):
+        train_test_split(ds, 0.9, seed=0)
+    train, test = train_test_split(ds, 0.85, seed=0)  # ceil(0.85 * 8) = 7 leaves one
+    assert (train.n, test.n) == (12, 1)
+
+
+def test_split_without_labels_rejected():
     ds = LabeledDataset(X=np.arange(20, dtype=float).reshape(10, 2))
-    train, test = train_test_split(ds, 0.3, seed=0, stratified=False)
-    assert train.n == 3 and test.n == 7
+    with pytest.raises(InputError, match="requires labels"):
+        train_test_split(ds, 0.3, seed=0)
 
 
 def test_pca_full_energy_yields_rank():

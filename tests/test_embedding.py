@@ -110,18 +110,6 @@ def test_npe_minimizes_reconstruction_rayleigh():
         assert got <= score(Q) + 1e-8, f"random trial {trial} beat the solver"
 
 
-def test_npe_symmetrized_variant_differs():
-    rng = _rng(4)
-    X = rng.standard_normal((25, 4))
-    C = _coefficient_graph(X)
-    P_coef = npe_from_graph(X, C, 2)
-    P_sym = npe_from_graph(X, C, 2, weights="symmetrized")
-    assert P_coef.shape == P_sym.shape == (4, 2)
-    assert not np.allclose(P_coef, P_sym)
-    with pytest.raises(ValueError, match="weights must be"):
-        npe_from_graph(X, C, 2, weights="absolute")
-
-
 def test_npe_rejects_zero_sum_rows():
     X = _rng(5).standard_normal((4, 3))
     # row 2 sums to zero exactly
@@ -204,11 +192,10 @@ def test_projections_match_dense_objectives():
     X = rng.standard_normal((n, m))
     C = _coefficient_graph(X)
     dense = C.toarray()
-    for weights, G in (("coefficients", dense), ("symmetrized", np.abs(dense) + np.abs(dense).T)):
-        Wt = G / G.sum(axis=1, keepdims=True)
-        I_minus_W = np.eye(n) - Wt
-        ref = _dense_reference(X.T @ I_minus_W.T @ I_minus_W @ X, X.T @ X, d)
-        _assert_same_columns(npe_from_graph(X, C, d, weights=weights), ref)
+    Wt = dense / dense.sum(axis=1, keepdims=True)
+    I_minus_W = np.eye(n) - Wt
+    ref = _dense_reference(X.T @ I_minus_W.T @ I_minus_W @ X, X.T @ X, d)
+    _assert_same_columns(npe_from_graph(X, C, d), ref)
 
     base = np.abs(rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.2)
     W = np.triu(base, 1) + np.triu(base, 1).T + np.diag(rng.random(n))
@@ -224,8 +211,7 @@ def test_projections_never_densify_the_graph(monkeypatch):
     X = rng.standard_normal((30, 5))
     C = _coefficient_graph(X)
     W = abs(C) + abs(C).T
-    expected = [npe_from_graph(X, C, 2, weights=w) for w in ("coefficients", "symmetrized")]
-    expected.append(lpp_embed(X, W, 2))
+    expected = [npe_from_graph(X, C, 2), lpp_embed(X, W, 2)]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a sparse matrix was densified")
@@ -233,8 +219,7 @@ def test_projections_never_densify_the_graph(monkeypatch):
     for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
         monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(cls, "todense", refuse)
-    got = [npe_from_graph(X, C, 2, weights=w) for w in ("coefficients", "symmetrized")]
-    got.append(lpp_embed(X, W, 2))
+    got = [npe_from_graph(X, C, 2), lpp_embed(X, W, 2)]
     for P, Q in zip(got, expected):
         assert np.array_equal(P, Q)
 
