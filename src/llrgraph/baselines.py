@@ -61,9 +61,11 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:
 
     # Scale distances and sigma by the same exact power of two, bringing sigma
     # into [0.5, 1): the weights keep their bits on ordinary data, and sigma**2
-    # no longer overflows on data above about 1e154.
+    # no longer overflows on data above about 1e154. A tiny sigma may still
+    # square a scaled distance to inf, whose weight exp(-inf) = 0 is exact.
     e = int(np.frexp(sigma)[1])
-    weights = np.exp(-(np.ldexp(retained, -e) ** 2) / (2.0 * np.ldexp(sigma, -e) ** 2))
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(np.ldexp(retained, -e) ** 2) / (2.0 * np.ldexp(sigma, -e) ** 2))
     rows = np.concatenate([iu, ju])
     cols = np.concatenate([ju, iu])
     data = np.concatenate([weights, weights])

@@ -38,8 +38,10 @@ from .graphio import read_graph, read_labels, write_graph, write_labels
 from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import (
+    DEFAULT_D_DICT_CAP,
     EMBED_METHODS,
     GRAPH_METHODS,
+    PRESETS,
     classify_run,
     cluster_graph,
     evaluate_clustering,
@@ -50,8 +52,6 @@ from .runs import (
 from .spectral import KMeansConfig
 
 SCHEMA_VERSION = 1
-
-PRESETS = ("fig1",)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,8 @@ def _graph_params(llr: tuple[str, ...], heat: tuple[str, ...]) -> list[Param]:
     return [
         Param("lambda", "float", default=0.5, modes=llr, help="distance-regularization weight in [0, 1) (llr)"),
         Param("k_keep", "int", default=8, modes=llr, help="coefficients kept per point (llr)"),
-        Param("d_dict", "ddict", default="auto", modes=llr, help="dictionary size, or 'auto' for min(300, n-1) (llr)"),
+        Param("d_dict", "ddict", default="auto", modes=llr,
+              help=f"dictionary size, or 'auto' for min({DEFAULT_D_DICT_CAP}, n-1) (llr)"),
         Param("epsilon", "float", default=1e-9, modes=llr, help="ridge scale for the coefficient solve (llr, lle)"),
         Param("k_nn", "int", default=8, modes=heat, help="neighbors per point (heat, lle)"),
         Param("sigma", "sigma", default="auto", modes=heat,
@@ -152,9 +153,8 @@ _EVAL_PARAMS = [
           help="comma-separated lambda grid (llr)"),
     Param("k_values", "intlist", default=[4, 8], help="comma-separated k grid (k_keep for llr, k_nn otherwise)"),
     Param("seeds", "intlist", default=list(range(10)), help="comma-separated seeds"),
-    Param("d_dict", "ddict", default="auto", help="dictionary size, or 'auto' for min(300, n-1)"),
-    Param("epsilon", "float", default=1e-9, help="ridge scale for the coefficient solve"),
-    Param("sigma", "sigma", default="auto", help="heat kernel bandwidth or 'auto'"),
+    # The lambdas and k_values grids stand in for the other three graph flags.
+    *(p for p in _graph_params((), ()) if p.key in ("d_dict", "epsilon", "sigma")),
     Param("restarts", "int", default=20, help="k-means restarts"),
 ]
 
@@ -304,14 +304,10 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> tuple[dict[str, Any], li
     return resolved, keys
 
 
-def _auto(value: Any) -> Any:
-    return None if value == "auto" else value
-
-
 def _graph_kwargs(resolved: dict[str, Any]) -> dict[str, Any]:
     """The graph parameters as the library's graph functions take them."""
-    return {"lam": resolved["lambda"], "d_dict": _auto(resolved["d_dict"]),
-            **{key: resolved[key] for key in ("k_keep", "epsilon", "k_nn", "sigma")}}
+    return {"lam": resolved["lambda"],
+            **{key: resolved[key] for key in ("k_keep", "d_dict", "epsilon", "k_nn", "sigma")}}
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +395,12 @@ def _graph_from_csv(
 
 def _cmd_build_graph(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     ds, W, derived = _graph_from_csv(resolved, timings)
+    metrics: dict[str, Any] = {"n": ds.n, "m": ds.m, "nnz": int(W.nnz)}
+    if ds.labels is not None:  # before the write, so that a graph it rejects leaves no file
+        metrics["intra_class_edge_mass"] = intra_class_edge_mass(W, ds.labels)
     with _stage(timings, "write"):
         write_graph(resolved["output"], W)
 
-    metrics: dict[str, Any] = {"n": ds.n, "m": ds.m, "nnz": int(W.nnz)}
-    if ds.labels is not None:
-        metrics["intra_class_edge_mass"] = intra_class_edge_mass(W, ds.labels)
     lines = [f"wrote {resolved['output']} (n={ds.n}, nnz={int(W.nnz)})"]
     if "intra_class_edge_mass" in metrics:
         lines.append(f"intra_class_edge_mass={metrics['intra_class_edge_mass']!r}")
@@ -529,7 +525,7 @@ def _cmd_eval(resolved: dict[str, Any], timings: Timings) -> CommandResult:
             lambdas=resolved["lambdas"],
             k_values=resolved["k_values"],
             seeds=resolved["seeds"],
-            d_dict=_auto(resolved["d_dict"]),
+            d_dict=resolved["d_dict"],
             epsilon=resolved["epsilon"],
             sigma=resolved["sigma"],
             restarts=resolved["restarts"],

@@ -38,12 +38,13 @@ from .spectral import KMeansConfig, spectral_cluster
 DEFAULT_D_DICT_CAP = 300
 GRAPH_METHODS = ("llr", "heat", "lle")
 EMBED_METHODS = ("npe", "lpp")
+PRESETS = ("fig1",)
 
 
-def resolve_d_dict(requested: int | None, n: int | None) -> int:
-    """Dictionary size to use for n samples; None selects min(cap, n - 1),
+def resolve_d_dict(requested: int | str, n: int | None) -> int:
+    """Dictionary size to use for n samples; 'auto' selects min(cap, n - 1),
     and the cap itself when n is None, as 'auto' is in range for any n."""
-    if requested is None:
+    if requested == "auto":
         return DEFAULT_D_DICT_CAP if n is None else min(DEFAULT_D_DICT_CAP, n - 1)
     return requested
 
@@ -69,7 +70,7 @@ def graph_builder(
     *,
     lam: float = 0.5,
     k_keep: int = 8,
-    d_dict: int | None = None,
+    d_dict: int | str = "auto",
     epsilon: float = 1e-9,
     k_nn: int = 8,
     sigma: float | str = "auto",
@@ -127,7 +128,7 @@ def cluster_graph(W: sp.csr_matrix, k: int, restarts: int, seed: int) -> np.ndar
     """Spectral clustering of a prebuilt similarity graph."""
     config = KMeansConfig(k=k, restarts=restarts, seed=seed)
     config.validate(W.shape[0])
-    return spectral_cluster(W, k, config)
+    return spectral_cluster(W, config)
 
 
 def evaluate_clustering(
@@ -153,7 +154,7 @@ def classify_run(
     seed: int = 0,
     lam: float = 0.5,
     k_keep: int = 8,
-    d_dict: int | None = None,
+    d_dict: int | str = "auto",
     epsilon: float = 1e-9,
     k_nn: int = 8,
     sigma: float | str = "auto",
@@ -220,7 +221,7 @@ def sweep_run(
     lambdas: list[float],
     k_values: list[int],
     seeds: list[int],
-    d_dict: int | None = None,
+    d_dict: int | str = "auto",
     epsilon: float = 1e-9,
     sigma: float | str = "auto",
     restarts: int = 20,
@@ -313,19 +314,3 @@ def sweep_run(
             "best_by_seed": best_by_seed,
         }
     return {"cells": cells, "summary": summary}
-
-
-__all__ = [
-    "DEFAULT_D_DICT_CAP",
-    "GRAPH_METHODS",
-    "EMBED_METHODS",
-    "resolve_d_dict",
-    "preset_spec",
-    "graph_builder",
-    "build_graph_by_method",
-    "llr_graph_family",
-    "cluster_graph",
-    "evaluate_clustering",
-    "classify_run",
-    "sweep_run",
-]

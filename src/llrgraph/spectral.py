@@ -4,7 +4,7 @@ with row normalization, followed by restarted k-means."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, spmatrix
@@ -323,7 +323,6 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     return best_labels
 
 
-def spectral_cluster(W: spmatrix, k: int, config: KMeansConfig) -> np.ndarray:
-    """Cluster graph vertices: spectral embedding at dimension k, then k-means."""
-    coords = normalized_laplacian_embedding(W, k)
-    return kmeans(coords, replace(config, k=k))
+def spectral_cluster(W: spmatrix, config: KMeansConfig) -> np.ndarray:
+    """Cluster graph vertices: spectral embedding at dimension config.k, then k-means."""
+    return kmeans(normalized_laplacian_embedding(W, config.k), config)

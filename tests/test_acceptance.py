@@ -289,7 +289,7 @@ def test_criterion_8_embedding_pipeline():
         )
         npe = classify_run(
             ds, method="npe", embed_dim=10, train_fraction=0.5, pca_energy=0.98,
-            seed=s, lam=0.2, k_keep=6, d_dict=None, epsilon=1e-9,
+            seed=s, lam=0.2, k_keep=6, d_dict="auto", epsilon=1e-9,
         )
         lpp = classify_run(
             ds, method="lpp", embed_dim=10, train_fraction=0.5, pca_energy=0.98,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ def test_heat_kernel_names_samples_whose_distance_overflows():
     X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=r"samples 0 and 1 is beyond the float range"):
         heat_kernel_graph(X, HeatKernelParams(k_nn=3))
+
+
+def test_heat_kernel_tiny_sigma_gives_zero_weights_without_warning():
+    # (d / sigma)^2 overflows to inf, and exp(-inf) = 0 is the exact weight.
+    X = _rng(2).standard_normal((10, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = heat_kernel_graph(X, HeatKernelParams(k_nn=2, sigma=1e-300))
+    assert W.nnz > 0
+    assert np.all(W.data == 0.0)
 
 
 def test_heat_kernel_auto_sigma_zero_median_rejected():

@@ -259,6 +259,17 @@ def test_csv_header_of_another_width_exits_two(tmp_path, capsys, header, command
     assert not out.exists()
 
 
+def test_build_graph_without_edge_mass_writes_no_graph(tmp_path, capsys):
+    # At sigma 1e-300 every heat kernel weight is 0.0, so the labelled
+    # graph has no edge mass to score.
+    data = _synth(tmp_path)
+    out = tmp_path / "g.txt"
+    assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
+                 "--sigma", "1e-300", "--output", str(out)]) == 1
+    assert "graph has no edge mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_graph_lle_equals_llr_at_lambda_zero(tmp_path):
     data = _synth(tmp_path, per=8)
     a, b = tmp_path / "lle.txt", tmp_path / "llr0.txt"

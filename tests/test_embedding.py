@@ -282,6 +282,14 @@ def test_nn_classify_ranks_distances_beyond_the_float_range():
     assert pred.tolist() == [9]
 
 
+def test_nn_classify_ranks_distances_beyond_the_largest_float():
+    # Both distances, 2e308 and about 1.9e308, exceed the largest float. The
+    # search ranks on the scaled data and never scales distances back, which
+    # would raise "beyond the float range" here.
+    assert nn_classify(np.array([[1e308], [9e307]]), np.array([7, 9]), np.array([[-1e308]])).tolist() == [9]
+    assert nn_classify(np.array([[9e307], [1e308]]), np.array([7, 9]), np.array([[-1e308]])).tolist() == [7]
+
+
 def test_nn_classify_errors():
     train = np.zeros((3, 2))
     with pytest.raises(ValueError, match="train_labels length"):

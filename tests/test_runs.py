@@ -25,10 +25,10 @@ def _fig1(seed=0, per=20):
 
 
 def test_resolve_d_dict():
-    assert resolve_d_dict(None, 50) == 49
-    assert resolve_d_dict(None, 5000) == 300
+    assert resolve_d_dict("auto", 50) == 49
+    assert resolve_d_dict("auto", 5000) == 300
     assert resolve_d_dict(17, 5000) == 17
-    assert resolve_d_dict(None, None) == 300  # no sample count: the cap
+    assert resolve_d_dict("auto", None) == 300  # no sample count: the cap
 
 
 def test_preset_spec_fig1():
@@ -46,7 +46,7 @@ def test_graph_family_matches_per_k_builds():
     for bit, since sparsification happens after the coefficient solve."""
     ds = _fig1(seed=1)
     lam, eps = 0.4, 1e-9
-    dd = resolve_d_dict(None, ds.n)
+    dd = resolve_d_dict("auto", ds.n)
     family = llr_graph_family(ds.X, lam, dd, eps, [3, 6, 10])
     for k in (3, 6, 10):
         single = build_llr_graph(ds.X, HyperParams(lam=lam, k_keep=k, d_dict=dd, epsilon=eps))
@@ -64,7 +64,7 @@ def test_graph_family_validates_k():
 def test_build_graph_by_method_dispatch():
     ds = _fig1(seed=3)
     W_llr = build_graph_by_method(ds.X, "llr", lam=0.3, k_keep=5)
-    params = HyperParams(lam=0.3, k_keep=5, d_dict=resolve_d_dict(None, ds.n))
+    params = HyperParams(lam=0.3, k_keep=5, d_dict=resolve_d_dict("auto", ds.n))
     direct = build_llr_graph(ds.X, params)
     assert np.array_equal(W_llr.toarray(), direct.toarray())
 

@@ -306,7 +306,7 @@ def test_kmeans_rejects_overflowing_squared_distances():
 def test_spectral_cluster_block_diagonal_is_perfect():
     W = _block_graph([5, 6, 7], weight=2.0)
     truth = np.repeat([0, 1, 2], [5, 6, 7])
-    labels = spectral_cluster(W, 3, KMeansConfig(k=3, seed=0))
+    labels = spectral_cluster(W, KMeansConfig(k=3, seed=0))
     assert clustering_accuracy(labels, truth) == 1.0
 
 
@@ -314,6 +314,6 @@ def test_spectral_cluster_deterministic():
     rng = _rng(6)
     base = np.abs(rng.standard_normal((20, 20)))
     W = sp.csr_matrix(np.triu(base, 1) + np.triu(base, 1).T)
-    a = spectral_cluster(W, 3, KMeansConfig(k=3, seed=4))
-    b = spectral_cluster(W, 3, KMeansConfig(k=3, seed=4))
+    a = spectral_cluster(W, KMeansConfig(k=3, seed=4))
+    b = spectral_cluster(W, KMeansConfig(k=3, seed=4))
     assert np.array_equal(a, b)
