@@ -9,6 +9,8 @@ Importing the package limits OpenBLAS to one thread, unless the caller has
 set a BLAS thread variable or numpy is already loaded. Every dense solve and
 eigensolve here is small, so a second thread mostly spins, and the basis
 LAPACK returns for a degenerate eigenspace would follow the core count.
+With one thread a core stays free, and `sweep_run` forks workers for its
+seeds to use it.
 """
 
 import os
@@ -20,6 +22,12 @@ import sys
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(os.environ.get(name) for name in _THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# Whether OpenBLAS loads with one thread: numpy is not loaded yet, and the first
+# set variable of the three OpenBLAS reads, in its order, is 1. Only then does
+# runs fork workers for a sweep's seeds; more threads would oversubscribe.
+_BLAS_ONE_THREAD = "numpy" not in sys.modules and next(
+    (os.environ[name] for name in _THREAD_VARIABLES[:3] if os.environ.get(name)), None
+) == "1"
 
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (

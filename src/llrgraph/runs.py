@@ -7,11 +7,16 @@ drift apart.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import warnings
 from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _BLAS_ONE_THREAD
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from .data import (
     InputError,
@@ -229,9 +234,10 @@ def sweep_run(
     """Grid evaluation of graph methods under spectral clustering.
 
     For preset data each seed regenerates the dataset and seeds k-means;
-    for a fixed input dataset the seed only drives k-means. The LLR grid is
-    lambdas x k_values; heat and lle grids are k_values alone. Cells are run
-    serially in grid order, so reports are deterministic.
+    for a fixed input dataset the graphs are built once and the seed only
+    drives k-means. The LLR grid is lambdas x k_values; heat and lle grids
+    are k_values alone. Seeds may run in forked workers (_seed_workers), but
+    cells are assembled in grid order, so reports are deterministic.
     """
     if (dataset is None) == (preset is None):
         raise InputError("exactly one of dataset or preset is required")
@@ -273,26 +279,34 @@ def sweep_run(
         KMeansConfig(k=n_clusters, restarts=restarts, seed=seed).validate(n)
     dd = resolve_d_dict(d_dict, n)
 
-    cells: list[dict[str, Any]] = []
-    for seed in seeds:
-        if preset is not None:
-            ds = synth_union_of_subspaces(preset_spec(preset, per_subspace, noise_sigma, seed))
-        else:
-            ds = dataset
-        X, truth = ds.X, ds.labels
-
+    def graphs_of(X: np.ndarray):
+        """(method, lam) and its graphs by k, in grid order, built as iterated."""
         for method in methods:
             # llr shares its solves across k through the family; the other
             # methods have no lambda and build one graph per k.
             for lam in lambdas if method == "llr" else [None]:
                 if method == "llr":
-                    graphs = llr_graph_family(X, lam, dd, epsilon, k_values)
+                    yield (method, lam), llr_graph_family(X, lam, dd, epsilon, k_values)
                 else:
-                    graphs = {k: builders[method, k](X) for k in k_values}
-                for k in k_values:
-                    pred = cluster_graph(graphs[k], n_clusters, restarts, seed)
-                    m = evaluate_clustering(pred, truth, graphs[k])
-                    cells.append({"method": method, "lambda": lam, "k": k, "seed": seed, **m})
+                    yield (method, lam), {k: builders[method, k](X) for k in k_values}
+
+    fixed_graphs = None if dataset is None else list(graphs_of(dataset.X))
+
+    def seed_cells(seed: int) -> list[dict[str, Any]]:
+        if preset is None:
+            ds, grid = dataset, fixed_graphs
+        else:
+            ds = synth_union_of_subspaces(preset_spec(preset, per_subspace, noise_sigma, seed))
+            grid = graphs_of(ds.X)
+        cells = []
+        for (method, lam), graphs in grid:
+            for k in k_values:
+                pred = cluster_graph(graphs[k], n_clusters, restarts, seed)
+                m = evaluate_clustering(pred, ds.labels, graphs[k])
+                cells.append({"method": method, "lambda": lam, "k": k, "seed": seed, **m})
+        return cells
+
+    cells = [cell for per_seed in _map_seeds(seed_cells, seeds) for cell in per_seed]
 
     summary: dict[str, Any] = {}
     for method in methods:
@@ -314,3 +328,71 @@ def sweep_run(
             "best_by_seed": best_by_seed,
         }
     return {"cells": cells, "summary": summary}
+
+
+_seed_task: Callable[[int], Any] | None = None  # set in forked workers only, by _init_worker
+
+
+def _seed_workers(n_seeds: int) -> int:
+    """Processes to run n_seeds independent seeds in; 1 means in-process.
+
+    Forked workers are used only where they cannot oversubscribe the cores
+    or inherit a lock held by another thread: OpenBLAS loaded with one thread
+    (llrgraph/__init__.py), fork exists, this process runs no other Python
+    thread and is no daemonic worker itself, and there are two seeds and two
+    CPUs in this process's affinity mask. Fork, not spawn, because a spawned
+    worker would pay the import again, about as long as a seed takes.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if not (_BLAS_ONE_THREAD and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and not (mp and mp.current_process().daemon)):
+        return 1
+    return min(n_seeds, len(os.sched_getaffinity(0)))
+
+
+def _init_worker(task: Callable[[int], Any]) -> None:
+    global _seed_task
+    _seed_task = task
+
+
+def _run_seed(seed: int) -> tuple[Any, list[tuple], BaseException | None]:
+    """One seed in a worker: the task's result, the warnings it raised, and
+    its exception, which carries the worker's traceback as its cause."""
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = _seed_task(seed), None
+        except Exception as exc:  # returned, so the parent raises it after this seed's warnings
+            result, error = None, ExceptionWithTraceback(exc, exc.__traceback__)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _map_seeds(task: Callable[[int], Any], seeds: list[int]) -> list[Any]:
+    """[task(seed) for seed in seeds], in forked workers where _seed_workers allows.
+
+    Results come in seed order. Each seed's warnings are re-emitted here, in
+    order, under this process's filters and once-per-location registries, so
+    stderr reads as in-process; the first failing seed's exception is raised.
+    """
+    workers = _seed_workers(len(seeds))
+    if workers < 2:
+        return [task(seed) for seed in seeds]
+    import multiprocessing  # here only: importing llrgraph does not load it
+
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    results = []
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (task,)) as pool:
+        for result, caught, error in pool.imap(_run_seed, seeds, chunksize=1):
+            for message, category, filename, lineno in caught:
+                module = modules.get(filename)
+                where = {} if module is None else {
+                    "module": module.__name__,
+                    "registry": vars(module).setdefault("__warningregistry__", {}),
+                    "module_globals": vars(module),
+                }
+                warnings.warn_explicit(message, category, filename, lineno, **where)
+            if error is not None:
+                raise error
+            results.append(result)
+    return results

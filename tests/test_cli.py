@@ -141,6 +141,32 @@ def test_import_sets_one_blas_thread_unless_the_caller_chose(first, caller, afte
     assert {key: env[key] for key in BLAS_THREAD_VARIABLES if key in env} == after
 
 
+@pytest.mark.parametrize(
+    "first, caller, forks",
+    [
+        ("", {}, True),
+        ("", {"OPENBLAS_NUM_THREADS": "1"}, True),
+        ("", {"OMP_NUM_THREADS": "1"}, True),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}, False),
+        # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS
+        ("", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        # numpy's OpenBLAS loaded at the machine's thread count
+        ("import numpy", {}, False),
+    ],
+)
+def test_sweep_forks_seed_workers_only_over_one_blas_thread(first, caller, forks):
+    """The sweep's seeds run in forked workers only when OpenBLAS loaded with
+    one thread; more would oversubscribe the cores. multiprocessing is
+    imported only when a pool runs, so importing the CLI stays as fast."""
+    code = (f"import json, sys; {first or 'pass'}; import llrgraph.cli; from llrgraph import runs; "
+            "print(json.dumps(['multiprocessing' in sys.modules, runs._seed_workers(10)]))")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**caller), capture_output=True, text=True,
+                         check=True)
+    loaded, workers = json.loads(out.stdout)
+    assert not loaded
+    assert workers == (min(10, len(os.sched_getaffinity(0))) if forks else 1)
+
+
 # -- synth --------------------------------------------------------------
 
 

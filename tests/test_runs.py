@@ -1,7 +1,14 @@
+import multiprocessing
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from llrgraph.data import InputError, LabeledDataset, synth_union_of_subspaces
+from llrgraph import runs
+from llrgraph.cli import main
+from llrgraph.data import InputError, LabeledDataset, save_csv, synth_union_of_subspaces
 from llrgraph.llr import HyperParams, build_llr_graph
 from llrgraph.runs import (
     build_graph_by_method,
@@ -182,8 +189,11 @@ def test_sweep_run_cell_grid_and_summary():
         assert stats["best"]["ac"] == stats["max_ac"]
 
 
-def test_sweep_run_fixed_dataset_reuses_data():
+def test_sweep_run_fixed_dataset_reuses_data(monkeypatch):
     ds = _fig1(seed=6, per=15)
+    built = []
+    real = runs.heat_kernel_graph
+    monkeypatch.setattr(runs, "heat_kernel_graph", lambda X, hk: built.append(hk.k_nn) or real(X, hk))
     result = sweep_run(
         dataset=ds,
         n_clusters=3,
@@ -200,6 +210,7 @@ def test_sweep_run_fixed_dataset_reuses_data():
         by_seed.setdefault(c["k"], []).append(c["intra_class_edge_mass"])
     for k, masses in by_seed.items():
         assert masses[0] == masses[1], "graph statistic must not depend on seed"
+    assert built == [4, 6], "each graph is built once, not once per seed"
 
 
 def test_sweep_run_validation():
@@ -265,3 +276,99 @@ def test_sweep_run_rejects_a_repeated_grid_entry_before_drawing_data(monkeypatch
     with pytest.raises(InputError) as caught:
         sweep_run(preset="fig1", n_clusters=3, **kwargs)
     assert str(caught.value) == message
+
+
+# -- seeds in forked workers ----------------------------------------------
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(runs, "_seed_workers", lambda n_seeds: n)
+
+
+def _eval_report(tmp_path, monkeypatch, capsys, workers, argv):
+    _workers(monkeypatch, workers)
+    report = tmp_path / f"report-{workers}.json"
+    assert main(["eval", *argv, "--report", str(report)]) == 0
+    return report.read_bytes(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["preset", "dataset"])
+def test_sweep_in_workers_writes_the_in_process_report(tmp_path, monkeypatch, capsys, mode):
+    if mode == "preset":
+        argv = ["--preset", "fig1", "--per-subspace", "20"]
+    else:
+        save_csv(tmp_path / "d.csv", _fig1(seed=4, per=20))
+        argv = ["--input", str(tmp_path / "d.csv"), "--label-column", "label", "--clusters", "3"]
+    argv += ["--seeds", "0,1,2,3,4", "--lambdas", "0.2,0.6", "--k-values", "4,8", "--restarts", "3"]
+    serial = _eval_report(tmp_path, monkeypatch, capsys, 1, argv)
+    assert _eval_report(tmp_path, monkeypatch, capsys, 2, argv) == serial
+    assert multiprocessing.active_children() == []
+
+
+class SeedFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_in_workers_raises_the_first_failing_seeds_exception(monkeypatch, workers):
+    real = runs.cluster_graph
+
+    def cluster_graph(W, k, restarts, seed):
+        if seed in (3, 7):
+            raise SeedFailure(f"cell failed at seed {seed}")
+        return real(W, k, restarts, seed)
+
+    monkeypatch.setattr(runs, "cluster_graph", cluster_graph)
+    _workers(monkeypatch, workers)
+    threads = threading.active_count()
+    with pytest.raises(SeedFailure) as caught:
+        sweep_run(preset="fig1", per_subspace=10, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4],
+                  seeds=list(range(10)), restarts=2)
+    assert str(caught.value) == "cell failed at seed 3"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads  # the pool's handler threads are gone
+
+
+def test_a_workers_warning_reaches_the_caller(monkeypatch):
+    """At per_subspace 50, seed 3's heat graph at k = 4 embeds with zero rows."""
+    _workers(monkeypatch, 2)
+    with pytest.warns(RuntimeWarning, match="numerically zero rows"):
+        sweep_run(preset="fig1", per_subspace=50, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4],
+                  seeds=[2, 3], restarts=2)
+
+
+def test_workers_warnings_are_shown_once_per_text_as_in_process(monkeypatch):
+    """On a fixed dataset every seed embeds the same graph and warns the same
+    text; each worker sees it anew, but it is shown once, as in-process."""
+    ds = _fig1(seed=3, per=50)
+    shown = {}
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            sweep_run(dataset=ds, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4], seeds=[0, 1, 2, 3],
+                      restarts=2)
+        shown[workers] = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    assert len(shown[1]) == 1
+    assert shown[2] == shown[1]
+
+
+def test_seed_workers_rule(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(runs, "_BLAS_ONE_THREAD", True)
+    assert runs._seed_workers(1) == 1
+    assert runs._seed_workers(10) == min(10, cpus)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert runs._seed_workers(10) == 1  # fork would copy a lock the other thread may hold
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    with monkeypatch.context() as daemonic:  # a pool's worker may not start processes of its own
+        daemonic.setattr(multiprocessing.current_process(), "daemon", True)
+        assert runs._seed_workers(10) == 1
+    monkeypatch.setattr(runs, "_BLAS_ONE_THREAD", False)
+    assert runs._seed_workers(10) == 1
