@@ -84,57 +84,6 @@ from .spectral import KMeansConfig, kmeans, normalized_laplacian_embedding, spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "InputError",
-    "LabeledDataset",
-    "SyntheticSpec",
-    "PcaModel",
-    "load_csv",
-    "save_csv",
-    "train_test_split",
-    "pca_fit",
-    "pca_transform",
-    "synth_union_of_subspaces",
-    "HyperParams",
-    "Dictionary",
-    "build_dictionary",
-    "distance_diagonal",
-    "solve_coefficients",
-    "sparsify",
-    "symmetrize",
-    "build_llr_coefficients",
-    "build_llr_graph",
-    "HeatKernelParams",
-    "heat_kernel_graph",
-    "lle_graph",
-    "KMeansConfig",
-    "sym_eig",
-    "normalized_laplacian_embedding",
-    "kmeans",
-    "spectral_cluster",
-    "generalized_sym_eig",
-    "npe_from_graph",
-    "lpp_embed",
-    "transform",
-    "nn_classify",
-    "save_projection",
-    "load_projection",
-    "contingency_table",
-    "hungarian",
-    "clustering_accuracy",
-    "nmi",
-    "classification_accuracy",
-    "intra_class_edge_mass",
-    "write_graph",
-    "read_graph",
-    "write_labels",
-    "read_labels",
-    "resolve_d_dict",
-    "preset_spec",
-    "build_graph_by_method",
-    "cluster_graph",
-    "evaluate_clustering",
-    "classify_run",
-    "sweep_run",
-]
+# The names imported above, less the modules, and the version.
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, type(sys)))]

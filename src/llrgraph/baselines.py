@@ -14,11 +14,13 @@ from .llr import HyperParams, build_llr_graph, neighbour_table
 
 @dataclass(frozen=True)
 class HeatKernelParams:
+    """Heat-kernel graph parameters; a value out of its own range raises
+    InputError when they are made."""
+
     k_nn: int
     sigma: float | str = "auto"  # 'auto' uses the median retained distance
 
-    def validate(self, n: int | None = None) -> None:
-        """Check each value's own range; given the sample count n, also k_nn <= n - 1."""
+    def __post_init__(self) -> None:
         if self.k_nn < 1:
             raise InputError(f"k_nn must be >= 1, got {self.k_nn}")
         if isinstance(self.sigma, str):
@@ -28,7 +30,10 @@ class HeatKernelParams:
             raise InputError(f"sigma must be finite, got {self.sigma}")
         elif not self.sigma > 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
-        if n is not None and self.k_nn > n - 1:
+
+    def validate(self, n: int) -> None:
+        """Check k_nn <= n - 1, the bound a graph on n samples needs."""
+        if self.k_nn > n - 1:
             raise InputError(f"k_nn ({self.k_nn}) must not exceed n - 1 ({n - 1})")
 
 

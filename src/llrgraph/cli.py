@@ -355,7 +355,6 @@ def _cmd_synth(resolved: dict[str, Any], timings: Timings) -> CommandResult:
         seed=resolved["seed"],
     )
     if resolved["preset"] is not None:
-        spec.validate()
         spec = preset_spec(resolved["preset"], resolved["per_subspace"], resolved["noise"], resolved["seed"])
 
     with _stage(timings, "synth"):
@@ -372,16 +371,16 @@ def _cmd_synth(resolved: dict[str, Any], timings: Timings) -> CommandResult:
 
 
 def _graph_from_csv(
-    resolved: dict[str, Any], timings: Timings, kmeans: KMeansConfig | None = None
+    resolved: dict[str, Any], timings: Timings, clusters: bool = False
 ) -> tuple[LabeledDataset, Any, dict[str, Any]]:
-    """Load --input, validate the graph parameters (and the optional k-means
-    configuration) against its size, then apply the optional PCA and build
-    the graph with --method."""
+    """Load --input, validate the graph parameters (and, with clusters, the
+    k-means parameters) against its size, then apply the optional PCA and
+    build the graph with --method."""
     with _stage(timings, "load"):
         ds = load_csv(resolved["input"], label_column=resolved["label_column"])
     build, derived = graph_builder(resolved["method"], ds.n, **_graph_kwargs(resolved))
-    if kmeans is not None:
-        kmeans.validate(ds.n)
+    if clusters:
+        KMeansConfig(k=resolved["clusters"], restarts=resolved["restarts"], seed=resolved["seed"]).validate(ds.n)
     X = ds.X
     with _stage(timings, "pca"):
         if resolved["pca_energy"] is not None:
@@ -396,7 +395,10 @@ def _graph_from_csv(
 def _cmd_build_graph(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     ds, W, derived = _graph_from_csv(resolved, timings)
     metrics: dict[str, Any] = {"n": ds.n, "m": ds.m, "nnz": int(W.nnz)}
-    if ds.labels is not None:  # before the write, so that a graph it rejects leaves no file
+    # Both checks come before the write, so that a graph they reject leaves no file.
+    if not W.data.sum() > 0:
+        raise ValueError("graph has no edge mass")
+    if ds.labels is not None:
         metrics["intra_class_edge_mass"] = intra_class_edge_mass(W, ds.labels)
     with _stage(timings, "write"):
         write_graph(resolved["output"], W)
@@ -412,8 +414,7 @@ def _cmd_build_graph(resolved: dict[str, Any], timings: Timings) -> CommandResul
 def _cmd_cluster(resolved: dict[str, Any], timings: Timings) -> CommandResult:
     derived: dict[str, Any] = {}
     if resolved["input"] is not None:
-        kmeans = KMeansConfig(k=resolved["clusters"], restarts=resolved["restarts"], seed=resolved["seed"])
-        ds, W, derived = _graph_from_csv(resolved, timings, kmeans)
+        ds, W, derived = _graph_from_csv(resolved, timings, clusters=True)
         truth = ds.labels
     else:
         # Input-mode values from a config file build nothing here, but are

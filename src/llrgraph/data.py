@@ -73,6 +73,7 @@ class SyntheticSpec:
     """Configuration for a synthetic union of linear subspaces.
 
     subspaces is a list of (intrinsic_dim, points_per_subspace) pairs.
+    Out-of-range values raise InputError when the spec is made.
     """
 
     ambient_dim: int
@@ -80,7 +81,7 @@ class SyntheticSpec:
     noise_sigma: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise InputError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if not self.subspaces:
@@ -345,8 +346,6 @@ def synth_union_of_subspaces(
     away from the shared origin; isotropic Gaussian noise is added last.
     Labels record the source subspace. Deterministic given spec.seed.
     """
-    spec.validate()
-
     rng = _rng(spec.seed)
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []

@@ -55,7 +55,8 @@ class HyperParams:
     lam is the distance/representation trade-off in [0, 1); k_keep is the
     number of strongest connections retained per point; d_dict is the
     dictionary size (nearest neighbors used as atoms); epsilon scales the
-    trace-relative ridge added to guard singular systems.
+    trace-relative ridge added to guard singular systems. A value out of
+    its own range raises InputError when the parameters are made.
     """
 
     lam: float
@@ -63,9 +64,7 @@ class HyperParams:
     d_dict: int
     epsilon: float = 1e-9
 
-    def validate(self, n: int | None = None) -> None:
-        """Check each value's own range; given the sample count n, also the
-        bounds k_keep <= d_dict <= n - 1 that a graph on n samples needs."""
+    def __post_init__(self) -> None:
         if not 0.0 <= self.lam < 1.0:
             raise InputError(f"lambda must lie in [0, 1), got {self.lam}")
         if self.k_keep < 1:
@@ -76,8 +75,9 @@ class HyperParams:
             raise InputError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
             raise InputError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if n is None:
-            return
+
+    def validate(self, n: int) -> None:
+        """Check the bounds k_keep <= d_dict <= n - 1 that a graph on n samples needs."""
         if self.k_keep > self.d_dict:
             raise InputError(f"k_keep ({self.k_keep}) must not exceed d_dict ({self.d_dict})")
         if self.d_dict > n - 1:
@@ -344,7 +344,7 @@ def solve_coefficients(
     system is solved with a symmetric positive-definite factorization. This
     is the one-row case of coefficient_table's solve.
     """
-    HyperParams(lam=lam, k_keep=1, d_dict=1, epsilon=epsilon).validate()  # one solve uses lam and epsilon only
+    HyperParams(lam=lam, k_keep=1, d_dict=1, epsilon=epsilon)  # range-checks lam and epsilon, all one solve uses
     X = validate_data_matrix(X)
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)) or np.any(s < 0):
@@ -394,7 +394,10 @@ def symmetrize(C: csr_matrix) -> csr_matrix:
         raise ValueError(f"coefficient matrix must be square, got {C.shape}")
     if C.shape[0] and np.any(C.diagonal() != 0):
         raise ValueError("coefficient matrix must have a zero diagonal")
-    A = abs(C.tocsr(copy=True))
+    # One copy, made canonical before abs; abs(C) would sum C's own duplicate entries in place.
+    A = C.tocsr(copy=True)
+    A.sum_duplicates()
+    np.abs(A.data, out=A.data)
     W = (A + A.T).tocsr()
     W.sort_indices()
     return W

@@ -93,9 +93,11 @@ def graph_builder(
     if method not in GRAPH_METHODS:
         raise InputError(f"unknown graph method {method!r}")
     hk = HeatKernelParams(k_nn=k_nn, sigma=sigma)
-    hk.validate(None if method == "llr" else n)
+    if method != "llr" and n is not None:
+        hk.validate(n)
     params = HyperParams(lam=lam, k_keep=k_keep, d_dict=resolve_d_dict(d_dict, n), epsilon=epsilon)
-    params.validate(n if method == "llr" else None)
+    if method == "llr" and n is not None:
+        params.validate(n)
     if method == "llr":
         return lambda X: build_llr_graph(X, params), {"d_dict": params.d_dict}
     if method == "heat":
@@ -257,12 +259,11 @@ def sweep_run(
         raise InputError("evaluation sweeps require labels")
     if preset is not None:
         spec = preset_spec(preset, per_subspace, noise_sigma, seed=0)  # n does not depend on the seed; seeds come last
-        spec.validate()
         n = sum(count for _, count in spec.subspaces)
     else:
         # Unused without a preset, but range-checked all the same, against
         # the loosest spec: one line.
-        SyntheticSpec(ambient_dim=1, subspaces=[(1, per_subspace)], noise_sigma=noise_sigma, seed=0).validate()
+        SyntheticSpec(ambient_dim=1, subspaces=[(1, per_subspace)], noise_sigma=noise_sigma, seed=0)
         n = dataset.n
     # Every cell against n before the first seed's data: llr cells span
     # lambdas x k_values, heat and lle cells k_values. Heat and lle ignore

@@ -14,30 +14,31 @@ from .data import InputError, _rng
 #: Largest n * max(k, dim) * restarts of one group of k-means restarts that
 #: iterate together, which bounds their per-group arrays.
 _GROUP_VALUES = 2**16
+#: Lloyd iterations per restart, at most, and the center shift that stops one.
+_MAX_ITER = 300
+_SHIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
+    """k-means settings; an out-of-range value raises InputError when made."""
+
     k: int
     restarts: int = 20
-    max_iter: int = 300
-    tol: float = 1e-8
     seed: int = 0
 
-    def validate(self, n: int | None = None) -> None:
-        """Check each value's own range; given the sample count n, also k <= n."""
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise InputError(f"tol must be positive, got {self.tol}")
-        if n is not None and self.k > n:
-            raise InputError(f"clusters k={self.k} must not exceed the sample count n={n}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+
+    def validate(self, n: int) -> None:
+        """Check k <= n for n samples."""
+        if self.k > n:
+            raise InputError(f"clusters k={self.k} must not exceed the sample count n={n}")
 
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +256,7 @@ def _centroids(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, cente
     return new
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations of a group of restarts at once, from their (g, k, dim)
     starting centers. Returns the (g, n) labels and the g objectives; every
     restart rounds bit for bit as if it ran alone."""
@@ -265,7 +266,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tup
     objective = np.full(g, np.inf)
     increased: dict[int, str] = {}
     active = np.arange(g)
-    for _ in range(config.max_iter):
+    for _ in range(_MAX_ITER):
         a = active.size
         old = centers[active]
         d2 = np.empty((a, n, k))
@@ -289,7 +290,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, config: KMeansConfig) -> tup
         centers[active] = new
         assign[active] = labels
         objective[active] = obj
-        active = active[~((shift < config.tol) | up)]
+        active = active[~((shift < _SHIFT_TOL) | up)]
         if not active.size:
             break
     if increased:
@@ -303,7 +304,6 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     lowest restart index). Restarts iterate together in groups whose
     per-group arrays hold at most _GROUP_VALUES values."""
     points = np.asarray(points, dtype=float)
-    config.validate()
     if points.ndim != 2 or points.shape[0] < config.k:
         raise ValueError(f"need at least k={config.k} points, got shape {points.shape}")
     bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
@@ -315,7 +315,7 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     for first in range(0, config.restarts, group):
         seeds = range(config.seed + first, config.seed + min(first + group, config.restarts))
         centers = _kmeanspp_init(points, config.k, seeds)
-        labels, obj = _lloyd(points, centers, config)
+        labels, obj = _lloyd(points, centers)
         r = int(np.argmin(obj))  # first of equal objectives: the lowest restart
         if best_labels is None or obj[r] < best_obj:
             best_obj = obj[r]

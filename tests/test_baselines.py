@@ -87,13 +87,13 @@ def test_heat_kernel_auto_sigma_zero_median_rejected():
 
 def test_heat_kernel_param_validation():
     with pytest.raises(ValueError, match="k_nn"):
-        HeatKernelParams(k_nn=0).validate()
+        HeatKernelParams(k_nn=0)
     with pytest.raises(ValueError, match="k_nn"):
         HeatKernelParams(k_nn=9).validate(8)
     with pytest.raises(ValueError, match="sigma"):
-        HeatKernelParams(k_nn=2, sigma=-1.0).validate()
+        HeatKernelParams(k_nn=2, sigma=-1.0)
     with pytest.raises(ValueError, match="sigma"):
-        HeatKernelParams(k_nn=2, sigma="median").validate()
+        HeatKernelParams(k_nn=2, sigma="median")
 
 
 def test_lle_graph_equals_llr_at_lambda_zero():

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,19 @@ def test_sweep_forks_seed_workers_only_over_one_blas_thread(first, caller, forks
     assert workers == (min(10, len(os.sched_getaffinity(0))) if forks else 1)
 
 
+def test_every_name_the_benchmark_traces_resolves():
+    """perfbench/spans.py times calls at module attributes, some of them
+    imports kept only for it (cli.build_llr_graph, cli.heat_kernel_graph,
+    runs.sparsify, embedding.symmetrize); each must still be there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{name}" for module, name, *_ in spans.WRAPS
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
 # -- synth --------------------------------------------------------------
 
 
@@ -293,6 +308,19 @@ def test_build_graph_without_edge_mass_writes_no_graph(tmp_path, capsys):
     assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
                  "--sigma", "1e-300", "--output", str(out)]) == 1
     assert "graph has no edge mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unlabelled_build_graph_without_edge_mass_writes_no_graph(tmp_path, capsys):
+    # Without labels there is no edge mass to score, but a graph of 0.0
+    # weights is refused all the same: every vertex of it is isolated.
+    data = _synth(tmp_path)
+    out = tmp_path / "g.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["build-graph", "--input", str(data), "--method", "heat", "--sigma", "1e-300",
+                     "--output", str(out)]) == 1
+    assert "error: ValueError: graph has no edge mass" in capsys.readouterr().err
     assert not out.exists()
 
 

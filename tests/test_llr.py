@@ -158,10 +158,13 @@ def test_tiny_data_solves_without_underflow():
 
 
 def test_hyperparams_bounds_against_n_only_when_given():
-    # k_keep <= d_dict <= n - 1 is a bound for building a graph on n samples.
-    HyperParams(lam=0.5, k_keep=5, d_dict=4).validate()
+    # k_keep <= d_dict <= n - 1 is a bound for building a graph on n samples,
+    # checked by validate(n); own ranges are checked when the object is made.
+    params = HyperParams(lam=0.5, k_keep=5, d_dict=4)
+    with pytest.raises(InputError, match=r"k_keep \(5\) must not exceed d_dict \(4\)"):
+        params.validate(10)
     with pytest.raises(InputError, match=r"lambda must lie in \[0, 1\), got 1.5"):
-        HyperParams(lam=1.5, k_keep=5, d_dict=4).validate()
+        HyperParams(lam=1.5, k_keep=5, d_dict=4)
 
 
 def test_rotation_and_translation_invariance():
@@ -318,6 +321,14 @@ def test_symmetrize_matches_dense_formula():
     want = np.abs(dense) + np.abs(dense).T
     assert np.abs(W.toarray() - want).max() == 0.0
     assert (W != W.T).nnz == 0, "graph must be exactly symmetric"
+
+
+def test_symmetrize_sums_duplicates_before_abs_and_leaves_c_alone():
+    # C_01 is stored as 0.5 and -0.25, so |C_01| is 0.25, not 0.75.
+    C = sp.csr_matrix((np.array([0.5, -0.25, -1.0]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
+    W = symmetrize(C)
+    assert W.toarray().tolist() == [[0.0, 1.25], [1.25, 0.0]]
+    assert C.nnz == 3 and C.data.tolist() == [0.5, -0.25, -1.0]
 
 
 def test_symmetrize_rejects_nonzero_diagonal():

@@ -259,28 +259,28 @@ def test_sparsify_table_builds_the_csr_arrays_of_the_coo_conversion(inputs, data
 
 @st.composite
 def kmeans_inputs(draw):
-    """Points on a 1/7 grid and a config. Duplicates are common, so clusters
-    empty out, and sums of sevenths round, so summation order shows."""
+    """Points on a 1/7 grid, a config and a Lloyd iteration cap. Duplicates
+    are common, so clusters empty out, and sums of sevenths round, so
+    summation order shows."""
     n = draw(st.integers(1, 30))
     sevenths = st.integers(-40, 40).map(lambda v: v / 7.0)
     points = draw(arrays(np.float64, (n, draw(st.integers(1, 4))), elements=sevenths))
-    config = KMeansConfig(
-        k=draw(st.integers(1, min(n, 5))),
-        restarts=draw(st.integers(1, 8)),
-        max_iter=draw(st.sampled_from([1, 2, 300])),
-        seed=draw(st.integers(0, 1000)),
-    )
-    return points, config
+    k = draw(st.integers(1, min(n, 5)))
+    restarts = draw(st.integers(1, 8))
+    max_iter = draw(st.sampled_from([1, 2, 300]))
+    config = KMeansConfig(k=k, restarts=restarts, seed=draw(st.integers(0, 1000)))
+    return points, config, max_iter
 
 
 @PROPERTY_SETTINGS
 @given(kmeans_inputs(), budgets)
 def test_kmeans_matches_restart_at_a_time(inputs, budget):
-    points, config = inputs
+    points, config, max_iter = inputs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_GROUP_VALUES", budget)
+        mp.setattr(spectral, "_MAX_ITER", max_iter)
         labels = kmeans(points, config)
-    want = kmeans_loop(points, config.k, config.restarts, config.seed, config.max_iter, config.tol)
+    want = kmeans_loop(points, config.k, config.restarts, config.seed, max_iter, spectral._SHIFT_TOL)
     assert np.array_equal(labels, want)
 
 
@@ -311,9 +311,10 @@ def test_kmeanspp_starts_match_rng_choice_restart_by_restart(monkeypatch, dim, p
     X = {"gaussian": X, "two locations": X[np.arange(n) % 2], "one location": X[np.zeros(n, dtype=int)]}[points]
     starts = []
     lloyd = spectral._lloyd
-    monkeypatch.setattr(spectral, "_lloyd", lambda p, centers, c: starts.extend(centers.copy()) or lloyd(p, centers, c))
+    monkeypatch.setattr(spectral, "_lloyd", lambda p, centers: starts.extend(centers.copy()) or lloyd(p, centers))
     monkeypatch.setattr(spectral, "_GROUP_VALUES", 3 * n * max(k, dim))
-    kmeans(X, KMeansConfig(k=k, restarts=restarts, max_iter=1, seed=seed))
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    kmeans(X, KMeansConfig(k=k, restarts=restarts, seed=seed))
     assert len(starts) == restarts
     for r, start in enumerate(starts):
         assert np.array_equal(start, kmeanspp_init_one(X, k, np.random.Generator(np.random.PCG64(seed + r))))
@@ -347,10 +348,9 @@ def test_lloyd_objectives_match_restart_at_a_time(dim):
     # restart run alone; a last-bit change in a centroid shows here first.
     rng = np.random.Generator(np.random.PCG64(dim))
     points = rng.standard_normal((200, dim))
-    config = KMeansConfig(k=4, restarts=6)
     starts = [kmeanspp_init_one(points, 4, np.random.Generator(np.random.PCG64(r))) for r in range(6)]
-    labels, objectives = spectral._lloyd(points, np.stack(starts), config)
+    labels, objectives = spectral._lloyd(points, np.stack(starts))
     for r, start in enumerate(starts):
-        want_labels, want_objective = lloyd_one(points, start, config.max_iter, config.tol)
+        want_labels, want_objective = lloyd_one(points, start, spectral._MAX_ITER, spectral._SHIFT_TOL)
         assert np.array_equal(labels[r], want_labels)
         assert objectives[r] == want_objective

@@ -280,7 +280,7 @@ def test_kmeans_validation():
     with pytest.raises(ValueError, match="at least k"):
         kmeans(np.zeros((2, 2)), KMeansConfig(k=3))
     with pytest.raises(ValueError, match="restarts"):
-        KMeansConfig(k=2, restarts=0).validate()
+        KMeansConfig(k=2, restarts=0)
 
 
 def test_kmeans_rejects_non_finite_points():
