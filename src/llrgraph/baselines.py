@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .data import InputError, validate_data_matrix
-from .llr import HyperParams, build_llr_graph, neighbour_table
+from .llr import HyperParams, NeighbourTable, build_llr_graph, neighbour_prefix
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,13 @@ class HeatKernelParams:
             raise InputError(f"k_nn ({self.k_nn}) must not exceed n - 1 ({n - 1})")
 
 
-def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:
+def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: NeighbourTable | None = None) -> csr_matrix:
     """Union-kNN graph with heat-kernel weights exp(-d^2 / (2 sigma^2)).
 
     An edge (i, j) is retained when j is among the k_nn nearest neighbors of
     i or vice versa, which makes the graph symmetric by construction. With
-    sigma='auto', sigma is the median distance over retained edges.
+    sigma='auto', sigma is the median distance over retained edges. The
+    neighbours are llr.neighbour_prefix(X, k_nn, table).
     """
     X = validate_data_matrix(X)
     n = X.shape[0]
@@ -51,7 +52,7 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:
     # Union of the directed kNN pattern, keyed by (min, max) vertex pair. The
     # pattern is unioned rather than the distances, which are 0.0 between
     # duplicate points and would vanish from a sparse union.
-    idx, dist = neighbour_table(X, params.k_nn)
+    idx, dist = neighbour_prefix(X, params.k_nn, table)
     rows = np.repeat(np.arange(n), params.k_nn)
     cols = idx.ravel()
     keys, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), return_index=True)
@@ -79,8 +80,8 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams) -> csr_matrix:
     return W
 
 
-def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = 1e-9) -> csr_matrix:
+def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = 1e-9, *, table: NeighbourTable | None = None) -> csr_matrix:
     """LLE reconstruction-weight graph: the lam = 0 special case of the
     locally linear representation graph with a k_nn-atom dictionary and all
-    coefficients kept."""
-    return build_llr_graph(X, HyperParams(lam=0.0, k_keep=k_nn, d_dict=k_nn, epsilon=epsilon))
+    coefficients kept; table as in llr.coefficient_table."""
+    return build_llr_graph(X, HyperParams(lam=0.0, k_keep=k_nn, d_dict=k_nn, epsilon=epsilon), table=table)

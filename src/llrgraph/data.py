@@ -72,16 +72,17 @@ class LabeledDataset:
 class SyntheticSpec:
     """Configuration for a synthetic union of linear subspaces.
 
-    subspaces is a list of (intrinsic_dim, points_per_subspace) pairs.
-    Out-of-range values raise InputError when the spec is made.
+    subspaces holds (intrinsic_dim, points_per_subspace) pairs, as a tuple of
+    tuples. Out-of-range values raise InputError when the spec is made.
     """
 
     ambient_dim: int
-    subspaces: list[tuple[int, int]]
+    subspaces: tuple[tuple[int, int], ...]
     noise_sigma: float
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "subspaces", tuple(tuple(pair) for pair in self.subspaces))
         if self.ambient_dim < 1:
             raise InputError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if not self.subspaces:

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix, spmatrix
 
-from . import llr
 from .data import _fix_column_signs, validate_data_matrix
-from .llr import DEGENERATE_TOL, _ridge
+from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .spectral import _degrees
 
@@ -131,10 +130,10 @@ def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -> np.ndarray:
     """1-nearest-neighbor labels, ties broken by the smaller training index.
 
-    The search is llr's neighbour kernel (k = 1, no sample excluded), on both
-    sets scaled by the one power of two that brings their largest entry into
-    [0.5, 1), so distances beyond the float range still rank. No
-    n_test x n_train matrix is built.
+    The search is neighbour_table's at k = 1 with the test rows as queries.
+    Both sets are first scaled by the one power of two that brings their
+    largest entry into [0.5, 1), where the search keeps the scale of its
+    distances, so those beyond the float range still rank.
     """
     train = validate_data_matrix(train, "train")
     test = validate_data_matrix(test, "test")
@@ -144,7 +143,7 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test dimensionality differ")
     e = int(np.frexp(max(np.abs(train).max(), np.abs(test).max()))[1])
-    nearest = llr._nearest(np.ldexp(train, -e), 1, np.ldexp(test, -e))[0][:, 0]
+    nearest = neighbour_table(np.ldexp(train, -e), 1, np.ldexp(test, -e))[0][:, 0]
     return train_labels[nearest]
 
 

@@ -43,9 +43,11 @@ DEGENERATE_TOL = 1e-12
 #: is solved through the low-rank (Woodbury) path; below it the direct solve
 #: keeps the LLE limit lambda = 0 exact.
 LOW_RANK_MIN_LAMBDA = 1e-3
-#: Largest number of values in one per-chunk array of the neighbour search,
-#: the 1-NN search and the batched coefficient solve (512 KB of float64).
+#: Largest number of values in one per-chunk array of the neighbour search
+#: (the 1-NN search included) and the batched coefficient solve (512 KB of float64).
 _CHUNK_VALUES = 2**16
+#: A neighbour table: (n, k) neighbour indices and distances, as neighbour_table returns them.
+NeighbourTable = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,6 @@ class Dictionary:
     atoms: np.ndarray  # (m, d_dict)
 
 
-def neighbour_table(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest other samples of every sample, as (n, k) index and distance tables.
-
-    Row i excludes i itself and is ordered by ascending Euclidean distance,
-    ties broken by smaller global index. Distances are taken on X scaled by
-    the exact power of two that brings max|X| into [0.5, 1) and scaled back,
-    so data above about 1e154 does not overflow the squared differences; a
-    neighbour whose distance still leaves the float range raises ValueError.
-    The distances are those of scipy.spatial.distance.cdist, bit for bit, and
-    the table is the first k columns of each row stably sorted in full; see
-    _nearest for how it is found without an n x n matrix.
-    """
-    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
-    return _nearest(np.ldexp(X, -e), k, e=e)
-
-
 def _exact_distances(Q, R) -> np.ndarray:
     """sqrt(sum_j (q_j - r_j)^2) over broadcast pairs, with Q and R given
     column by column (iterables of m arrays). The squares are summed from
@@ -119,20 +105,21 @@ def _exact_distances(Q, R) -> np.ndarray:
     for q, r in zip(Q, R):
         d = q - r
         d *= d
-        if acc is None:
-            acc = d
-        else:
-            acc += d
+        acc = d if acc is None else np.add(acc, d, out=acc)
     return np.sqrt(acc, out=acc)
 
 
-def _nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None, e: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest rows of R to each row of Q, as index and distance tables.
+def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) -> NeighbourTable:
+    """The k nearest rows of X to each query, as (n_queries, k) index and distance tables.
 
-    Without Q, the queries are the rows of R, each excluding itself. R and Q
-    are scaled so that every entry lies in (-1, 1); the distances come back
-    multiplied by 2^e. Each row is ordered by ascending distance, ties broken
-    by smaller index: the first k entries of the row stably sorted in full.
+    Without queries, the queries are the rows of X, each excluding itself. A
+    row holds the first k entries of the whole row stably sorted by Euclidean
+    distance (ties: smaller index), so a k-wide table is the first k columns
+    of any wider one. The distances are cdist's (scipy.spatial.distance), bit
+    for bit, taken on the data scaled by the power of two that brings its
+    largest |entry| into [0.5, 1) and scaled back: data above about 1e154 does
+    not overflow, a distance that leaves the float range raises ValueError,
+    and data already in that range keeps its scale, so its distances rank.
 
     A screen picks each row's k candidates from A = |r|^2 - 2 q.r, the squared
     distance less |q|^2 (the same along a row), one BLAS product per block of
@@ -149,19 +136,19 @@ def _nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None, e: int = 0) -> 
     sorted. Rows that fail the screen (ties and near-ties at the k-th
     candidate), rows whose k-th distance leaves the normal float range when
     scaled back (where scaling could merge distances), and every row when k
-    covers all of R, get the exact distances of the whole row and a stable
-    sort instead. The result is a function of the data alone, equal to the
-    full sort bit for bit.
+    covers all of X, get the exact distances of the whole row and a stable
+    sort instead. No n x n matrix is built.
     """
-    self_search = Q is None
-    Q = R if self_search else Q
+    X, self_search = validate_data_matrix(X), queries is None
+    e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in ([X] if self_search else [X, queries])))[1])
+    R = np.ldexp(X, -e)
+    Q = R if self_search else np.ldexp(queries, -e)
     n, m = R.shape
     if not 1 <= k <= n - self_search:
         raise ValueError(f"k must lie in [1, {n - self_search}], got {k}")
     nq = Q.shape[0]
     Rt, Qt = np.ascontiguousarray(R.T), np.ascontiguousarray(Q.T)
-    idx = np.empty((nq, k), dtype=np.intp)
-    dist = np.empty((nq, k))
+    idx, dist = np.empty((nq, k), dtype=np.intp), np.empty((nq, k))
     block = max(1, _CHUNK_VALUES // n)
     if k == n - self_search:
         full = np.ones(nq, dtype=bool)  # every sample is a neighbour: nothing to screen
@@ -215,6 +202,15 @@ def _nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None, e: int = 0) -> 
             raise ValueError(f"distance between samples {rows[r]} and {j} is beyond the float range")
         idx[rows], dist[rows] = sel, near
     return idx, dist
+
+
+def neighbour_prefix(X: np.ndarray, k: int, table: NeighbourTable | None = None) -> NeighbourTable:
+    """The first k columns of table, a neighbour table of X at least k wide; neighbour_table(X, k) without one."""
+    if table is None:
+        return neighbour_table(X, k)
+    if table[0].shape[0] != X.shape[0] or table[0].shape[1] < k:
+        raise ValueError(f"a neighbour table of shape {table[0].shape} lacks {k} neighbours of {X.shape[0]} samples")
+    return table[0][:, :k], table[1][:, :k]
 
 
 def build_dictionary(X: np.ndarray, i: int, d_dict: int) -> Dictionary:
@@ -403,8 +399,11 @@ def symmetrize(C: csr_matrix) -> csr_matrix:
     return W
 
 
-def coefficient_table(X: np.ndarray, params: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    """Unsparsified coefficients of every sample over its dictionary.
+def coefficient_table(
+    X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unsparsified coefficients of every sample over its dictionary, the
+    first d_dict columns of table (a neighbour table of X) or of a new search.
 
     Returns the (n, d_dict) neighbour-index table and the matching
     coefficient table; row i sums to one. params.k_keep is not used, so one
@@ -412,7 +411,7 @@ def coefficient_table(X: np.ndarray, params: HyperParams) -> tuple[np.ndarray, n
     whose largest array holds at most _CHUNK_VALUES values; each row rounds
     bit for bit like solve_coefficients on that point.
     """
-    idx, dist = neighbour_table(X, params.d_dict)
+    idx, dist = neighbour_prefix(X, params.d_dict, table)
     (n, d), m = idx.shape, X.shape[1]
     per_row = d * m if _uses_low_rank(m, d, params.lam) else d * max(d, m)
     rows = max(1, _CHUNK_VALUES // per_row)
@@ -438,8 +437,9 @@ def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix
     return csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
-def build_llr_coefficients(X: np.ndarray, params: HyperParams) -> csr_matrix:
-    """Per-point coefficient rows, sparsified and scattered to global indices.
+def build_llr_coefficients(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> csr_matrix:
+    """Per-point coefficient rows, sparsified and scattered to global indices;
+    table as in coefficient_table.
 
     Row i holds the retained coefficients of point i; the diagonal is zero
     because each point's dictionary excludes the point itself. Rows are
@@ -447,11 +447,11 @@ def build_llr_coefficients(X: np.ndarray, params: HyperParams) -> csr_matrix:
     """
     X = validate_data_matrix(X)
     params.validate(X.shape[0])
-    return sparsify_table(*coefficient_table(X, params), params.k_keep)
+    return sparsify_table(*coefficient_table(X, params, table=table), params.k_keep)
 
 
-def build_llr_graph(X: np.ndarray, params: HyperParams) -> csr_matrix:
+def build_llr_graph(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> csr_matrix:
     """Construct the similarity graph: solve per-point coefficients over
     nearest-neighbor dictionaries, keep the k_keep strongest per point,
-    and symmetrize."""
-    return symmetrize(build_llr_coefficients(X, params))
+    and symmetrize. table is as in coefficient_table."""
+    return symmetrize(build_llr_coefficients(X, params, table=table))

@@ -33,6 +33,7 @@ from .llr import (
     build_llr_coefficients,
     build_llr_graph,
     coefficient_table,
+    neighbour_table,
     sparsify,  # noqa: F401  (perfbench/spans.py times calls at runs.sparsify)
     sparsify_table,
     symmetrize,
@@ -82,7 +83,8 @@ def graph_builder(
 ) -> tuple[Callable[[np.ndarray], sp.csr_matrix], dict[str, Any]]:
     """Validate one graph method's parameters for n samples, before any computation.
 
-    Returns the builder, which maps an (n, m) data matrix to the symmetric
+    Returns the builder, which maps an (n, m) data matrix (and by keyword a
+    neighbour table of it, table=, as in coefficient_table) to the symmetric
     graph, and the parameter values resolved from n. Each parameter's own
     range is checked whether or not the method uses it, its bound against n
     (k_keep <= d_dict <= n - 1 for llr, k_nn <= n - 1 for heat and lle) only
@@ -99,10 +101,10 @@ def graph_builder(
     if method == "llr" and n is not None:
         params.validate(n)
     if method == "llr":
-        return lambda X: build_llr_graph(X, params), {"d_dict": params.d_dict}
+        return lambda X, *, table=None: build_llr_graph(X, params, table=table), {"d_dict": params.d_dict}
     if method == "heat":
-        return lambda X: heat_kernel_graph(X, hk), {}
-    return lambda X: lle_graph(X, k_nn=k_nn, epsilon=epsilon), {}
+        return lambda X, *, table=None: heat_kernel_graph(X, hk, table=table), {}
+    return lambda X, *, table=None: lle_graph(X, k_nn=k_nn, epsilon=epsilon, table=table), {}
 
 
 def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
@@ -117,17 +119,18 @@ def llr_graph_family(
     d_dict: int,
     epsilon: float,
     k_keeps: list[int],
+    *, table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, sp.csr_matrix]:
     """LLR graphs for several k_keep values sharing one pass of solves.
 
     The coefficient vectors depend on lam and the dictionary but not on
     k_keep, so sweeps over retention levels reuse the per-point solutions.
-    Output is bit-identical to calling build_llr_graph per k_keep.
+    Output is bit-identical to build_llr_graph per k_keep; table as in coefficient_table.
     """
     params = [HyperParams(lam=lam, k_keep=k, d_dict=d_dict, epsilon=epsilon) for k in k_keeps]
     for p in params:
         p.validate(X.shape[0])
-    idx, coef = coefficient_table(X, params[0])  # the table does not depend on k_keep
+    idx, coef = coefficient_table(X, params[0], table=table)  # the table does not depend on k_keep
     return {k: symmetrize(sparsify_table(idx, coef, k)) for k in k_keeps}
 
 
@@ -237,9 +240,11 @@ def sweep_run(
 
     For preset data each seed regenerates the dataset and seeds k-means;
     for a fixed input dataset the graphs are built once and the seed only
-    drives k-means. The LLR grid is lambdas x k_values; heat and lle grids
-    are k_values alone. Seeds may run in forked workers (_seed_workers), but
-    cells are assembled in grid order, so reports are deterministic.
+    drives k-means. Every graph of a dataset reads one neighbour table, as
+    wide as the widest needs. The LLR grid is lambdas x k_values; heat and
+    lle grids are k_values alone. Seeds may run in forked workers
+    (_seed_workers), but cells are assembled in grid order, so reports are
+    deterministic.
     """
     if (dataset is None) == (preset is None):
         raise InputError("exactly one of dataset or preset is required")
@@ -282,14 +287,13 @@ def sweep_run(
 
     def graphs_of(X: np.ndarray):
         """(method, lam) and its graphs by k, in grid order, built as iterated."""
+        table = neighbour_table(X, max(k_values + ([dd] if "llr" in methods else [])))
         for method in methods:
-            # llr shares its solves across k through the family; the other
-            # methods have no lambda and build one graph per k.
-            for lam in lambdas if method == "llr" else [None]:
-                if method == "llr":
-                    yield (method, lam), llr_graph_family(X, lam, dd, epsilon, k_values)
-                else:
-                    yield (method, lam), {k: builders[method, k](X) for k in k_values}
+            if method == "llr":  # shares its solves across k through the family
+                for lam in lambdas:
+                    yield (method, lam), llr_graph_family(X, lam, dd, epsilon, k_values, table=table)
+            else:  # no lambda, and one graph per k
+                yield (method, None), {k: builders[method, k](X, table=table) for k in k_values}
 
     fixed_graphs = None if dataset is None else list(graphs_of(dataset.X))
 
@@ -312,21 +316,15 @@ def sweep_run(
     summary: dict[str, Any] = {}
     for method in methods:
         rows = [c for c in cells if c["method"] == method]
-        acs = np.array([c["ac"] for c in rows])
-        nmis = np.array([c["nmi"] for c in rows])
-        best = rows[int(np.argmax(acs))]
-        best_by_seed = {}
-        for seed in seeds:
-            srows = [c for c in rows if c["seed"] == seed]
-            sacs = np.array([c["ac"] for c in srows])
-            best_by_seed[str(seed)] = srows[int(np.argmax(sacs))]
+        acs, nmis = np.array([c["ac"] for c in rows]), np.array([c["nmi"] for c in rows])
         summary[method] = {
             "mean_ac": float(acs.mean()),
             "max_ac": float(acs.max()),
             "mean_nmi": float(nmis.mean()),
             "max_nmi": float(nmis.max()),
-            "best": best,
-            "best_by_seed": best_by_seed,
+            # max keeps the first of equally good cells in grid order, as argmax does
+            "best": max(rows, key=lambda c: c["ac"]),
+            "best_by_seed": {str(s): max((c for c in rows if c["seed"] == s), key=lambda c: c["ac"]) for s in seeds},
         }
     return {"cells": cells, "summary": summary}
 

@@ -229,3 +229,14 @@ def test_synth_validation():
         synth_union_of_subspaces(SyntheticSpec(2, [(3, 5)], 0.0, 0))
     with pytest.raises(ValueError, match="points_per_subspace"):
         synth_union_of_subspaces(SyntheticSpec(4, [(3, 3)], 0.0, 0))
+
+
+def test_synth_spec_subspaces_cannot_change_after_the_checks():
+    # A list passed in is stored as a tuple of tuples, so no edit can get
+    # round the range checks made when the spec was made.
+    spec = SyntheticSpec(ambient_dim=3, subspaces=[(1, 5), [2, 6]], noise_sigma=0.0, seed=0)
+    assert spec.subspaces == ((1, 5), (2, 6))
+    with pytest.raises(TypeError):
+        spec.subspaces[0] = (4, 5)
+    with pytest.raises(TypeError):
+        spec.subspaces[1][0] = 4

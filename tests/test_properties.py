@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from llrgraph import llr, spectral
+from llrgraph.baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from llrgraph.embedding import nn_classify
 from llrgraph.llr import HyperParams, build_llr_coefficients, coefficient_table, neighbour_table, sparsify_table
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
@@ -125,6 +126,50 @@ def test_neighbour_table_matches_the_full_sort(inputs, budget):
     want_idx, want_dist = neighbour_table_full(X, k)
     assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
     assert dist.tobytes() == want_dist.tobytes()
+
+
+def _outcome(build, **kwargs):
+    """The bytes of every array build returns, or the ValueError it raises."""
+    try:
+        out = build(**kwargs)
+    except ValueError as exc:
+        return repr(exc)
+    arrays = (out.indptr, out.indices, out.data) if hasattr(out, "indptr") else out
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@PROPERTY_SETTINGS
+@given(neighbour_inputs(), st.data(), st.sampled_from([1, 7, 64, 2**16]))
+def test_graphs_from_a_wider_table_equal_graphs_built_alone(inputs, data, budget):
+    # A k-wide neighbour table is the first k columns of any wider one, so a
+    # graph that reads the prefix of a shared table equals the graph that
+    # searches alone, bit for bit, through ties, duplicates and either path
+    # of the search (a table of width n - 1 takes the whole-row path only).
+    X, k = inputs
+    wide = data.draw(st.integers(k, X.shape[0] - 1))
+    sigma = data.draw(st.floats(0.1, 10.0))
+    lam = data.draw(st.floats(1e-3, 0.99))
+    builds = {
+        "heat, auto sigma": lambda **kw: heat_kernel_graph(X, HeatKernelParams(k_nn=k), **kw),
+        "heat, fixed sigma": lambda **kw: heat_kernel_graph(X, HeatKernelParams(k_nn=k, sigma=sigma), **kw),
+        "lle": lambda **kw: lle_graph(X, k, **kw),
+        "coefficients, lambda 0": lambda **kw: coefficient_table(X, HyperParams(lam=0.0, k_keep=1, d_dict=k), **kw),
+        "coefficients, lambda > 0": lambda **kw: coefficient_table(X, HyperParams(lam=lam, k_keep=1, d_dict=k), **kw),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        table = neighbour_table(X, wide)
+        for name, build in builds.items():
+            assert _outcome(build, table=table) == _outcome(build), name
+
+
+def test_a_table_narrower_than_the_graph_needs_is_refused():
+    X = np.arange(12.0).reshape(6, 2)
+    table = neighbour_table(X, 2)
+    with pytest.raises(ValueError, match="lacks 3 neighbours of 6 samples"):
+        heat_kernel_graph(X, HeatKernelParams(k_nn=3), table=table)
+    with pytest.raises(ValueError, match="lacks 2 neighbours of 5 samples"):
+        lle_graph(X[:5], 2, table=table)
 
 
 # The neighbour search screens candidates with a BLAS product and takes exact

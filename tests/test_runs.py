@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from llrgraph import runs
+from llrgraph import baselines, llr, runs
 from llrgraph.cli import main
 from llrgraph.data import InputError, LabeledDataset, save_csv, synth_union_of_subspaces
 from llrgraph.llr import HyperParams, build_llr_graph
@@ -41,7 +41,7 @@ def test_resolve_d_dict():
 def test_preset_spec_fig1():
     spec = preset_spec("fig1", 40, 0.05, 3)
     assert spec.ambient_dim == 3
-    assert spec.subspaces == [(1, 40), (1, 40), (2, 40)]
+    assert spec.subspaces == ((1, 40), (1, 40), (2, 40))
     assert spec.noise_sigma == 0.05
     assert spec.seed == 3
     with pytest.raises(ValueError, match="unknown preset"):
@@ -189,11 +189,28 @@ def test_sweep_run_cell_grid_and_summary():
         assert stats["best"]["ac"] == stats["max_ac"]
 
 
+def test_preset_sweep_searches_neighbours_once_per_seed(monkeypatch):
+    # Every llr, heat and lle graph of a seed reads the first columns of one
+    # table as wide as the widest needs; the seeds run in-process, so that
+    # every call is counted here.
+    monkeypatch.setattr(runs, "_seed_workers", lambda n_seeds: 1)
+    real, widths = llr.neighbour_table, []
+    counting = lambda X, k, *args, **kwargs: widths.append(k) or real(X, k, *args, **kwargs)  # noqa: E731
+    for module in (llr, baselines, runs):
+        if getattr(module, "neighbour_table", None) is real:
+            monkeypatch.setattr(module, "neighbour_table", counting)
+    result = sweep_run(preset="fig1", per_subspace=10, n_clusters=3, methods=["heat", "llr", "lle"],
+                       lambdas=[0.0, 0.5], k_values=[3, 5], seeds=[0, 1], d_dict=12, restarts=2)
+    assert len(result["cells"]) == 2 * (2 * 2 + 2 + 2)
+    assert widths == [12, 12]
+
+
 def test_sweep_run_fixed_dataset_reuses_data(monkeypatch):
     ds = _fig1(seed=6, per=15)
     built = []
     real = runs.heat_kernel_graph
-    monkeypatch.setattr(runs, "heat_kernel_graph", lambda X, hk: built.append(hk.k_nn) or real(X, hk))
+    monkeypatch.setattr(runs, "heat_kernel_graph",
+                        lambda X, hk, table=None: built.append(hk.k_nn) or real(X, hk, table=table))
     result = sweep_run(
         dataset=ds,
         n_clusters=3,
