@@ -51,7 +51,7 @@ from .embedding import (
     save_projection,
     transform,
 )
-from .graphio import read_graph, read_labels, write_graph, write_labels
+from .graphio import CSR, read_graph, read_labels, write_graph, write_labels
 from .llr import (
     Dictionary,
     HyperParams,

@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .data import InputError, validate_data_matrix
+from .graphio import CSR
 from .llr import HyperParams, NeighbourTable, build_llr_graph, neighbour_prefix
 
 
@@ -37,7 +37,18 @@ class HeatKernelParams:
             raise InputError(f"k_nn ({self.k_nn}) must not exceed n - 1 ({n - 1})")
 
 
-def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: NeighbourTable | None = None) -> csr_matrix:
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, bit for bit, with no overflow: the mean of
+    the two middle values (one when their count is odd) is taken on both scaled
+    by the power of two that brings the larger into [0.5, 1), then scaled back.
+    Scaling is exact wherever it can change the sum's bits."""
+    half = values.size // 2
+    a, b = np.partition(values, [(values.size - 1) // 2, half])[[(values.size - 1) // 2, half]]
+    e = int(np.frexp(max(a, b))[1])
+    return float(np.ldexp((np.ldexp(a, -e) + np.ldexp(b, -e)) / 2.0, e))
+
+
+def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: NeighbourTable | None = None) -> CSR:
     """Union-kNN graph with heat-kernel weights exp(-d^2 / (2 sigma^2)).
 
     An edge (i, j) is retained when j is among the k_nn nearest neighbors of
@@ -59,7 +70,7 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: Neighbo
     iu, ju = np.divmod(keys, n)
     retained = dist.ravel()[first]
     if isinstance(params.sigma, str):
-        sigma = float(np.median(retained))
+        sigma = _median(retained)
         if sigma <= 0:
             raise ValueError("auto sigma failed: median retained distance is zero")
     else:
@@ -75,12 +86,10 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: Neighbo
     rows = np.concatenate([iu, ju])
     cols = np.concatenate([ju, iu])
     data = np.concatenate([weights, weights])
-    W = csr_matrix((data, (rows, cols)), shape=(n, n))
-    W.sort_indices()
-    return W
+    return CSR.from_triplets(rows, cols, data, (n, n))
 
 
-def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = 1e-9, *, table: NeighbourTable | None = None) -> csr_matrix:
+def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = 1e-9, *, table: NeighbourTable | None = None) -> CSR:
     """LLE reconstruction-weight graph: the lam = 0 special case of the
     locally linear representation graph with a k_nn-atom dictionary and all
     coefficients kept; table as in llr.coefficient_table."""

@@ -11,11 +11,12 @@ smallest eigenvectors form the projection columns.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix, spmatrix
 
 from .data import _fix_column_signs, validate_data_matrix
+from .graphio import CSR, as_csr
 from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .spectral import _degrees
@@ -71,7 +72,7 @@ def _projection(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
     return _fix_column_signs(evecs[:, :d].copy())
 
 
-def npe_from_graph(X: np.ndarray, C: spmatrix, d: int) -> np.ndarray:
+def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     """Neighborhood-preserving projection driven by reconstruction coefficients.
 
     Each retained coefficient row of C is renormalized to sum one, giving a
@@ -85,17 +86,28 @@ def npe_from_graph(X: np.ndarray, C: spmatrix, d: int) -> np.ndarray:
         raise ValueError(f"coefficient matrix shape {C.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    C = C.tocsr()
-    row_sums = np.asarray(C.sum(axis=1)).ravel()
+    C = as_csr(C)
+    row_sums = C.row_sums()
     bad = np.flatnonzero(np.abs(row_sums) < DEGENERATE_TOL)
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
-    Wt = csr_matrix(C.multiply(1.0 / row_sums[:, None]))
+    Wt = C.scale_rows(1.0 / row_sums).summed()
     R = X - Wt @ X
     return _projection(R.T @ R, X.T @ X, d)
 
 
-def lpp_embed(X: np.ndarray, W: spmatrix, d: int) -> np.ndarray:
+def _symmetric(W: CSR) -> bool:
+    """Whether W != W.T stores nothing: repeated entries added, zeros ignored, NaN unequal to itself."""
+    A = W.summed()
+
+    def stored(M: CSR) -> tuple[np.ndarray, ...]:
+        nonzero = M.data != 0
+        return M.entry_rows()[nonzero], M.indices[nonzero], M.data[nonzero]
+
+    return all(np.array_equal(a, b) for a, b in zip(stored(A), stored(A.transpose())))
+
+
+def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
     """Locality-preserving projection from a symmetric affinity graph.
 
     With degrees D and Laplacian L = D - W, the projection columns are the
@@ -109,12 +121,12 @@ def lpp_embed(X: np.ndarray, W: spmatrix, d: int) -> np.ndarray:
         raise ValueError(f"graph shape {W.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    if (W != W.T).nnz:
+    W = as_csr(W)
+    if not _symmetric(W):
         raise ValueError("graph W must be symmetric")
     degrees = _degrees(W)
-    edges = W.tocoo()
-    E = X[edges.row] - X[edges.col]
-    A = (E * edges.data[:, None]).T @ E / 2.0
+    E = X[W.entry_rows()] - X[W.indices]
+    A = (E * W.data[:, None]).T @ E / 2.0
     return _projection(A, (X * degrees[:, None]).T @ X, d)
 
 

@@ -1,4 +1,5 @@
-"""On-disk formats: sparse symmetric graphs and label vectors.
+"""On-disk formats: sparse symmetric graphs and label vectors, and CSR, the
+sparse matrix type every graph function returns.
 
 Graph format, one file per graph:
 
@@ -14,28 +15,216 @@ Only one triangle is stored; readers mirror it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from pathlib import Path
+from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix, spmatrix
 
 from .data import InputError
 
 _HEADER_RE = re.compile(r"^llr-graph v1 n=(\d+) sym=1$")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def write_graph(path: str | Path, W: spmatrix) -> None:
-    """Write the upper triangle of W; a weight read_graph would reject raises ValueError first."""
+class CSR:
+    """A sparse matrix in compressed sparse row form: row i holds the columns
+    indices[indptr[i]:indptr[i + 1]] with the values data[indptr[i]:indptr[i + 1]].
+
+    The arrays are SciPy's: float data, int32 indices while the shape and nnz
+    fit (int64 beyond), explicit zeros stored and counted in nnz. They are not
+    to be changed once made. The methods below compute what the named SciPy
+    expressions compute, bit for bit, without loading SciPy. Every other
+    attribute, operator and index acts on a scipy.sparse.csr_matrix over the
+    same arrays, to_scipy(), which is made (and SciPy loaded) on first use, so
+    W - W.T, W != 0 and W.diagonal() are SciPy's. np.asarray(W) is the dense
+    matrix, so scipy.sparse.csr_matrix(W) is built from it and keeps no
+    explicit zero.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data", "_scipy")
+    # Above SciPy's 10.1, so numpy's operators defer to the reflected ones below.
+    __array_priority__ = 10.2
+
+    def __init__(self, data: Any, indices: Any, indptr: Any, shape: tuple[int, int]):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.data = np.asarray(data, dtype=float)
+        index = np.int32 if max(*self.shape, self.data.size) <= _INT32_MAX else np.int64
+        self.indices = np.asarray(indices, dtype=index)
+        self.indptr = np.asarray(indptr, dtype=index)
+        if (self.indptr.shape != (self.shape[0] + 1,) or self.indices.shape != self.data.shape
+                or self.data.size != self.indptr[-1]):
+            raise ValueError(f"inconsistent CSR arrays for shape {self.shape}")
+        self._scipy = None
+
+    @classmethod
+    def from_triplets(cls, rows: Any, cols: Any, vals: Any, shape: tuple[int, int]) -> "CSR":
+        """csr_matrix((vals, (rows, cols)), shape) with sorted indices: entries
+        ordered by (row, column), repeated ones added in the order given, and
+        explicit zeros kept."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
+        m, n = shape
+        if rows.size and not (0 <= rows.min() and rows.max() < m and 0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"triplet indices outside the shape {shape}")
+        order = np.argsort(rows * n + cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        summed = vals[starts]
+        if starts.size < vals.size:  # add each run of repeats left to right
+            run = np.diff(starts, append=vals.size)
+            for k in range(1, int(run.max())):
+                more = run > k
+                summed[more] += vals[starts[more] + k]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[starts], minlength=m), out=indptr[1:])
+        return cls(summed, cols[starts], indptr, shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __repr__(self) -> str:
+        return f"<{self.shape[0]}x{self.shape[1]} CSR with {self.nnz} stored entries>"
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, as in W.tocoo().row."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def summed(self) -> "CSR":
+        """W.sum_duplicates() on a copy: columns sorted in each row, repeats
+        added; W itself when that changes nothing."""
+        rows = self.entry_rows()
+        key = rows * np.int64(self.shape[1]) + self.indices
+        if np.all(key[1:] > key[:-1]):
+            return self
+        return CSR.from_triplets(rows, self.indices, self.data, self.shape)
+
+    def row_sums(self) -> np.ndarray:
+        """W.sum(axis=1) as a flat array: np.add.reduceat over the non-empty
+        rows, added to zeros, which turns a sum of -0.0 into 0.0 as SciPy does."""
+        out = np.zeros(self.shape[0])
+        rows = np.flatnonzero(np.diff(self.indptr))
+        if rows.size:
+            out[rows] += np.add.reduceat(self.data, self.indptr[rows].astype(np.intp))
+        return out
+
+    def transpose(self) -> "CSR":
+        """W.T.tocsr(): entries stably ordered by column, so each new row keeps the old row order."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
+        return CSR(self.data[order], self.entry_rows()[order], indptr, self.shape[::-1])
+
+    def scale_rows(self, scale: np.ndarray) -> "CSR":
+        """W.multiply(scale[:, None]): row i times scale[i], entry by entry."""
+        return CSR(self.data * np.repeat(scale, np.diff(self.indptr)), self.indices, self.indptr, self.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, repeated entries added in storage order."""
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.entry_rows(), self.indices), self.data)
+        return out
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """W[idx][:, idx].toarray() for a square W and distinct ascending idx."""
+        pos = np.full(self.shape[0], -1)
+        pos[idx] = np.arange(len(idx))
+        rows, cols = pos[self.entry_rows()], pos[self.indices]
+        inside = (rows >= 0) & (cols >= 0)
+        out = np.zeros((len(idx), len(idx)))
+        np.add.at(out, (rows[inside], cols[inside]), self.data[inside])
+        return out
+
+    def __matmul__(self, other: Any) -> Any:
+        """W @ X for a dense X, each row accumulated in storage order as SciPy
+        does; other operands go to SciPy."""
+        if not isinstance(other, np.ndarray):
+            return self.to_scipy() @ _as_scipy(other)
+        if other.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
+        X = other.reshape(other.shape[0], -1)
+        out = np.zeros((self.shape[0], X.shape[1]), dtype=np.result_type(self.data, X))
+        counts = np.diff(self.indptr)
+        for k in range(int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > k)
+            at = self.indptr[live] + k
+            out[live] += self.data[at, None] * X[self.indices[at]]
+        return out.reshape((self.shape[0],) + other.shape[1:])
+
+    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+
+    def to_scipy(self) -> Any:
+        """A scipy.sparse.csr_matrix sharing these arrays, made on first use."""
+        if self._scipy is None:
+            from scipy.sparse import csr_matrix
+
+            self._scipy = csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._scipy
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):  # keeps copy and pickle, which probe dunders, from SciPy
+            raise AttributeError(name)
+        return getattr(self.to_scipy(), name)
+
+    def __getitem__(self, key: Any) -> Any:
+        return self.to_scipy()[key]
+
+
+def _as_scipy(x: Any) -> Any:
+    return x.to_scipy() if isinstance(x, CSR) else x
+
+
+def _forward(op: Any, reflected: bool = False) -> Any:
+    if reflected:
+        return lambda self, other: op(_as_scipy(other), self.to_scipy())
+    return lambda self, other: op(self.to_scipy(), _as_scipy(other))
+
+
+for _name in ("add", "sub", "mul", "truediv", "pow"):
+    setattr(CSR, f"__{_name}__", _forward(getattr(operator, _name)))
+    setattr(CSR, f"__r{_name}__", _forward(getattr(operator, _name), reflected=True))
+for _name in ("eq", "ne", "lt", "le", "gt", "ge"):
+    setattr(CSR, f"__{_name}__", _forward(getattr(operator, _name)))
+CSR.__rmatmul__ = _forward(operator.matmul, reflected=True)
+CSR.__abs__ = lambda self: abs(self.to_scipy())
+CSR.__neg__ = lambda self: -self.to_scipy()
+
+
+def as_csr(W: Any) -> CSR:
+    """A graph as a CSR: a CSR itself, a SciPy sparse matrix's CSR arrays
+    (W.tocsr(), shared), or a dense matrix's nonzeros in row-major order."""
+    if isinstance(W, CSR):
+        return W
+    if hasattr(W, "tocsr"):
+        A = W.tocsr()
+        return CSR(A.data, A.indices, A.indptr, A.shape)
+    A = np.asarray(W, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"a graph must be a 2-D matrix, got shape {A.shape}")
+    rows, cols = np.nonzero(A)
+    indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
+    return CSR(A[rows, cols], cols, indptr, A.shape)
+
+
+def write_graph(path: str | Path, W: Any) -> None:
+    """Write the upper triangle of W (a CSR, SciPy or dense matrix); a weight
+    read_graph would reject raises ValueError first."""
+    W = as_csr(W)
     if W.shape[0] != W.shape[1]:
         raise ValueError(f"graph must be square, got {W.shape}")
     n = W.shape[0]
-    coo = W.tocoo()
-    upper = coo.row < coo.col
-    order = np.lexsort((coo.col[upper], coo.row[upper]))
+    row = W.entry_rows()
+    upper = row < W.indices
+    order = np.lexsort((W.indices[upper], row[upper]))
     lines = [f"llr-graph v1 n={n} sym=1"]
-    rows, cols, vals = (a[upper][order] for a in (coo.row, coo.col, coo.data))
+    rows, cols, vals = (a[upper][order] for a in (row, W.indices, W.data))
     for i, j, w in zip(rows, cols, vals):
         if not 0 <= w < math.inf:  # false for NaN too
             raise ValueError(f"edge ({i}, {j}) has weight {float(w)!r}; graph weights must be finite and nonnegative")
@@ -43,8 +232,8 @@ def write_graph(path: str | Path, W: spmatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_graph(path: str | Path) -> csr_matrix:
-    """Parse a graph file into a symmetric CSR matrix.
+def read_graph(path: str | Path) -> CSR:
+    """Parse a graph file into a symmetric CSR with sorted indices.
 
     Malformed lines raise InputError naming the file and line: not three
     numeric fields, indices outside 0 <= i < j < n, a repeated or out-of-order
@@ -86,9 +275,7 @@ def read_graph(path: str | Path) -> csr_matrix:
         vals += [w, w]
     if negative is not None:
         raise InputError(negative)
-    W = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    W.sort_indices()
-    return W
+    return CSR.from_triplets(rows, cols, vals, (n, n))
 
 
 def write_labels(path: str | Path, labels: np.ndarray) -> None:

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .data import InputError, validate_data_matrix
+from .graphio import CSR, as_csr
 
 #: Row-sum tolerance below which a coefficient normalization is degenerate.
 DEGENERATE_TOL = 1e-12
@@ -384,19 +385,24 @@ def sparsify(values: np.ndarray, atom_indices: np.ndarray, k_keep: int) -> tuple
     return idx[out], kept[out]
 
 
-def symmetrize(C: csr_matrix) -> csr_matrix:
-    """Symmetrize a coefficient matrix into a similarity graph, W_ij = |C_ij| + |C_ji|."""
+def symmetrize(C: Any) -> CSR:
+    """Symmetrize a coefficient matrix into a similarity graph, W_ij = |C_ij| + |C_ji|.
+
+    As SciPy's abs(C) + abs(C).T: C's repeated entries are added first, and
+    sums that are exactly zero are not stored.
+    """
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {C.shape}")
-    if C.shape[0] and np.any(C.diagonal() != 0):
+    A = as_csr(C).summed()
+    rows = A.entry_rows()
+    if np.any(A.data[rows == A.indices] != 0):
         raise ValueError("coefficient matrix must have a zero diagonal")
-    # One copy, made canonical before abs; abs(C) would sum C's own duplicate entries in place.
-    A = C.tocsr(copy=True)
-    A.sum_duplicates()
-    np.abs(A.data, out=A.data)
-    W = (A + A.T).tocsr()
-    W.sort_indices()
-    return W
+    # abs makes every sum |C_ij| + |C_ji| of nonnegative terms, which is zero only when both are.
+    data = np.abs(A.data)
+    nonzero = data != 0
+    rows, cols, data = rows[nonzero], A.indices[nonzero], data[nonzero]
+    return CSR.from_triplets(np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([data, data]),
+                             A.shape)
 
 
 def coefficient_table(
@@ -422,7 +428,7 @@ def coefficient_table(
     return idx, coef
 
 
-def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix:
+def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> CSR:
     """Sparsify each coefficient row to its k_keep strongest entries and
     scatter them to global indices as an (n, n) matrix.
 
@@ -434,10 +440,10 @@ def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> csr_matrix
     order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+    return CSR(vals[order], cols[order], indptr, (n, n))
 
 
-def build_llr_coefficients(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> csr_matrix:
+def build_llr_coefficients(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> CSR:
     """Per-point coefficient rows, sparsified and scattered to global indices;
     table as in coefficient_table.
 
@@ -450,7 +456,7 @@ def build_llr_coefficients(X: np.ndarray, params: HyperParams, *, table: Neighbo
     return sparsify_table(*coefficient_table(X, params, table=table), params.k_keep)
 
 
-def build_llr_graph(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> csr_matrix:
+def build_llr_graph(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> CSR:
     """Construct the similarity graph: solve per-point coefficients over
     nearest-neighbor dictionaries, keep the k_keep strongest per point,
     and symmetrize. table is as in coefficient_table."""

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
-from scipy.sparse import spmatrix
+
+from .graphio import as_csr
 
 
 def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -135,14 +137,14 @@ def classification_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(pred == truth))
 
 
-def intra_class_edge_mass(W: spmatrix, labels: np.ndarray) -> float:
+def intra_class_edge_mass(W: Any, labels: np.ndarray) -> float:
     """Fraction of total edge weight connecting same-class vertex pairs."""
     labels = np.asarray(labels)
     if W.shape[0] != labels.shape[0]:
         raise ValueError("label length must match graph size")
-    coo = W.tocoo()
-    total = float(coo.data.sum())
+    W = as_csr(W)
+    total = float(W.data.sum())
     if total <= 0:
         raise ValueError("graph has no edge mass")
-    same = float(coo.data[labels[coo.row] == labels[coo.col]].sum())
+    same = float(W.data[labels[W.entry_rows()] == labels[W.indices]].sum())
     return same / total

@@ -14,7 +14,6 @@ import warnings
 from typing import Any, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _BLAS_ONE_THREAD
 from .baselines import HeatKernelParams, heat_kernel_graph, lle_graph
@@ -28,6 +27,7 @@ from .data import (
     train_test_split,
 )
 from .embedding import lpp_embed, nn_classify, npe_from_graph, transform
+from .graphio import CSR
 from .llr import (
     HyperParams,
     build_llr_coefficients,
@@ -80,7 +80,7 @@ def graph_builder(
     epsilon: float = 1e-9,
     k_nn: int = 8,
     sigma: float | str = "auto",
-) -> tuple[Callable[[np.ndarray], sp.csr_matrix], dict[str, Any]]:
+) -> tuple[Callable[[np.ndarray], CSR], dict[str, Any]]:
     """Validate one graph method's parameters for n samples, before any computation.
 
     Returns the builder, which maps an (n, m) data matrix (and by keyword a
@@ -107,7 +107,7 @@ def graph_builder(
     return lambda X, *, table=None: lle_graph(X, k_nn=k_nn, epsilon=epsilon, table=table), {}
 
 
-def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> sp.csr_matrix:
+def build_graph_by_method(X: np.ndarray, method: str, **params: Any) -> CSR:
     """Build a symmetric similarity graph; method and keywords as in graph_builder."""
     build, _ = graph_builder(method, X.shape[0], **params)
     return build(X)
@@ -120,7 +120,7 @@ def llr_graph_family(
     epsilon: float,
     k_keeps: list[int],
     *, table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict[int, sp.csr_matrix]:
+) -> dict[int, CSR]:
     """LLR graphs for several k_keep values sharing one pass of solves.
 
     The coefficient vectors depend on lam and the dictionary but not on
@@ -134,7 +134,7 @@ def llr_graph_family(
     return {k: symmetrize(sparsify_table(idx, coef, k)) for k in k_keeps}
 
 
-def cluster_graph(W: sp.csr_matrix, k: int, restarts: int, seed: int) -> np.ndarray:
+def cluster_graph(W: CSR, k: int, restarts: int, seed: int) -> np.ndarray:
     """Spectral clustering of a prebuilt similarity graph."""
     config = KMeansConfig(k=k, restarts=restarts, seed=seed)
     config.validate(W.shape[0])
@@ -142,7 +142,7 @@ def cluster_graph(W: sp.csr_matrix, k: int, restarts: int, seed: int) -> np.ndar
 
 
 def evaluate_clustering(
-    pred: np.ndarray, truth: np.ndarray, W: sp.csr_matrix | None = None
+    pred: np.ndarray, truth: np.ndarray, W: CSR | None = None
 ) -> dict[str, float]:
     """AC and NMI against ground truth, plus graph intra-class mass if given."""
     out = {

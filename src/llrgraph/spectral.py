@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-from scipy.sparse import coo_matrix, spmatrix
 
 from .data import InputError, _rng
+from .graphio import CSR, as_csr
 
 #: Largest n * max(k, dim) * restarts of one group of k-means restarts that
 #: iterate together, which bounds their per-group arrays.
@@ -62,11 +63,11 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _degrees(W: spmatrix) -> np.ndarray:
+def _degrees(W: Any) -> np.ndarray:
     """Vertex degrees; raises on isolated vertices and on degrees whose sum
     overflows, which would turn the normalized coordinates into NaN or zero."""
     with np.errstate(over="ignore"):
-        degrees = np.asarray(W.sum(axis=1)).ravel()
+        degrees = as_csr(W).row_sums()
         total = degrees.sum()
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
@@ -76,11 +77,7 @@ def _degrees(W: spmatrix) -> np.ndarray:
     return degrees
 
 
-def _dense(W: spmatrix) -> np.ndarray:
-    return W.toarray() if hasattr(W, "toarray") else np.asarray(W, dtype=float)
-
-
-def _components(W: spmatrix) -> tuple[int, np.ndarray]:
+def _components(W: Any) -> tuple[int, np.ndarray]:
     """Connected components of the nonzero pattern of W, read as undirected:
     the count and each vertex's label, components numbered by smallest vertex.
 
@@ -90,9 +87,9 @@ def _components(W: spmatrix) -> tuple[int, np.ndarray]:
     vertex to its root. A parent is never larger than its child, so each
     root is its tree's smallest vertex.
     """
-    coo = coo_matrix(W)
-    nonzero = coo.data != 0
-    u, v = coo.row[nonzero], coo.col[nonzero]
+    W = as_csr(W)
+    nonzero = W.data != 0
+    u, v = W.entry_rows()[nonzero], W.indices[nonzero]
     parent = np.arange(W.shape[0])
     while u.size:
         pu, pv = parent[u], parent[v]
@@ -108,7 +105,7 @@ def _components(W: spmatrix) -> tuple[int, np.ndarray]:
     return roots.size, labels
 
 
-def _component_embedding(W: spmatrix, degrees: np.ndarray, c: int, labels: np.ndarray, k: int) -> np.ndarray:
+def _component_embedding(W: CSR, degrees: np.ndarray, c: int, labels: np.ndarray, k: int) -> np.ndarray:
     """Top-k eigenvectors of D^{-1/2} W D^{-1/2} when the graph has c <= k components.
 
     Eigenvalue 1 has multiplicity c, with eigenvectors D^{1/2} 1_C; these fill
@@ -128,7 +125,7 @@ def _component_embedding(W: spmatrix, degrees: np.ndarray, c: int, labels: np.nd
         idx = np.flatnonzero(labels == comp)
         if idx.size < 2:
             continue
-        A = inv_sqrt[idx, None] * _dense(W[idx][:, idx]) * inv_sqrt[None, idx]
+        A = inv_sqrt[idx, None] * W.block(idx) * inv_sqrt[None, idx]
         evals, evecs = sym_eig(A)
         # Descending from the second pair: the top one (eigenvalue 1) is
         # already a column, and a block contributes at most k - c columns.
@@ -140,7 +137,7 @@ def _component_embedding(W: spmatrix, degrees: np.ndarray, c: int, labels: np.nd
     return coords
 
 
-def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
+def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
     """Spectral coordinates from the symmetric-normalized affinity.
 
     Computes D^{-1/2} W D^{-1/2}, takes the eigenvectors of the k largest
@@ -154,13 +151,16 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
     come from eigensolves of the components' own blocks, so no n x n matrix
     is formed; with c = k no eigensolve runs. When c > k, the dense n x n
     eigensolve picks k vectors from the degenerate eigenspace.
+
+    W is a CSR, SciPy or dense matrix; repeated entries are added first.
     """
+    W = as_csr(W).summed()
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, n={n}], got {k}")
     # Nonnegative weights make eigenvalue 1 the top of every component's
     # block (Perron-Frobenius), which the component-wise path relies on.
-    negative = np.flatnonzero(np.asarray((W < 0).sum(axis=1)).ravel())
+    negative = np.flatnonzero(np.bincount(W.entry_rows()[W.data < 0], minlength=n))
     if negative.size:
         raise ValueError(f"graph has negative edge weights at vertices: {negative.tolist()}")
     degrees = _degrees(W)
@@ -169,7 +169,7 @@ def normalized_laplacian_embedding(W: spmatrix, k: int) -> np.ndarray:
         coords = _component_embedding(W, degrees, c, labels, k)
     else:
         inv_sqrt = 1.0 / np.sqrt(degrees)
-        A = inv_sqrt[:, None] * _dense(W) * inv_sqrt[None, :]
+        A = inv_sqrt[:, None] * W.toarray() * inv_sqrt[None, :]
         _, evecs = sym_eig(A)
         coords = evecs[:, ::-1][:, :k].copy()
 
@@ -323,6 +323,6 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     return best_labels
 
 
-def spectral_cluster(W: spmatrix, config: KMeansConfig) -> np.ndarray:
+def spectral_cluster(W: Any, config: KMeansConfig) -> np.ndarray:
     """Cluster graph vertices: spectral embedding at dimension config.k, then k-means."""
     return kmeans(normalized_laplacian_embedding(W, config.k), config)

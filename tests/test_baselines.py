@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from llrgraph.baselines import HeatKernelParams, heat_kernel_graph, lle_graph
+from llrgraph.baselines import HeatKernelParams, _median, heat_kernel_graph, lle_graph
 from llrgraph.llr import HyperParams, build_llr_coefficients, build_llr_graph
 
 from oracles import knn_indices, pairwise_distances
@@ -67,6 +70,29 @@ def test_heat_kernel_names_samples_whose_distance_overflows():
     X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=r"samples 0 and 1 is beyond the float range"):
         heat_kernel_graph(X, HeatKernelParams(k_nn=3))
+
+
+def test_heat_kernel_auto_sigma_stays_finite_when_the_middle_distances_near_the_float_limit():
+    # The two middle retained distances are about 1e308 each, so their plain
+    # sum, which np.median takes, leaves the float range.
+    X = np.array([[1e308, 0.0], [-1e308, 0.0], [1e308, 1.0], [-1e308, 1.0], [0.0, 0.0], [0.0, 1.0],
+                  [-1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        W = heat_kernel_graph(X, HeatKernelParams(k_nn=3))
+    assert W.nnz > 0
+    assert np.all(np.isfinite(W.data))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.integers(1, 9), elements=st.floats(0.0, 1.7e308) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 9e307, 1e308, 1.7976931348623157e308])))
+def test_auto_sigma_median_has_the_bits_of_np_median(values):
+    got = _median(values)
+    middle = np.sort(values)[[(values.size - 1) // 2, values.size // 2]]
+    assert middle[0] <= got <= middle[1]
+    if middle[0] <= np.finfo(float).max - middle[1]:  # np.median's sum stays finite
+        assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
 
 
 def test_heat_kernel_tiny_sigma_gives_zero_weights_without_warning():

@@ -48,19 +48,20 @@ def _load_report(path):
 
 # -- start-up -----------------------------------------------------------
 
-# SciPy subpackages the CLI loads on first use only; scipy.sparse.csgraph
-# pulls in scipy.linalg and scipy.sparse.linalg.
-FIRST_USE_ONLY = ("scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
 # SciPy subpackages no command loads: the neighbour search is llr's own.
 NEVER_LOADED = ("scipy.spatial",)
 
 _ADDED_BY_CLI = """
 import json, sys
-import numpy, scipy.sparse
+import numpy
 before = set(sys.modules)
 import llrgraph.cli
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
+
+
+def _scipy_modules(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -76,14 +77,11 @@ def _fresh_env(**blas_threads):
 
 
 def test_cli_import_adds_no_heavy_scipy_subpackage():
-    """A fresh process importing the CLI loads nothing beyond numpy and
-    scipy.sparse from the list above. The baseline is taken after importing
-    those two, because some SciPy versions load csgraph with scipy.sparse."""
+    """A fresh process importing the CLI after numpy loads no SciPy module:
+    graphs are graphio.CSR values, and scipy.linalg is imported on first use."""
     out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=_fresh_env(), capture_output=True, text=True,
                          check=True)
-    added = json.loads(out.stdout)
-    heavy = [m for m in added if any(m == p or m.startswith(p + ".") for p in FIRST_USE_ONLY + NEVER_LOADED)]
-    assert heavy == []
+    assert _scipy_modules(json.loads(out.stdout)) == []
 
 
 _MODULES_AFTER_COMMAND = """
@@ -111,6 +109,29 @@ def test_commands_that_search_neighbours_never_load_scipy_spatial(tmp_path, argv
     code, modules = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert [m for m in modules if any(m == p or m.startswith(p + ".") for p in NEVER_LOADED)] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
+        ["cluster", "--graph", "g.txt", "--truth-labels", "labels.txt", "--clusters", "3", "--output", "p.txt",
+         "--report", "r.json"],
+    ],
+    ids=["build-graph heat", "cluster graph"],
+)
+def test_commands_without_solves_never_load_scipy(tmp_path, argv):
+    """Reading, writing, clustering and scoring a graph need no SciPy, so a
+    process that runs only them ends with no scipy module loaded."""
+    data = _synth(tmp_path, per=12)
+    assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
+                 "--output", str(tmp_path / "g.txt")]) == 0
+    (tmp_path / "labels.txt").write_text("".join(f"{i // 12}\n" for i in range(36)))  # the generator's layout
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert _scipy_modules(modules) == []
 
 
 def test_default_report_does_not_depend_on_the_core_count(tmp_path):

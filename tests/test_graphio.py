@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from llrgraph.graphio import read_graph, read_labels, write_graph, write_labels
+from llrgraph.graphio import CSR, as_csr, read_graph, read_labels, write_graph, write_labels
+from llrgraph.llr import symmetrize
+from llrgraph.metrics import intra_class_edge_mass
 
 
 def _random_symmetric(rng, n, density=0.3):
@@ -199,3 +204,99 @@ def test_read_labels_checks_the_count_against_n(tmp_path):
     path.write_text("0\n1\n2\nx\n")
     with pytest.raises(ValueError, match=r"labels\.txt:4: expected an integer label"):
         read_labels(path, 2)
+
+
+# -- the CSR type against SciPy -------------------------------------------
+
+@st.composite
+def triplets(draw):
+    """Up to 16 (row, column, value) triplets on an (n + 1) x (n + 1) matrix
+    whose last row and column stay empty; repeats and exact zeros are common,
+    and values span enough exponents for the order of additions to matter."""
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(0, 16))
+    index = arrays(np.int64, count, elements=st.integers(0, n - 1))
+    value = st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 1e-300, 3e300, 0.1])
+    return draw(index), draw(index), draw(arrays(np.float64, count, elements=value)), n + 1
+
+
+def _same_arrays(ours, theirs):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert ours.shape == theirs.shape and ours.nnz == theirs.nnz
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(triplets(), st.data())
+def test_csr_computes_what_scipy_computes_bit_for_bit(t, data):
+    rows, cols, vals, n = t
+    W = CSR.from_triplets(rows, cols, vals, (n, n))
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    S.sort_indices()
+    _same_arrays(W, S)
+    assert W.toarray().tobytes() == S.toarray().tobytes()
+    assert W.row_sums().tobytes() == np.asarray(S.sum(axis=1)).ravel().tobytes()
+    _same_arrays(W.transpose(), S.T.tocsr())
+
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    assert W.block(idx).tobytes() == S[idx][:, idx].toarray().tobytes()
+
+    scale = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    _same_arrays(W.scale_rows(scale).summed(), sp.csr_matrix(S.multiply(scale[:, None])))
+
+    X = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3))), elements=st.floats(-1e3, 1e3)))
+    assert (W @ X).tobytes() == (S @ X).tobytes()
+    assert (W @ X[:, 0]).tobytes() == (S @ X[:, 0]).tobytes()
+
+    off = rows != cols  # symmetrize wants a zero diagonal
+    C = sp.csr_matrix((vals[off], (rows[off], cols[off])), shape=(n, n))
+    want = (abs(C) + abs(C).T).tocsr()
+    want.sort_indices()
+    _same_arrays(symmetrize(CSR.from_triplets(rows[off], cols[off], vals[off], (n, n))), want)
+    _same_arrays(symmetrize(C), want)
+
+
+def test_csr_forwards_what_it_does_not_define_to_scipy():
+    """Operators and SciPy methods act on a csr_matrix over the same arrays,
+    and csr_matrix(W) is built from the dense matrix, without explicit zeros."""
+    rows, cols, vals = [0, 1, 1, 2, 0, 2], [1, 0, 2, 1, 2, 0], [1.5, 1.5, -2.0, -2.0, 0.0, 0.0]
+    W = CSR.from_triplets(rows, cols, vals, (3, 3))
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(3, 3))
+    X = np.arange(9.0).reshape(3, 3)
+    cases = {
+        "W - W.T": lambda A: A - A.T,
+        "W != 0": lambda A: A != 0,
+        "W < 0": lambda A: A < 0,
+        "abs(W)": abs,
+        "-W": lambda A: -A,
+        "2 * W": lambda A: 2 * A,
+        "W / 2": lambda A: A / 2,
+        "W + S": lambda A: A + S,
+        "S - W": lambda A: S - A,
+        "X - W": lambda A: X - A,
+        "X @ W": lambda A: X @ A,
+        "W.diagonal()": lambda A: A.diagonal(),
+        "W.getrow(1)": lambda A: A.getrow(1),
+        "W[1:, :2]": lambda A: A[1:, :2],
+        "W.max()": lambda A: A.max(),
+        "W.sum()": lambda A: A.sum(),
+    }
+    for name, case in cases.items():
+        got, want = case(W), case(S)
+        assert type(got) is type(want), name
+        dense = [np.asarray(r.toarray() if sp.issparse(r) else r) for r in (got, want)]
+        assert dense[0].tobytes() == dense[1].tobytes(), name
+    assert np.shares_memory(W.to_scipy().indices, W.indices) and np.shares_memory(W.to_scipy().data, W.data)
+    assert np.asarray(W).tobytes() == S.toarray().tobytes()
+    rebuilt = sp.csr_matrix(W)
+    S.eliminate_zeros()
+    _same_arrays(rebuilt, S)
+
+
+def test_graph_functions_take_scipy_and_dense_graphs(tmp_path):
+    W = _random_symmetric(np.random.Generator(np.random.PCG64(3)), 9)
+    for form in (W, W.tocoo(), W.toarray(), as_csr(W)):
+        write_graph(tmp_path / "g.txt", form)
+        assert np.array_equal(read_graph(tmp_path / "g.txt").toarray(), W.toarray())
+        assert np.array_equal(intra_class_edge_mass(form, np.arange(9) % 2), intra_class_edge_mass(W, np.arange(9) % 2))
