@@ -91,20 +91,19 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     bad = np.flatnonzero(np.abs(row_sums) < DEGENERATE_TOL)
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
-    Wt = C.scale_rows(1.0 / row_sums).summed()
+    Wt = C.scale_rows(1.0 / row_sums)
     R = X - Wt @ X
     return _projection(R.T @ R, X.T @ X, d)
 
 
 def _symmetric(W: CSR) -> bool:
-    """Whether W != W.T stores nothing: repeated entries added, zeros ignored, NaN unequal to itself."""
-    A = W.summed()
+    """Whether W != W.T stores nothing: zeros ignored, NaN unequal to itself."""
 
     def stored(M: CSR) -> tuple[np.ndarray, ...]:
         nonzero = M.data != 0
         return M.entry_rows()[nonzero], M.indices[nonzero], M.data[nonzero]
 
-    return all(np.array_equal(a, b) for a, b in zip(stored(A), stored(A.transpose())))
+    return all(np.array_equal(a, b) for a, b in zip(stored(W), stored(W.transpose())))
 
 
 def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:

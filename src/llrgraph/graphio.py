@@ -35,13 +35,18 @@ class CSR:
 
     The arrays are SciPy's: float data, int32 indices while the shape and nnz
     fit (int64 beyond), explicit zeros stored and counted in nnz. They are not
-    to be changed once made. The methods below compute what the named SciPy
-    expressions compute, bit for bit, without loading SciPy. Every other
-    attribute, operator and index acts on a scipy.sparse.csr_matrix over the
-    same arrays, to_scipy(), which is made (and SciPy loaded) on first use, so
-    W - W.T, W != 0 and W.diagonal() are SciPy's. np.asarray(W) is the dense
-    matrix, so scipy.sparse.csr_matrix(W) is built from it and keeps no
-    explicit zero.
+    to be changed once made. Rows are canonical: indptr starts at 0 and never
+    decreases, and the columns of each row lie in [0, ncols) and strictly
+    increase, so rows are sorted and no entry repeats. The constructor checks
+    this and raises ValueError naming the shape; from_triplets builds a CSR
+    from entries.
+
+    The methods below compute what the named SciPy expressions compute, bit
+    for bit, without loading SciPy. Every other attribute, operator and index
+    acts on a scipy.sparse.csr_matrix over the same arrays, to_scipy(), which
+    is made (and SciPy loaded) on first use, so W - W.T, W != 0 and
+    W.diagonal() are SciPy's. np.asarray(W) is the dense matrix, so
+    scipy.sparse.csr_matrix(W) is built from it and keeps no explicit zero.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data", "_scipy")
@@ -51,12 +56,16 @@ class CSR:
     def __init__(self, data: Any, indices: Any, indptr: Any, shape: tuple[int, int]):
         self.shape = (int(shape[0]), int(shape[1]))
         self.data = np.asarray(data, dtype=float)
-        index = np.int32 if max(*self.shape, self.data.size) <= _INT32_MAX else np.int64
-        self.indices = np.asarray(indices, dtype=index)
-        self.indptr = np.asarray(indptr, dtype=index)
-        if (self.indptr.shape != (self.shape[0] + 1,) or self.indices.shape != self.data.shape
-                or self.data.size != self.indptr[-1]):
+        indices, indptr = np.asarray(indices), np.asarray(indptr)
+        if (indptr.shape != (self.shape[0] + 1,) or indices.shape != self.data.shape or indptr[0] != 0
+                or indptr[-1] != self.data.size or np.any(np.diff(indptr) < 0)):
             raise ValueError(f"inconsistent CSR arrays for shape {self.shape}")
+        if indices.size and not (0 <= indices.min() and indices.max() < self.shape[1]):
+            raise ValueError(f"CSR column outside [0, {self.shape[1]}) for shape {self.shape}")
+        index = np.int32 if max(*self.shape, self.data.size) <= _INT32_MAX else np.int64
+        self.indices, self.indptr = indices.astype(index, copy=False), indptr.astype(index, copy=False)
+        if not np.all((np.diff(self.indices) > 0) | (np.diff(self.entry_rows()) > 0)):
+            raise ValueError(f"CSR columns must strictly increase within each row, for shape {self.shape}")
         self._scipy = None
 
     @classmethod
@@ -95,15 +104,6 @@ class CSR:
         """The row of every stored entry, as in W.tocoo().row."""
         return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def summed(self) -> "CSR":
-        """W.sum_duplicates() on a copy: columns sorted in each row, repeats
-        added; W itself when that changes nothing."""
-        rows = self.entry_rows()
-        key = rows * np.int64(self.shape[1]) + self.indices
-        if np.all(key[1:] > key[:-1]):
-            return self
-        return CSR.from_triplets(rows, self.indices, self.data, self.shape)
-
     def row_sums(self) -> np.ndarray:
         """W.sum(axis=1) as a flat array: np.add.reduceat over the non-empty
         rows, added to zeros, which turns a sum of -0.0 into 0.0 as SciPy does."""
@@ -114,11 +114,8 @@ class CSR:
         return out
 
     def transpose(self) -> "CSR":
-        """W.T.tocsr(): entries stably ordered by column, so each new row keeps the old row order."""
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
-        return CSR(self.data[order], self.entry_rows()[order], indptr, self.shape[::-1])
+        """W.T.tocsr(): the entries reordered by (column, row)."""
+        return CSR.from_triplets(self.indices, self.entry_rows(), self.data, self.shape[::-1])
 
     def scale_rows(self, scale: np.ndarray) -> "CSR":
         """W.multiply(scale[:, None]): row i times scale[i], entry by entry."""
@@ -197,35 +194,34 @@ CSR.__neg__ = lambda self: -self.to_scipy()
 
 
 def as_csr(W: Any) -> CSR:
-    """A graph as a CSR: a CSR itself, a SciPy sparse matrix's CSR arrays
-    (W.tocsr(), shared), or a dense matrix's nonzeros in row-major order."""
-    if isinstance(W, CSR):
-        return W
-    if hasattr(W, "tocsr"):
-        A = W.tocsr()
-        return CSR(A.data, A.indices, A.indptr, A.shape)
-    A = np.asarray(W, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"a graph must be a 2-D matrix, got shape {A.shape}")
-    rows, cols = np.nonzero(A)
-    indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
-    return CSR(A[rows, cols], cols, indptr, A.shape)
+    """A graph as a square CSR: a CSR itself, a SciPy sparse matrix's W.tocsr()
+    entries with repeats added in storage order, or a dense matrix's nonzeros.
+    A non-square graph raises ValueError."""
+    if not isinstance(W, CSR):
+        if hasattr(W, "tocsr"):
+            A = W.tocsr()
+            rows, cols, vals = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+        else:
+            A = np.asarray(W, dtype=float)
+            if A.ndim != 2:
+                raise ValueError(f"a graph must be a 2-D matrix, got shape {A.shape}")
+            rows, cols = np.nonzero(A)
+            vals = A[rows, cols]
+        W = CSR.from_triplets(rows, cols, vals, A.shape)
+    if W.shape[0] != W.shape[1]:
+        raise ValueError(f"graph must be square, got {W.shape}")
+    return W
 
 
 def write_graph(path: str | Path, W: Any) -> None:
-    """Write the upper triangle of W (a CSR, SciPy or dense matrix); a weight
-    read_graph would reject raises ValueError first."""
+    """Write the upper triangle of W (a CSR, SciPy or dense matrix, through
+    as_csr) in W's row order; a weight read_graph would reject raises
+    ValueError first."""
     W = as_csr(W)
-    if W.shape[0] != W.shape[1]:
-        raise ValueError(f"graph must be square, got {W.shape}")
-    n = W.shape[0]
     row = W.entry_rows()
     upper = row < W.indices
-    order = np.lexsort((W.indices[upper], row[upper]))
-    lines = [f"llr-graph v1 n={n} sym=1"]
-    rows, cols, vals = (a[upper][order] for a in (row, W.indices, W.data))
-    for i, j, w in zip(rows, cols, vals):
+    lines = [f"llr-graph v1 n={W.shape[0]} sym=1"]
+    for i, j, w in zip(row[upper], W.indices[upper], W.data[upper]):
         if not 0 <= w < math.inf:  # false for NaN too
             raise ValueError(f"edge ({i}, {j}) has weight {float(w)!r}; graph weights must be finite and nonnegative")
         lines.append(f"{i} {j} {float(w)!r}")

@@ -388,12 +388,10 @@ def sparsify(values: np.ndarray, atom_indices: np.ndarray, k_keep: int) -> tuple
 def symmetrize(C: Any) -> CSR:
     """Symmetrize a coefficient matrix into a similarity graph, W_ij = |C_ij| + |C_ji|.
 
-    As SciPy's abs(C) + abs(C).T: C's repeated entries are added first, and
-    sums that are exactly zero are not stored.
+    As SciPy's abs(C) + abs(C).T: C's repeated entries are added first (by
+    as_csr), and sums that are exactly zero are not stored.
     """
-    if C.shape[0] != C.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {C.shape}")
-    A = as_csr(C).summed()
+    A = as_csr(C)
     rows = A.entry_rows()
     if np.any(A.data[rows == A.indices] != 0):
         raise ValueError("coefficient matrix must have a zero diagonal")
@@ -430,17 +428,9 @@ def coefficient_table(
 
 def sparsify_table(idx: np.ndarray, coef: np.ndarray, k_keep: int) -> CSR:
     """Sparsify each coefficient row to its k_keep strongest entries and
-    scatter them to global indices as an (n, n) matrix.
-
-    The entries come grouped by row, so the row pointer is a running count;
-    each row's columns are distinct, so one sort by (row, column) orders them.
-    """
+    scatter them to global indices as an (n, n) matrix."""
     n = idx.shape[0]
-    rows, cols, vals = _strongest(idx, coef, k_keep)
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CSR(vals[order], cols[order], indptr, (n, n))
+    return CSR.from_triplets(*_strongest(idx, coef, k_keep), (n, n))
 
 
 def build_llr_coefficients(X: np.ndarray, params: HyperParams, *, table: NeighbourTable | None = None) -> CSR:

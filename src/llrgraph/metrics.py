@@ -139,10 +139,10 @@ def classification_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def intra_class_edge_mass(W: Any, labels: np.ndarray) -> float:
     """Fraction of total edge weight connecting same-class vertex pairs."""
+    W = as_csr(W)
     labels = np.asarray(labels)
     if W.shape[0] != labels.shape[0]:
         raise ValueError("label length must match graph size")
-    W = as_csr(W)
     total = float(W.data.sum())
     if total <= 0:
         raise ValueError("graph has no edge mass")

@@ -152,9 +152,9 @@ def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
     is formed; with c = k no eigensolve runs. When c > k, the dense n x n
     eigensolve picks k vectors from the degenerate eigenspace.
 
-    W is a CSR, SciPy or dense matrix; repeated entries are added first.
+    W is a square CSR, SciPy or dense matrix; repeated entries are added first.
     """
-    W = as_csr(W).summed()
+    W = as_csr(W)
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, n={n}], got {k}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from llrgraph.graphio import CSR, as_csr, read_graph, read_labels, write_graph, write_labels
 from llrgraph.llr import symmetrize
 from llrgraph.metrics import intra_class_edge_mass
+from llrgraph.runs import cluster_graph
+from llrgraph.spectral import normalized_laplacian_embedding
 
 
 def _random_symmetric(rng, n, density=0.3):
@@ -50,6 +54,40 @@ def test_graph_file_shape(tmp_path):
 def test_write_graph_rejects_non_square(tmp_path):
     with pytest.raises(ValueError, match="square"):
         write_graph(tmp_path / "bad.txt", sp.csr_matrix((2, 3)))
+
+
+def test_write_graph_adds_scipy_repeats(tmp_path):
+    """A SciPy CSR that stores (0, 1) twice is one edge with the summed weight."""
+    W = sp.csr_matrix(([1.0, 2.0, 1.0, 2.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
+    path = tmp_path / "g.txt"
+    write_graph(path, W)
+    assert path.read_text().splitlines() == ["llr-graph v1 n=2 sym=1", "0 1 3.0"]
+    assert read_graph(path).toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "indices, indptr, shape",
+    [
+        ([5, 0], [0, 1, 2], (2, 2)),  # column past the last
+        ([-1, 0], [0, 1, 2], (2, 2)),  # negative column
+        ([1, 1], [0, 2, 2], (2, 2)),  # a column repeated within a row
+        ([1, 0], [0, 2, 2], (2, 2)),  # descending columns within a row
+        ([0, 1], [0, 2, 1, 2], (3, 3)),  # decreasing indptr
+        ([0, 1], [1, 1, 2], (2, 2)),  # indptr not starting at 0
+    ],
+)
+def test_csr_rejects_malformed_arrays(indices, indptr, shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        CSR([1.0] * len(indices), indices, indptr, shape)
+
+
+def test_graph_functions_reject_non_square_graphs():
+    with pytest.raises(ValueError, match=re.escape("(3, 2)")):
+        normalized_laplacian_embedding(np.ones((3, 2)), 1)
+    with pytest.raises(ValueError, match=re.escape("(2, 3)")):
+        intra_class_edge_mass(np.ones((2, 3)), np.array([0, 1]))
+    with pytest.raises(ValueError, match=re.escape("(2, 3)")):
+        cluster_graph(np.ones((2, 3)), 1, 1, 0)
 
 
 def test_read_graph_header_errors(tmp_path):
@@ -243,7 +281,7 @@ def test_csr_computes_what_scipy_computes_bit_for_bit(t, data):
     assert W.block(idx).tobytes() == S[idx][:, idx].toarray().tobytes()
 
     scale = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
-    _same_arrays(W.scale_rows(scale).summed(), sp.csr_matrix(S.multiply(scale[:, None])))
+    _same_arrays(W.scale_rows(scale), sp.csr_matrix(S.multiply(scale[:, None])))
 
     X = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3))), elements=st.floats(-1e3, 1e3)))
     assert (W @ X).tobytes() == (S @ X).tobytes()
