@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .data import _fix_column_signs, validate_data_matrix
-from .graphio import CSR, as_csr
+from .graphio import as_csr, as_graph
 from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .spectral import _degrees
@@ -96,23 +96,12 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     return _projection(R.T @ R, X.T @ X, d)
 
 
-def _symmetric(W: CSR) -> bool:
-    """Whether W != W.T stores nothing: zeros ignored, NaN unequal to itself."""
-
-    def stored(M: CSR) -> tuple[np.ndarray, ...]:
-        nonzero = M.data != 0
-        return M.entry_rows()[nonzero], M.indices[nonzero], M.data[nonzero]
-
-    return all(np.array_equal(a, b) for a, b in zip(stored(W), stored(W.transpose())))
-
-
 def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
-    """Locality-preserving projection from a symmetric affinity graph.
+    """Locality-preserving projection from a similarity graph W, through as_graph.
 
     With degrees D and Laplacian L = D - W, the projection columns are the
-    eigenvectors of the d smallest eigenvalues of
-    (X^T L X) a = gamma (X^T D X) a. X^T L X is formed over the stored edges
-    as sum_ij w_ij (x_i - x_j)(x_i - x_j)^T / 2, equal only for symmetric W.
+    eigenvectors of the d smallest eigenvalues of (X^T L X) a = gamma (X^T D X) a,
+    X^T L X formed over the stored edges as sum_ij w_ij (x_i - x_j)(x_i - x_j)^T / 2.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -120,9 +109,7 @@ def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
         raise ValueError(f"graph shape {W.shape} does not match n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
-    W = as_csr(W)
-    if not _symmetric(W):
-        raise ValueError("graph W must be symmetric")
+    W = as_graph(W)
     degrees = _degrees(W)
     E = X[W.entry_rows()] - X[W.indices]
     A = (E * W.data[:, None]).T @ E / 2.0

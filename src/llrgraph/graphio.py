@@ -213,18 +213,34 @@ def as_csr(W: Any) -> CSR:
     return W
 
 
-def write_graph(path: str | Path, W: Any) -> None:
-    """Write the upper triangle of W (a CSR, SciPy or dense matrix, through
-    as_csr) in W's row order; a weight read_graph would reject raises
-    ValueError first."""
+def as_graph(W: Any) -> CSR:
+    """as_csr(W) for a similarity graph, which must equal W.T (explicit zeros ignored) and may have
+    self-loops; a ValueError names the first negative or non-finite stored weight in row order."""
     W = as_csr(W)
+    rows, cols, vals = W.entry_rows(), W.indices, W.data
+    bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))
+    if bad.size:
+        i, j, w = rows[bad[0]], cols[bad[0]], float(vals[bad[0]])
+        raise ValueError(f"edge ({i}, {j}) has weight {w!r}; graph weights must be finite and nonnegative")
+    stored = vals != 0  # explicit zeros are not edges
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    t = np.argsort(cols.astype(np.int64) * W.shape[0] + rows)  # distinct keys: W.T's entries in row order
+    if not (np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols) and np.array_equal(vals[t], vals)):
+        raise ValueError("graph must be symmetric")
+    return W
+
+
+def write_graph(path: str | Path, W: Any) -> None:
+    """Write the upper triangle of W (a graph, through as_graph) in W's row order;
+    a self-loop, which graph files cannot store, raises ValueError first."""
+    W = as_graph(W)
     row = W.entry_rows()
+    loops = row[(row == W.indices) & (W.data != 0)]
+    if loops.size:
+        raise ValueError(f"vertex {loops[0]} has a self-loop; graph files cannot store one")
     upper = row < W.indices
     lines = [f"llr-graph v1 n={W.shape[0]} sym=1"]
-    for i, j, w in zip(row[upper], W.indices[upper], W.data[upper]):
-        if not 0 <= w < math.inf:  # false for NaN too
-            raise ValueError(f"edge ({i}, {j}) has weight {float(w)!r}; graph weights must be finite and nonnegative")
-        lines.append(f"{i} {j} {float(w)!r}")
+    lines += [f"{i} {j} {float(w)!r}" for i, j, w in zip(row[upper], W.indices[upper], W.data[upper])]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .graphio import as_csr
+from .graphio import as_graph
 
 
 def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -138,8 +138,8 @@ def classification_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def intra_class_edge_mass(W: Any, labels: np.ndarray) -> float:
-    """Fraction of total edge weight connecting same-class vertex pairs."""
-    W = as_csr(W)
+    """Fraction of total edge weight connecting same-class vertex pairs of a graph (as_graph)."""
+    W = as_graph(W)
     labels = np.asarray(labels)
     if W.shape[0] != labels.shape[0]:
         raise ValueError("label length must match graph size")

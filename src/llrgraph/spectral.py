@@ -10,7 +10,7 @@ from typing import Any
 import numpy as np
 
 from .data import InputError, _rng
-from .graphio import CSR, as_csr
+from .graphio import CSR, as_csr, as_graph
 
 #: Largest n * max(k, dim) * restarts of one group of k-means restarts that
 #: iterate together, which bounds their per-group arrays.
@@ -63,11 +63,11 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _degrees(W: Any) -> np.ndarray:
+def _degrees(W: CSR) -> np.ndarray:
     """Vertex degrees; raises on isolated vertices and on degrees whose sum
     overflows, which would turn the normalized coordinates into NaN or zero."""
     with np.errstate(over="ignore"):
-        degrees = as_csr(W).row_sums()
+        degrees = W.row_sums()
         total = degrees.sum()
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
@@ -152,17 +152,14 @@ def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
     is formed; with c = k no eigensolve runs. When c > k, the dense n x n
     eigensolve picks k vectors from the degenerate eigenspace.
 
-    W is a square CSR, SciPy or dense matrix; repeated entries are added first.
+    W is a CSR, SciPy or dense matrix, through as_graph; repeated entries are added first.
     """
-    W = as_csr(W)
+    # Nonnegative weights make eigenvalue 1 the top of every component's
+    # block (Perron-Frobenius), which the component-wise path relies on.
+    W = as_graph(W)
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, n={n}], got {k}")
-    # Nonnegative weights make eigenvalue 1 the top of every component's
-    # block (Perron-Frobenius), which the component-wise path relies on.
-    negative = np.flatnonzero(np.bincount(W.entry_rows()[W.data < 0], minlength=n))
-    if negative.size:
-        raise ValueError(f"graph has negative edge weights at vertices: {negative.tolist()}")
     degrees = _degrees(W)
     c, labels = _components(W)
     if c <= k:

@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from llrgraph.graphio import CSR, as_csr, read_graph, read_labels, write_graph, write_labels
+from llrgraph.embedding import lpp_embed
+from llrgraph.graphio import CSR, as_csr, as_graph, read_graph, read_labels, write_graph, write_labels
 from llrgraph.llr import symmetrize
 from llrgraph.metrics import intra_class_edge_mass
 from llrgraph.runs import cluster_graph
@@ -56,6 +58,14 @@ def test_write_graph_rejects_non_square(tmp_path):
         write_graph(tmp_path / "bad.txt", sp.csr_matrix((2, 3)))
 
 
+def test_write_graph_rejects_self_loops(tmp_path):
+    """The format stores pairs i < j, so a self-loop would be lost; none is written."""
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="vertex 0 has a self-loop"):
+        write_graph(path, np.array([[4.0, 1.0], [1.0, 0.0]]))
+    assert not path.exists()
+
+
 def test_write_graph_adds_scipy_repeats(tmp_path):
     """A SciPy CSR that stores (0, 1) twice is one edge with the summed weight."""
     W = sp.csr_matrix(([1.0, 2.0, 1.0, 2.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
@@ -88,6 +98,43 @@ def test_graph_functions_reject_non_square_graphs():
         intra_class_edge_mass(np.ones((2, 3)), np.array([0, 1]))
     with pytest.raises(ValueError, match=re.escape("(2, 3)")):
         cluster_graph(np.ones((2, 3)), 1, 1, 0)
+
+
+# Two components, so k = c = 2 takes the closed-form path with no eigensolve.
+_ASYMMETRIC = np.array([[0.0, 1.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 3.0, 0.0]])
+
+
+def _triangle(w):
+    """A triangle graph whose edge (1, 2) has weight w."""
+    return np.array([[0.0, 1.0, 1.0], [1.0, 0.0, w], [1.0, w, 0.0]])
+
+
+def _must_be(edge, w):
+    return f"edge {edge} has weight {w!r}; graph weights must be finite and nonnegative"
+
+
+@pytest.mark.parametrize(
+    "call, W, message",
+    [
+        (lambda W, path: normalized_laplacian_embedding(W, 2), _ASYMMETRIC, "graph must be symmetric"),
+        (lambda W, path: cluster_graph(W, 2, 1, 0), _ASYMMETRIC, "graph must be symmetric"),
+        (lambda W, path: normalized_laplacian_embedding(W, 1), _triangle(np.nan), _must_be((1, 2), np.nan)),
+        (lambda W, path: normalized_laplacian_embedding(W, 1), _triangle(np.inf), _must_be((1, 2), np.inf)),
+        (lambda W, path: lpp_embed(np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0]]), W, 1), _triangle(-0.5),
+         _must_be((1, 2), -0.5)),
+        (lambda W, path: intra_class_edge_mass(W, np.array([0, 1, 1])), _triangle(-0.5), _must_be((1, 2), -0.5)),
+        (lambda W, path: write_graph(path, W), np.array([[0.0, 1.0], [5.0, 0.0]]), "graph must be symmetric"),
+    ],
+    ids=["embedding-asymmetric", "cluster-asymmetric", "embedding-nan", "embedding-inf", "lpp-negative",
+         "edge-mass-negative", "write-asymmetric"],
+)
+def test_graph_functions_reject_what_is_not_a_similarity_graph(tmp_path, call, W, message):
+    """Every graph consumer takes its graph through as_graph, which wants
+    finite nonnegative weights and W == W.T; write_graph writes no file."""
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(W, path)
+    assert not path.exists()
 
 
 def test_read_graph_header_errors(tmp_path):
@@ -276,6 +323,9 @@ def test_csr_computes_what_scipy_computes_bit_for_bit(t, data):
     assert W.toarray().tobytes() == S.toarray().tobytes()
     assert W.row_sums().tobytes() == np.asarray(S.sum(axis=1)).ravel().tobytes()
     _same_arrays(W.transpose(), S.T.tocsr())
+    graph = (S != S.T).nnz == 0 and bool(np.all(np.isfinite(S.data) & (S.data >= 0)))
+    with contextlib.nullcontext() if graph else pytest.raises(ValueError, match="symmetric|nonnegative"):
+        as_graph(W)
 
     idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     assert W.block(idx).tobytes() == S[idx][:, idx].toarray().tobytes()
