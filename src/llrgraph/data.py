@@ -12,6 +12,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -139,8 +140,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows, lines = _read_rows(path)
     if not rows:
         raise InputError(f"{path}: empty file")
 
@@ -181,23 +181,50 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not feature_cols:
         raise InputError("no feature columns left after removing the label column")
 
-    # One pass converts every feature cell. Only when a cell is non-numeric or
-    # non-finite does the cell-by-cell conversion run, to name the first such
-    # cell; float() strips the same whitespace as str.strip(), so both passes
-    # give the same values.
+    # One pass converts every feature cell: np.loadtxt over plain lines, else
+    # float() over csv.reader's cells. Only when that pass fails (a cell that
+    # is non-numeric, or that only float() takes, such as 1_0) or finds a
+    # non-finite value does the cell-by-cell conversion run, to name the first
+    # bad cell. Whatever a pass accepts, it reads as float() reads the cell
+    # after str.strip(), so the passes give the same values.
     shape = (len(data_rows), len(feature_cols))
     try:
-        cells = chain.from_iterable([row[j] for j in feature_cols] for row in data_rows)
-        X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+        if lines is None:
+            cells = chain.from_iterable([row[j] for j in feature_cols] for row in data_rows)
+            X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+        else:
+            X = np.loadtxt(lines[first_row - 1:], delimiter=",", usecols=feature_cols, comments=None,
+                           quotechar=None, ndmin=2)
     except ValueError:
         X = None
-    if X is None or not np.isfinite(X).all():
+    if X is None or X.shape != shape or not np.isfinite(X).all():
         X = _parse_cells(path, data_rows, first_row, feature_cols)
 
     if label_idx is None:
         return LabeledDataset(X=X)
     labels, names = _canonicalize_labels([row[label_idx].strip() for row in data_rows])
     return LabeledDataset(X=X, labels=labels, label_names=names)
+
+
+def _read_rows(path: Path) -> tuple[list[list[str]], list[str] | None]:
+    """The file's non-empty rows as csv.reader gives them, and the lines they
+    came from when each row is simply its line split at ",", else None.
+
+    A line splits so when the text holds no quote, carriage return or NUL
+    (which csv.reader refuses before Python 3.11), and no line is longer than
+    csv's field size limit. A file that does not decode is read line by line,
+    as csv.reader always read it, so the UnicodeDecodeError is the same.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return [row for row in csv.reader(fh) if row], None
+    lines = [line for line in text.split("\n") if line]
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
+        return [row for row in csv.reader(io.StringIO(text, newline="")) if row], None
+    return [line.split(",") for line in lines], lines
 
 
 def _parse_cells(path: Path, data_rows: list[list[str]], first_row: int, feature_cols: list[int]) -> np.ndarray:

@@ -41,20 +41,29 @@ def generalized_sym_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.nd
         if np.max(np.abs(M - M.T), initial=0.0) > 1e-10 * (1.0 + np.max(np.abs(M), initial=0.0)):
             raise ValueError(f"{name} is not symmetric")
 
-    import scipy.linalg  # imported on first use, to keep the CLI's start-up light
-
+    # Reduce through B's Cholesky factor, as LAPACK's sygvd does (Golub & Van
+    # Loan, Matrix Computations, 8.7): with B_reg = L L^T, the pencil's
+    # eigenvectors are L^-T U for the eigenvectors U of C = L^-1 A L^-T.
     m = A.shape[0]
     B_reg = B + _ridge(float(np.trace(B)), _B_RIDGE, m) * np.eye(m)
     try:
-        evals, evecs = scipy.linalg.eigh(A, B_reg)
+        L = np.linalg.cholesky(B_reg)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"B is not positive-definite after regularization: {exc}") from None
+    C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+    evals, U = np.linalg.eigh((C + C.T) / 2.0)
+    evecs = np.linalg.solve(L.T, U)
 
     scale = 1.0 + np.max(np.abs(A), initial=0.0)
     residual = np.max(np.abs(A @ evecs - (B_reg @ evecs) * evals), initial=0.0)
     if residual > 1e-6 * scale:
         raise RuntimeError(f"generalized eigensolve residual {residual:.3e} exceeds contract")
     return evals, evecs
+
+
+def _exponent(*arrays: np.ndarray) -> int:
+    """The e for which 2**-e brings the largest |entry| into [0.5, 1); scaling by it is exact."""
+    return int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
 
 
 def _projection(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
@@ -79,6 +88,9 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     row-stochastic weight matrix Wt; with M = (I - Wt)^T (I - Wt), the
     projection columns are the eigenvectors of the d smallest eigenvalues of
     (X^T M X) a = gamma (X^T X) a, with X^T M X formed as R^T R, R = X - Wt X.
+    X enters scaled by the power of two 2**-e that brings max|X| into [0.5, 1),
+    so the pencil stays in the float range, and the projection leaves scaled
+    back by the same power: Y = X P is unchanged.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -92,8 +104,10 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
     Wt = C.scale_rows(1.0 / row_sums)
+    e = _exponent(X)
+    X = np.ldexp(X, -e)
     R = X - Wt @ X
-    return _projection(R.T @ R, X.T @ X, d)
+    return np.ldexp(_projection(R.T @ R, X.T @ X, d), -e)
 
 
 def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
@@ -102,6 +116,7 @@ def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
     With degrees D and Laplacian L = D - W, the projection columns are the
     eigenvectors of the d smallest eigenvalues of (X^T L X) a = gamma (X^T D X) a,
     X^T L X formed over the stored edges as sum_ij w_ij (x_i - x_j)(x_i - x_j)^T / 2.
+    X is scaled by a power of two as in npe_from_graph.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -111,9 +126,11 @@ def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
     W = as_graph(W)
     degrees = _degrees(W)
+    e = _exponent(X)
+    X = np.ldexp(X, -e)
     E = X[W.entry_rows()] - X[W.indices]
     A = (E * W.data[:, None]).T @ E / 2.0
-    return _projection(A, (X * degrees[:, None]).T @ X, d)
+    return np.ldexp(_projection(A, (X * degrees[:, None]).T @ X, d), -e)
 
 
 def transform(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -140,7 +157,7 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
         raise ValueError("train_labels length must match train rows")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test dimensionality differ")
-    e = int(np.frexp(max(np.abs(train).max(), np.abs(test).max()))[1])
+    e = _exponent(train, test)
     nearest = neighbour_table(np.ldexp(train, -e), 1, np.ldexp(test, -e))[0][:, 0]
     return train_labels[nearest]
 

@@ -6,6 +6,7 @@ search, textbook formulas) and avoids the code paths under test.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -57,6 +58,73 @@ def nullspace_coefficients(
     g = N.T @ (A @ c0)
     z = np.linalg.solve(H, -g)
     return c0 + N @ z
+
+
+def load_csv_cell_by_cell(path, label_column=None):
+    """load_csv as its docstring states it: csv.reader's non-empty rows, a
+    header when the first row holds a cell float() rejects, and float() of
+    each stripped feature cell, one at a time. Returns (X, labels, names),
+    labels None without a label column; raises ValueError with load_csv's
+    messages."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    header = None if all(is_number(cell) for cell in rows[0]) else [cell.strip() for cell in rows[0]]
+    first = 1 if header is None else 2
+    data = rows[first - 1:]
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+    width = len(data[0])
+    for number, row in list(enumerate(data, start=first)) + [(1, rows[0])]:
+        if len(row) != width:
+            raise ValueError(f"{path}: ragged row {number}: expected {width} cells, got {len(row)}")
+
+    label = None
+    if isinstance(label_column, int) or (isinstance(label_column, str) and label_column.lstrip("-").isdigit()):
+        label = int(label_column)
+        if not 0 <= label < width:
+            raise ValueError(f"label column index {label} out of range for {width} columns")
+    elif label_column is not None:
+        if header is None:
+            raise ValueError(f"label column {label_column!r} given by name but file has no header row")
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not found in header {header}")
+        label = header.index(label_column)
+    if width == (label is not None):
+        raise ValueError("no feature columns left after removing the label column")
+
+    X = []
+    for number, row in enumerate(data, start=first):
+        values = []
+        for j, cell in enumerate(row):
+            if j == label:
+                continue
+            cell = cell.strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell at row {number}, column {j + 1}: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite cell at row {number}, column {j + 1}: {cell!r}")
+            values.append(value)
+        X.append(values)
+    X = np.array(X, dtype=float)
+    if label is None:
+        return X, None, None
+    names = []
+    for row in data:
+        if row[label].strip() not in names:
+            names.append(row[label].strip())
+    return X, np.array([names.index(row[label].strip()) for row in data], dtype=np.int64), names
 
 
 def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

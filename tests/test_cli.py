@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import llrgraph
 from llrgraph.cli import main
-from llrgraph.data import InputError
+from llrgraph.data import InputError, LabeledDataset, load_csv, save_csv
 from llrgraph.graphio import read_graph, read_labels
 
 
@@ -117,12 +117,16 @@ def test_commands_that_search_neighbours_never_load_scipy_spatial(tmp_path, argv
         ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
         ["cluster", "--graph", "g.txt", "--truth-labels", "labels.txt", "--clusters", "3", "--output", "p.txt",
          "--report", "r.json"],
+        ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp", "--embed-dim", "2",
+         "--pred-out", "p.txt", "--report", "r.json"],
     ],
-    ids=["build-graph heat", "cluster graph"],
+    ids=["build-graph heat", "cluster graph", "embed-classify lpp"],
 )
 def test_commands_without_solves_never_load_scipy(tmp_path, argv):
-    """Reading, writing, clustering and scoring a graph need no SciPy, so a
-    process that runs only them ends with no scipy module loaded."""
+    """Reading, writing, clustering and scoring a graph need no SciPy, and
+    neither does LPP, whose generalized eigensolve is numpy's Cholesky
+    reduction: a process that runs only them ends with no scipy module loaded.
+    The per-point coefficient solves (llr, lle, npe) still load scipy.linalg."""
     data = _synth(tmp_path, per=12)
     assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
                  "--output", str(tmp_path / "g.txt")]) == 0
@@ -543,6 +547,23 @@ def test_embed_classify_report_and_artifacts(tmp_path):
     P = np.loadtxt(proj, delimiter=",")
     assert P.shape == (3, 2)
     assert read_labels(pred).shape[0] == doc["metrics"]["n_test"]
+
+
+@pytest.mark.parametrize("method", ["npe", "lpp"])
+@pytest.mark.parametrize("factor", [2.0**512, 1e154], ids=["2^512", "1e154"])
+def test_embed_classify_on_data_whose_squares_leave_the_float_range(tmp_path, method, factor):
+    """NPE and LPP form their pencils from X scaled into [0.5, 1) by a power of
+    two, so fig1 data scaled by 2^512 or 1e154 predicts as the unscaled data does."""
+    data = _synth(tmp_path, per=20)
+    ds = load_csv(data, "label")
+    save_csv(tmp_path / "big.csv", LabeledDataset(ds.X * factor, ds.labels, ds.label_names))
+    predictions = []
+    for name in ("data.csv", "big.csv"):
+        pred = tmp_path / f"{name}.txt"
+        assert main(["embed-classify", "--input", str(tmp_path / name), "--label-column", "label", "--method", method,
+                     "--embed-dim", "2", "--pca-energy", "none", "--pred-out", str(pred)]) == 0
+        predictions.append(pred.read_bytes())
+    assert predictions[0] == predictions[1]
 
 
 def test_embed_classify_replay_keeps_no_pca(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llrgraph.data import (
     InputError,
@@ -13,7 +15,7 @@ from llrgraph.data import (
     train_test_split,
 )
 
-from oracles import eig2
+from oracles import eig2, load_csv_cell_by_cell
 
 
 def test_load_csv_detects_header_and_label_by_name(tmp_path):
@@ -74,6 +76,68 @@ def test_load_csv_missing_label_column(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")
+
+
+# Cells both parsers take, some of which only str.strip() clears (\x1c); and
+# cells float() takes and np.loadtxt does not (1_0, an Arabic-Indic digit),
+# quoted cells, a comment mark, a BOM, non-finite values and non-numbers.
+_PLAIN_CELLS = st.sampled_from(["0", "1", "-2.5", "0.1", "1e-300", "5e-324", "1e308", " 1", "1 ", "\t2\t", " \t-3 ", "\x1c1"])
+_ODD_CELLS = st.sampled_from([
+    "1_0", "\u0661", "", " ", '""', '"1"', '"1,2"', "#1", "nan", "-inf", "1e400", "\ufeff1", "0x1", "x", "f0", "label",
+])
+
+
+@st.composite
+def _csv_files(draw):
+    """A grid of plain cells with up to two odd ones, sometimes a row one cell
+    short or long, an optional header of names, blank lines, line ends \n,
+    \r\n or \r, an optional BOM, and a label column that may not exist."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = [[draw(_PLAIN_CELLS) for _ in range(width)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = draw(_ODD_CELLS)
+    if draw(st.integers(0, 4)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        row.pop() if draw(st.booleans()) else row.append(draw(_PLAIN_CELLS))
+    if draw(st.booleans()):
+        rows.insert(0, [f"f{j}" for j in range(width - 1)] + ["label"])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, draw(st.sampled_from([None, None, 0, width - 1, "label", "label", width, "1", "f0", "y"]))
+
+
+def _outcome(load, path, label_column):
+    try:
+        return "ok", load(path, label_column)
+    except ValueError as exc:
+        return type(exc) is InputError, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_csv_files())
+@example(("f0,f1,label\n1,2,a\n3,4,b\n", "label"))
+@example(("1_0,2\n3,\u0661\n", None))
+@example(("f0,label\r\n1,a\r\n\"2\",b\r\n", "label"))
+def test_load_csv_matches_csv_reader_and_float_cell_by_cell(tmp_path_factory, csv_file):
+    """load_csv, whichever way it parses, gives the oracle's values bit for bit,
+    labels and label names, or the oracle's error as an InputError."""
+    text, label_column = csv_file
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(load_csv, path, label_column)
+    want = _outcome(load_csv_cell_by_cell, path, label_column)
+    if want[0] != "ok":
+        assert got == (True, want[1])
+        return
+    assert got[0] == "ok", got
+    X, labels, names = want[1]
+    ds = got[1]
+    assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()
+    assert (ds.labels is None and labels is None) or np.array_equal(ds.labels, labels)
+    assert ds.label_names == names
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):

@@ -67,6 +67,29 @@ def test_generalized_eig_input_errors():
         generalized_sym_eig(good, good * np.nan)
 
 
+def test_generalized_eig_matches_scipy_on_random_pencils():
+    """The Cholesky reduction against LAPACK's sygvd, through scipy.linalg.eigh
+    on the same regularized B: eigenvalues within 1e-10 relative, eigenvector
+    columns equal up to sign."""
+    rng = _rng(14)
+    for _ in range(50):
+        m = int(rng.integers(1, 21))
+        A = rng.standard_normal((m, m))
+        A = (A + A.T) / 2
+        B = _spd(rng, m, scale=float(rng.uniform(0.1, 10.0)))
+        evals, evecs = generalized_sym_eig(A, B)
+        ref_evals, ref_evecs = scipy.linalg.eigh(A, B + 1e-10 * (np.trace(B) / m) * np.eye(m))
+        assert np.abs(evals - ref_evals).max() <= 1e-10 * np.abs(ref_evals).max()
+        signs = np.sign(np.sum(evecs * ref_evecs, axis=0))
+        assert np.abs(evecs * signs - ref_evecs).max() <= 1e-8 * np.abs(ref_evecs).max()
+
+
+def test_generalized_eig_refuses_an_indefinite_b():
+    # trace 0, so the ridge is 1e-10: the -1 stays negative
+    with pytest.raises(ValueError, match="B is not positive-definite after regularization"):
+        generalized_sym_eig(np.eye(2), np.diag([1.0, -1.0]))
+
+
 def _coefficient_graph(X, lam=0.5, k_keep=4):
     params = HyperParams(lam=lam, k_keep=k_keep, d_dict=min(10, X.shape[0] - 1))
     return build_llr_coefficients(X, params)
@@ -222,6 +245,21 @@ def test_projections_never_densify_the_graph(monkeypatch):
     got = [npe_from_graph(X, C, 2), lpp_embed(X, W, 2)]
     for P, Q in zip(got, expected):
         assert np.array_equal(P, Q)
+
+
+@pytest.mark.parametrize("exponent", [-600, -40, 40, 512])
+def test_projections_scale_back_by_a_power_of_two_bit_for_bit(exponent):
+    """Data scaled by 2**exponent gives the projection scaled by 2**-exponent,
+    bit for bit, so X P does not change: both projections scale X into
+    [0.5, 1) first, even where its squares would leave the float range."""
+    rng = _rng(15)
+    X = rng.standard_normal((30, 5))
+    C = _coefficient_graph(X)
+    W = abs(C) + abs(C).T
+    X_scaled = np.ldexp(X, exponent)
+    for project, graph in ((npe_from_graph, C), (lpp_embed, W)):
+        P = project(X, graph, 2)
+        assert np.array_equal(project(X_scaled, graph, 2), np.ldexp(P, -exponent))
 
 
 def test_lpp_deterministic():
