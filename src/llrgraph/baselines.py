@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError, validate_data_matrix
+from .data import InputError, unit_scale, validate_data_matrix
 from .graphio import CSR
 from .llr import HyperParams, NeighbourTable, build_llr_graph, neighbour_prefix
 
@@ -40,12 +40,11 @@ class HeatKernelParams:
 def _median(values: np.ndarray) -> float:
     """np.median of finite values, bit for bit, with no overflow: the mean of
     the two middle values (one when their count is odd) is taken on both scaled
-    by the power of two that brings the larger into [0.5, 1), then scaled back.
-    Scaling is exact wherever it can change the sum's bits."""
-    half = values.size // 2
-    a, b = np.partition(values, [(values.size - 1) // 2, half])[[(values.size - 1) // 2, half]]
-    e = int(np.frexp(max(a, b))[1])
-    return float(np.ldexp((np.ldexp(a, -e) + np.ldexp(b, -e)) / 2.0, e))
+    by unit_scale, then scaled back. Scaling is exact wherever it can change
+    the sum's bits."""
+    mid = [(values.size - 1) // 2, values.size // 2]
+    e, a, b = unit_scale(*np.partition(values, mid)[mid])
+    return float(np.ldexp((a + b) / 2.0, e))
 
 
 def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: NeighbourTable | None = None) -> CSR:
@@ -76,13 +75,13 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: Neighbo
     else:
         sigma = float(params.sigma)
 
-    # Scale distances and sigma by the same exact power of two, bringing sigma
-    # into [0.5, 1): the weights keep their bits on ordinary data, and sigma**2
-    # no longer overflows on data above about 1e154. A tiny sigma may still
+    # Scale distances and sigma by the power of two that unit_scale picks for
+    # sigma: the weights keep their bits on ordinary data, and sigma**2 no
+    # longer overflows on data above about 1e154. A tiny sigma may still
     # square a scaled distance to inf, whose weight exp(-inf) = 0 is exact.
-    e = int(np.frexp(sigma)[1])
+    e, sigma = unit_scale(sigma)
     with np.errstate(over="ignore"):
-        weights = np.exp(-(np.ldexp(retained, -e) ** 2) / (2.0 * np.ldexp(sigma, -e) ** 2))
+        weights = np.exp(-(np.ldexp(retained, -e) ** 2) / (2.0 * sigma**2))
     rows = np.concatenate([iu, ju])
     cols = np.concatenate([ju, iu])
     data = np.concatenate([weights, weights])

@@ -30,6 +30,7 @@ from .data import (
     load_csv,
     pca_fit,
     pca_transform,
+    read_text,
     save_csv,
     synth_union_of_subspaces,
 )
@@ -228,7 +229,7 @@ def _load_config(path: str, command: str) -> dict[str, Any]:
     if not p.is_file():
         raise InputError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(read_text(p))
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "resolved_config" in doc:

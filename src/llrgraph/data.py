@@ -15,7 +15,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,25 @@ class InputError(ValueError):
     The caller can fix it by changing the input; the command line maps it to
     exit code 2. Numerical failures stay plain ValueError or RuntimeError.
     """
+
+
+def read_text(path: str | Path) -> str:
+    """The file's text as UTF-8, less a leading byte-order mark, line ends
+    untranslated; a byte that is not UTF-8 raises InputError naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text") from None
+
+
+def unit_scale(*arrays: np.ndarray) -> tuple:
+    """(e, *scaled): each array times 2**-e, for the e that brings the largest |entry| of them all into
+    [0.5, 1), or e = 0 if every entry is 0. Squares of scaled data stay in the float range, and the
+    scale comes back exactly (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 2.1)."""
+    e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
+    return (e, *(np.ldexp(a, -e) for a in arrays))
 
 
 def validate_data_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -181,20 +199,14 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not feature_cols:
         raise InputError("no feature columns left after removing the label column")
 
-    # One pass converts every feature cell: np.loadtxt over plain lines, else
-    # float() over csv.reader's cells. Only when that pass fails (a cell that
-    # is non-numeric, or that only float() takes, such as 1_0) or finds a
-    # non-finite value does the cell-by-cell conversion run, to name the first
-    # bad cell. Whatever a pass accepts, it reads as float() reads the cell
-    # after str.strip(), so the passes give the same values.
+    # np.loadtxt converts plain lines in one pass, reading each cell as float()
+    # reads it after str.strip(). Other files, a failed pass (a non-numeric cell,
+    # or one only float() takes, such as 1_0) and non-finite values go to the
+    # cell-by-cell conversion, which names the first bad cell.
     shape = (len(data_rows), len(feature_cols))
     try:
-        if lines is None:
-            cells = chain.from_iterable([row[j] for j in feature_cols] for row in data_rows)
-            X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
-        else:
-            X = np.loadtxt(lines[first_row - 1:], delimiter=",", usecols=feature_cols, comments=None,
-                           quotechar=None, ndmin=2)
+        X = None if lines is None else np.loadtxt(lines[first_row - 1:], delimiter=",", usecols=feature_cols,
+                                                  comments=None, quotechar=None, ndmin=2)
     except ValueError:
         X = None
     if X is None or X.shape != shape or not np.isfinite(X).all():
@@ -212,15 +224,9 @@ def _read_rows(path: Path) -> tuple[list[list[str]], list[str] | None]:
 
     A line splits so when the text holds no quote, carriage return or NUL
     (which csv.reader refuses before Python 3.11), and no line is longer than
-    csv's field size limit. A file that does not decode is read line by line,
-    as csv.reader always read it, so the UnicodeDecodeError is the same.
+    csv's field size limit.
     """
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            return [row for row in csv.reader(fh) if row], None
+    text = read_text(path)
     lines = [line for line in text.split("\n") if line]
     if '"' in text or "\r" in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
         return [row for row in csv.reader(io.StringIO(text, newline="")) if row], None
@@ -325,7 +331,8 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
 
     Uses the eigendecomposition of the sample covariance (denominator n-1)
     of mean-centered data. d is the smallest integer such that the top-d
-    eigenvalue mass divided by the total is >= energy.
+    eigenvalue mass divided by the total is >= energy. The fit runs on
+    unit_scale(X), and only the mean scales back.
     """
     X = validate_data_matrix(X)
     check_pca_energy(energy)
@@ -333,6 +340,7 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
     if n < 2:
         raise ValueError("pca_fit needs at least 2 samples")
 
+    e, X = unit_scale(X)
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = (Xc.T @ Xc) / (n - 1)
@@ -351,7 +359,7 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaModel:
     d = min(d, evals.size)
 
     basis = _fix_column_signs(evecs[:, :d].copy())
-    return PcaModel(mean=mean, basis=basis, energy_retained=float(cum[d - 1] / total))
+    return PcaModel(mean=np.ldexp(mean, e), basis=basis, energy_retained=float(cum[d - 1] / total))
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:

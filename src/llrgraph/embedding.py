@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import _fix_column_signs, validate_data_matrix
+from .data import _fix_column_signs, read_text, unit_scale, validate_data_matrix
 from .graphio import as_csr, as_graph
 from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
@@ -61,11 +61,6 @@ def generalized_sym_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.nd
     return evals, evecs
 
 
-def _exponent(*arrays: np.ndarray) -> int:
-    """The e for which 2**-e brings the largest |entry| into [0.5, 1); scaling by it is exact."""
-    return int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
-
-
 def _projection(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
     """The d smallest generalized eigenvectors of (A, B), signs fixed.
 
@@ -88,9 +83,9 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     row-stochastic weight matrix Wt; with M = (I - Wt)^T (I - Wt), the
     projection columns are the eigenvectors of the d smallest eigenvalues of
     (X^T M X) a = gamma (X^T X) a, with X^T M X formed as R^T R, R = X - Wt X.
-    X enters scaled by the power of two 2**-e that brings max|X| into [0.5, 1),
-    so the pencil stays in the float range, and the projection leaves scaled
-    back by the same power: Y = X P is unchanged.
+    X enters scaled by unit_scale, so the pencil stays in the float range, and
+    the projection leaves scaled back by the same power of two: Y = X P is
+    unchanged.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -104,8 +99,7 @@ def npe_from_graph(X: np.ndarray, C: Any, d: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"coefficient rows sum to ~0 for samples {bad.tolist()}; cannot renormalize")
     Wt = C.scale_rows(1.0 / row_sums)
-    e = _exponent(X)
-    X = np.ldexp(X, -e)
+    e, X = unit_scale(X)
     R = X - Wt @ X
     return np.ldexp(_projection(R.T @ R, X.T @ X, d), -e)
 
@@ -116,7 +110,7 @@ def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
     With degrees D and Laplacian L = D - W, the projection columns are the
     eigenvectors of the d smallest eigenvalues of (X^T L X) a = gamma (X^T D X) a,
     X^T L X formed over the stored edges as sum_ij w_ij (x_i - x_j)(x_i - x_j)^T / 2.
-    X is scaled by a power of two as in npe_from_graph.
+    X is scaled by unit_scale as in npe_from_graph.
     """
     X = validate_data_matrix(X)
     n, m = X.shape
@@ -126,8 +120,7 @@ def lpp_embed(X: np.ndarray, W: Any, d: int) -> np.ndarray:
         raise ValueError(f"d must lie in [1, m={m}], got {d}")
     W = as_graph(W)
     degrees = _degrees(W)
-    e = _exponent(X)
-    X = np.ldexp(X, -e)
+    e, X = unit_scale(X)
     E = X[W.entry_rows()] - X[W.indices]
     A = (E * W.data[:, None]).T @ E / 2.0
     return np.ldexp(_projection(A, (X * degrees[:, None]).T @ X, d), -e)
@@ -146,9 +139,8 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
     """1-nearest-neighbor labels, ties broken by the smaller training index.
 
     The search is neighbour_table's at k = 1 with the test rows as queries.
-    Both sets are first scaled by the one power of two that brings their
-    largest entry into [0.5, 1), where the search keeps the scale of its
-    distances, so those beyond the float range still rank.
+    Both sets are first scaled together by unit_scale, where the search keeps
+    the scale of its distances, so those beyond the float range still rank.
     """
     train = validate_data_matrix(train, "train")
     test = validate_data_matrix(test, "test")
@@ -157,8 +149,8 @@ def nn_classify(train: np.ndarray, train_labels: np.ndarray, test: np.ndarray) -
         raise ValueError("train_labels length must match train rows")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test dimensionality differ")
-    e = _exponent(train, test)
-    nearest = neighbour_table(np.ldexp(train, -e), 1, np.ldexp(test, -e))[0][:, 0]
+    _, train, test = unit_scale(train, test)
+    nearest = neighbour_table(train, 1, test)[0][:, 0]
     return train_labels[nearest]
 
 
@@ -172,7 +164,7 @@ def save_projection(path: str | Path, P: np.ndarray) -> None:
 def load_projection(path: str | Path) -> np.ndarray:
     rows = [
         [float(cell) for cell in line.split(",")]
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(path).splitlines()
         if line.strip()
     ]
     return np.asarray(rows, dtype=float)

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import InputError
+from .data import InputError, read_text
 
 _HEADER_RE = re.compile(r"^llr-graph v1 n=(\d+) sym=1$")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -112,10 +112,6 @@ class CSR:
         if rows.size:
             out[rows] += np.add.reduceat(self.data, self.indptr[rows].astype(np.intp))
         return out
-
-    def transpose(self) -> "CSR":
-        """W.T.tocsr(): the entries reordered by (column, row)."""
-        return CSR.from_triplets(self.indices, self.entry_rows(), self.data, self.shape[::-1])
 
     def scale_rows(self, scale: np.ndarray) -> "CSR":
         """W.multiply(scale[:, None]): row i times scale[i], entry by entry."""
@@ -253,7 +249,7 @@ def read_graph(path: str | Path) -> CSR:
     reported once every line has parsed, so a malformed line is named first.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig").splitlines()
+    text = read_text(path).splitlines()
     if not text:
         raise InputError(f"{path}:1: empty graph file")
     match = _HEADER_RE.match(text[0].strip())
@@ -297,7 +293,7 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 def read_labels(path: str | Path, n: int | None = None) -> np.ndarray:
     """One 64-bit integer label per non-blank line; a bad line is named by file and line. Given n, another
     label count is an error at the line of label n (the first extra one) or at the line past the end."""
-    text = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    text = read_text(path).splitlines()
     labels, line_n = [], len(text) + 1
     for lineno, line in enumerate(text, start=1):
         if line.strip():

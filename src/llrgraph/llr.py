@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import InputError, validate_data_matrix
+from .data import InputError, unit_scale, validate_data_matrix
 from .graphio import CSR, as_csr
 
 #: Row-sum tolerance below which a coefficient normalization is degenerate.
@@ -117,10 +117,10 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     row holds the first k entries of the whole row stably sorted by Euclidean
     distance (ties: smaller index), so a k-wide table is the first k columns
     of any wider one. The distances are cdist's (scipy.spatial.distance), bit
-    for bit, taken on the data scaled by the power of two that brings its
-    largest |entry| into [0.5, 1) and scaled back: data above about 1e154 does
-    not overflow, a distance that leaves the float range raises ValueError,
-    and data already in that range keeps its scale, so its distances rank.
+    for bit, taken on the data and queries scaled together by unit_scale and
+    scaled back: data above about 1e154 does not overflow, a distance that
+    leaves the float range raises ValueError, and data already in that range
+    keeps its scale, so its distances rank.
 
     A screen picks each row's k candidates from A = |r|^2 - 2 q.r, the squared
     distance less |q|^2 (the same along a row), one BLAS product per block of
@@ -141,9 +141,11 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     sort instead. No n x n matrix is built.
     """
     X, self_search = validate_data_matrix(X), queries is None
-    e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in ([X] if self_search else [X, queries])))[1])
-    R = np.ldexp(X, -e)
-    Q = R if self_search else np.ldexp(queries, -e)
+    if self_search:
+        e, R = unit_scale(X)
+        Q = R
+    else:
+        e, R, Q = unit_scale(X, queries)
     n, m = R.shape
     if not 1 <= k <= n - self_search:
         raise ValueError(f"k must lie in [1, {n - self_search}], got {k}")
@@ -236,12 +238,10 @@ def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
     """Distances from the owner point to each dictionary atom, in atom order.
 
     The distances of neighbour_table, bit for bit: summed by _exact_distances
-    on data scaled by the exact power of two that brings max|X| into [0.5, 1),
-    then scaled back.
+    on unit_scale(X), then scaled back.
     """
-    X = validate_data_matrix(X)
-    e = int(np.frexp(np.abs(X).max(initial=0.0))[1])
-    return np.ldexp(_exact_distances(np.ldexp(X[dic.owner], -e)[:, None], np.ldexp(dic.atoms, -e)), e)
+    e, X = unit_scale(validate_data_matrix(X))
+    return np.ldexp(_exact_distances(X[dic.owner][:, None], X[dic.atom_indices].T), e)
 
 
 def _uses_low_rank(m: int, d: int, lam: float) -> bool:

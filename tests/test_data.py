@@ -250,6 +250,21 @@ def test_pca_projected_data_has_exact_rank():
     assert model2.d == model.d
 
 
+def test_pca_fit_scales_by_a_power_of_two_bit_for_bit():
+    """pca_fit works on unit_scale(X): X times 2**600 gives the mean times
+    2**600 and the same basis and energy bits, and X times 1e300, whose
+    covariance would overflow, gives a finite model."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    X = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6)) + 3.0
+    for energy in (0.5, 0.9, 0.98, 1.0):
+        model, big = pca_fit(X, energy), pca_fit(X * 2.0**600, energy)
+        assert big.mean.tobytes() == (model.mean * 2.0**600).tobytes()
+        assert big.basis.tobytes() == model.basis.tobytes()
+        assert big.energy_retained == model.energy_retained
+        huge = pca_fit(X * 1e300, energy)
+        assert np.isfinite(huge.mean).all() and np.isfinite(huge.basis).all() and 0 < huge.energy_retained <= 1
+
+
 def test_pca_rejects_constant_data():
     with pytest.raises(ValueError, match="zero total variance"):
         pca_fit(np.ones((5, 3)), energy=0.5)

@@ -322,7 +322,6 @@ def test_csr_computes_what_scipy_computes_bit_for_bit(t, data):
     _same_arrays(W, S)
     assert W.toarray().tobytes() == S.toarray().tobytes()
     assert W.row_sums().tobytes() == np.asarray(S.sum(axis=1)).ravel().tobytes()
-    _same_arrays(W.transpose(), S.T.tocsr())
     graph = (S != S.T).nnz == 0 and bool(np.all(np.isfinite(S.data) & (S.data >= 0)))
     with contextlib.nullcontext() if graph else pytest.raises(ValueError, match="symmetric|nonnegative"):
         as_graph(W)
