@@ -17,7 +17,7 @@ class HeatKernelParams:
     """Heat-kernel graph parameters; a value out of its own range raises
     InputError when they are made."""
 
-    k_nn: int
+    k_nn: int = 8
     sigma: float | str = "auto"  # 'auto' uses the median retained distance
 
     def __post_init__(self) -> None:
@@ -88,7 +88,7 @@ def heat_kernel_graph(X: np.ndarray, params: HeatKernelParams, *, table: Neighbo
     return CSR.from_triplets(rows, cols, data, (n, n))
 
 
-def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = 1e-9, *, table: NeighbourTable | None = None) -> CSR:
+def lle_graph(X: np.ndarray, k_nn: int, epsilon: float = HyperParams.epsilon, *, table: NeighbourTable | None = None) -> CSR:
     """LLE reconstruction-weight graph: the lam = 0 special case of the
     locally linear representation graph with a k_nn-atom dictionary and all
     coefficients kept; table as in llr.coefficient_table."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from .baselines import heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
+from .baselines import HeatKernelParams, heat_kernel_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .data import (
     InputError,
     LabeledDataset,
@@ -36,10 +36,10 @@ from .data import (
 )
 from .embedding import save_projection
 from .graphio import read_graph, read_labels, write_graph, write_labels
-from .llr import build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
+from .llr import HyperParams, build_llr_graph  # noqa: F401  (perfbench/spans.py times calls at this name)
 from .metrics import intra_class_edge_mass
 from .runs import (
-    DEFAULT_D_DICT_CAP,
+    DEFAULT_D_DICT, DEFAULT_D_DICT_CAP, DEFAULT_NOISE, DEFAULT_PCA_ENERGY, DEFAULT_PER_SUBSPACE, DEFAULT_TRAIN_FRACTION,
     EMBED_METHODS,
     GRAPH_METHODS,
     PRESETS,
@@ -77,13 +77,13 @@ class Param:
 def _graph_params(llr: tuple[str, ...], heat: tuple[str, ...]) -> list[Param]:
     """The graph parameters: llr's four apply in the modes llr, the heat kernel's two in the modes heat."""
     return [
-        Param("lambda", "float", default=0.5, modes=llr, help="distance-regularization weight in [0, 1) (llr)"),
-        Param("k_keep", "int", default=8, modes=llr, help="coefficients kept per point (llr)"),
-        Param("d_dict", "ddict", default="auto", modes=llr,
+        Param("lambda", "float", default=HyperParams.lam, modes=llr, help="distance-regularization weight in [0, 1) (llr)"),
+        Param("k_keep", "int", default=HyperParams.k_keep, modes=llr, help="coefficients kept per point (llr)"),
+        Param("d_dict", "ddict", default=DEFAULT_D_DICT, modes=llr,
               help=f"dictionary size, or 'auto' for min({DEFAULT_D_DICT_CAP}, n-1) (llr)"),
-        Param("epsilon", "float", default=1e-9, modes=llr, help="ridge scale for the coefficient solve (llr, lle)"),
-        Param("k_nn", "int", default=8, modes=heat, help="neighbors per point (heat, lle)"),
-        Param("sigma", "sigma", default="auto", modes=heat,
+        Param("epsilon", "float", default=HyperParams.epsilon, modes=llr, help="ridge scale for the coefficient solve (llr, lle)"),
+        Param("k_nn", "int", default=HeatKernelParams.k_nn, modes=heat, help="neighbors per point (heat, lle)"),
+        Param("sigma", "sigma", default=HeatKernelParams.sigma, modes=heat,
               help="heat kernel bandwidth, or 'auto' for the median retained distance"),
     ]
 
@@ -97,8 +97,8 @@ _SYNTH_PARAMS = [
     Param("ambient_dim", "int", required=True, modes=("custom",), help="ambient dimension"),
     Param("dims", "intlist", required=True, modes=("custom",),
           help="comma-separated intrinsic dimensions, one per subspace"),
-    Param("per_subspace", "int", default=50, help="points per subspace"),
-    Param("noise", "float", default=0.01, help="isotropic noise standard deviation"),
+    Param("per_subspace", "int", default=DEFAULT_PER_SUBSPACE, help="points per subspace"),
+    Param("noise", "float", default=DEFAULT_NOISE, help="isotropic noise standard deviation"),
     Param("seed", "int", default=0, help="generator seed"),
     Param("output", "outfile", required=True, help="output CSV path"),
 ]
@@ -122,7 +122,7 @@ _CLUSTER_PARAMS = [
     replace(_METHOD, modes=("input",)),
     *_graph_params(("input",), ("input",)),
     Param("clusters", "int", required=True, help="number of clusters"),
-    Param("restarts", "int", default=20, help="k-means restarts"),
+    Param("restarts", "int", default=KMeansConfig.restarts, help="k-means restarts"),
     Param("seed", "int", default=0, help="k-means seed"),
     Param("output", "outfile", required=True, help="output label file"),
 ]
@@ -132,8 +132,8 @@ _EMBED_PARAMS = [
     Param("label_column", "labelcol", required=True, help="label column name or index"),
     Param("method", "choice", default="npe", choices=EMBED_METHODS, help="embedding method"),
     Param("embed_dim", "int", required=True, help="embedding dimension"),
-    Param("train_fraction", "float", default=0.5, help="fraction of each class used for training"),
-    Param("pca_energy", "energy", default=0.98, help="PCA energy fraction fit on the training split, or 'none'"),
+    Param("train_fraction", "float", default=DEFAULT_TRAIN_FRACTION, help="fraction of each class used for training"),
+    Param("pca_energy", "energy", default=DEFAULT_PCA_ENERGY, help="PCA energy fraction fit on the training split, or 'none'"),
     Param("seed", "int", default=0, help="split seed"),
     *_graph_params(("npe",), ("lpp",)),
     Param("projection_out", "outfile", help="optional CSV path for the learned projection"),
@@ -145,8 +145,8 @@ _EVAL_PARAMS = [
     Param("label_column", "labelcol", required=True, modes=("input",),
           help="label column name or index; sweeps score against ground truth"),
     Param("preset", "choice", choices=PRESETS, modes=("preset",), help="synthetic preset regenerated per seed"),
-    Param("per_subspace", "int", default=50, modes=("preset",), help="points per subspace"),
-    Param("noise", "float", default=0.01, modes=("preset",), help="noise standard deviation"),
+    Param("per_subspace", "int", default=DEFAULT_PER_SUBSPACE, modes=("preset",), help="points per subspace"),
+    Param("noise", "float", default=DEFAULT_NOISE, modes=("preset",), help="noise standard deviation"),
     Param("clusters", "int", help="number of clusters (default: subspace count of the preset)"),
     Param("methods", "strlist", default=["llr", "heat", "lle"], choices=GRAPH_METHODS,
           help="comma-separated graph methods to compare"),
@@ -156,7 +156,7 @@ _EVAL_PARAMS = [
     Param("seeds", "intlist", default=list(range(10)), help="comma-separated seeds"),
     # The lambdas and k_values grids stand in for the other three graph flags.
     *(p for p in _graph_params((), ()) if p.key in ("d_dict", "epsilon", "sigma")),
-    Param("restarts", "int", default=20, help="k-means restarts"),
+    Param("restarts", "int", default=KMeansConfig.restarts, help="k-means restarts"),
 ]
 
 

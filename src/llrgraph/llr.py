@@ -62,9 +62,9 @@ class HyperParams:
     its own range raises InputError when the parameters are made.
     """
 
-    lam: float
-    k_keep: int
     d_dict: int
+    lam: float = 0.5
+    k_keep: int = 8
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -120,7 +120,10 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     for bit, taken on the data and queries scaled together by unit_scale and
     scaled back: data above about 1e154 does not overflow, a distance that
     leaves the float range raises ValueError, and data already in that range
-    keeps its scale, so its distances rank.
+    keeps its scale, so its distances rank. Where the entries span too many
+    orders of magnitude, the common scale underflows the distance of rows that
+    differ to 0; where such zeros fill a row of the table, or their unscaled
+    distances would order the row otherwise, ValueError is raised too.
 
     A screen picks each row's k candidates from A = |r|^2 - 2 q.r, the squared
     distance less |q|^2 (the same along a row), one BLAS product per block of
@@ -204,6 +207,22 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
             j = int(far[far != rows[r]][0])
             raise ValueError(f"distance between samples {rows[r]} and {j} is beyond the float range")
         idx[rows], dist[rows] = sel, near
+    # A selected distance of 0 between rows that are apart underflowed at the
+    # common scale, and such zeros are ranked by index. The table stands where
+    # their unscaled distances keep each row in order and the zeros do not
+    # fill it, which would leave out samples that may be nearer.
+    rows, cols = np.nonzero(dist == 0)
+    if rows.size:
+        unscaled = X if self_search else np.asarray(queries, dtype=float)
+        lost = _exact_distances(unscaled[rows].T, X[idx[rows, cols]].T)
+        true = dist.copy()
+        true[rows, cols] = lost
+        unranked = (dist[:, -1] == 0) | np.any(np.diff(true, axis=1) < 0, axis=1)
+        bad = np.flatnonzero((lost > 0) & unranked[rows])
+        if bad.size:
+            i, j = rows[bad[0]], idx[rows[bad[0]], cols[bad[0]]]
+            raise ValueError(f"distance between samples {i} and {j} underflows at the data's scale, so its "
+                             "neighbours cannot be ranked: the entries span too many orders of magnitude")
     return idx, dist
 
 
@@ -331,7 +350,7 @@ def _coefficient_rows(
 
 
 def solve_coefficients(
-    X: np.ndarray, dic: Dictionary, s: np.ndarray, lam: float, epsilon: float = 1e-9
+    X: np.ndarray, dic: Dictionary, s: np.ndarray, lam: float, epsilon: float = HyperParams.epsilon
 ) -> np.ndarray:
     """Solve the constrained quadratic for the coefficients of one point.
 

@@ -42,6 +42,11 @@ from .metrics import classification_accuracy, clustering_accuracy, intra_class_e
 from .spectral import KMeansConfig, spectral_cluster
 
 DEFAULT_D_DICT_CAP = 300
+DEFAULT_D_DICT = "auto"
+DEFAULT_PER_SUBSPACE = 50
+DEFAULT_NOISE = 0.01
+DEFAULT_TRAIN_FRACTION = 0.5
+DEFAULT_PCA_ENERGY = 0.98
 GRAPH_METHODS = ("llr", "heat", "lle")
 EMBED_METHODS = ("npe", "lpp")
 PRESETS = ("fig1",)
@@ -74,12 +79,12 @@ def graph_builder(
     method: str,
     n: int | None,
     *,
-    lam: float = 0.5,
-    k_keep: int = 8,
-    d_dict: int | str = "auto",
-    epsilon: float = 1e-9,
-    k_nn: int = 8,
-    sigma: float | str = "auto",
+    lam: float = HyperParams.lam,
+    k_keep: int = HyperParams.k_keep,
+    d_dict: int | str = DEFAULT_D_DICT,
+    epsilon: float = HyperParams.epsilon,
+    k_nn: int = HeatKernelParams.k_nn,
+    sigma: float | str = HeatKernelParams.sigma,
 ) -> tuple[Callable[[np.ndarray], CSR], dict[str, Any]]:
     """Validate one graph method's parameters for n samples, before any computation.
 
@@ -159,15 +164,15 @@ def classify_run(
     *,
     method: str,
     embed_dim: int,
-    train_fraction: float = 0.5,
-    pca_energy: float | None = 0.98,
+    train_fraction: float = DEFAULT_TRAIN_FRACTION,
+    pca_energy: float | None = DEFAULT_PCA_ENERGY,
     seed: int = 0,
-    lam: float = 0.5,
-    k_keep: int = 8,
-    d_dict: int | str = "auto",
-    epsilon: float = 1e-9,
-    k_nn: int = 8,
-    sigma: float | str = "auto",
+    lam: float = HyperParams.lam,
+    k_keep: int = HyperParams.k_keep,
+    d_dict: int | str = DEFAULT_D_DICT,
+    epsilon: float = HyperParams.epsilon,
+    k_nn: int = HeatKernelParams.k_nn,
+    sigma: float | str = HeatKernelParams.sigma,
 ) -> dict[str, Any]:
     """Split, reduce, learn a linear embedding on train, classify test by 1-NN.
 
@@ -224,17 +229,17 @@ def sweep_run(
     *,
     dataset: LabeledDataset | None = None,
     preset: str | None = None,
-    per_subspace: int = 50,
-    noise_sigma: float = 0.01,
+    per_subspace: int = DEFAULT_PER_SUBSPACE,
+    noise_sigma: float = DEFAULT_NOISE,
     n_clusters: int,
     methods: list[str],
     lambdas: list[float],
     k_values: list[int],
     seeds: list[int],
-    d_dict: int | str = "auto",
-    epsilon: float = 1e-9,
-    sigma: float | str = "auto",
-    restarts: int = 20,
+    d_dict: int | str = DEFAULT_D_DICT,
+    epsilon: float = HyperParams.epsilon,
+    sigma: float | str = HeatKernelParams.sigma,
+    restarts: int = KMeansConfig.restarts,
 ) -> dict[str, Any]:
     """Grid evaluation of graph methods under spectral clustering.
 
@@ -378,11 +383,16 @@ def _map_seeds(task: Callable[[int], Any], seeds: list[int]) -> list[Any]:
     if workers < 2:
         return [task(seed) for seed in seeds]
     import multiprocessing  # here only: importing llrgraph does not load it
+    from concurrent.futures import ProcessPoolExecutor
 
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     results = []
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (task,)) as pool:
-        for result, caught, error in pool.imap(_run_seed, seeds, chunksize=1):
+    # A worker that dies breaks the executor, which then raises for its seed
+    # where a multiprocessing Pool would wait forever. With fork it starts
+    # every worker before a thread of its own, as _seed_workers requires.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker, initargs=(task,)) as pool:
+        for result, caught, error in pool.map(_run_seed, seeds):
             for message, category, filename, lineno in caught:
                 module = modules.get(filename)
                 where = {} if module is None else {

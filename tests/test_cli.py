@@ -19,6 +19,7 @@ import llrgraph
 from llrgraph.cli import main
 from llrgraph.data import InputError, LabeledDataset, load_csv, save_csv
 from llrgraph.graphio import read_graph, read_labels
+from llrgraph.llr import neighbour_table
 
 
 def _synth(tmp_path, name="data.csv", per=10, seed=0, noise=0.01):
@@ -471,6 +472,36 @@ def test_distance_beyond_the_float_range_exits_one_naming_the_samples(tmp_path, 
     code = main(argv + ["--input", "big.csv", "--label-column", "label", "--pca-energy", "none"])
     assert code == 1
     assert "distance between samples 0 and 1 is beyond the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell, codes", [("0.75", [0, 0]), ("1e100", [0, 1]), ("1e200", [1, 1])],
+                         ids=["0.75", "1e100", "1e200"])
+def test_a_distance_the_data_scale_erases_is_an_error(tmp_path, monkeypatch, capsys, cell, codes):
+    """_FUZZ_CSV with row 3's 0.75 set to cell. At 1e200 the neighbour search's
+    common scale, 2**-665, underflows the squared differences of the other
+    cells, near 1: 56 of the 60 distances of a 4-nearest table would be 0, the
+    llr graph would be built from neighbours in index order and the auto sigma
+    would be 0. The search raises instead; up to 1e100 it raises nothing (the
+    heat graph then isolates the far sample, a failure of its own)."""
+    monkeypatch.chdir(tmp_path)
+    rows = list(_FUZZ_CSV)
+    rows[3] = rows[3].replace("0.75", cell)
+    Path("d.csv").write_text("\n".join(rows) + "\n")
+    X = load_csv("d.csv", label_column="label").X
+    underflow = "distance between samples 0 and 1 underflows at the data's scale"
+    if cell == "1e200":
+        with pytest.raises(ValueError, match=underflow):
+            neighbour_table(X, 4)
+    else:
+        assert np.count_nonzero(neighbour_table(X, 4)[1] == 0) == 0
+    runs = [
+        ["build-graph", "--method", "llr", "--k-keep", "4", "--pca-energy", "none", "--output", "g.txt"],
+        ["cluster", "--method", "heat", "--clusters", "2", "--restarts", "2", "--k-nn", "4", "--output", "p.txt"],
+    ]
+    for argv, code in zip(runs, codes):
+        capsys.readouterr()
+        assert main(argv + ["--input", "d.csv", "--label-column", "label"]) == code
+        assert (underflow in capsys.readouterr().err) == (cell == "1e200")
 
 
 @pytest.mark.parametrize(
@@ -1321,8 +1352,9 @@ _FUZZ_CSV = [
 ]
 # Magnitudes stay at or below 1e100 because of the data's dynamic range, not
 # its magnitude: one cell of 1e200 among cells near 1 makes the neighbour
-# search's scaling by 2**-665 underflow every other squared difference, and
-# cluster --method heat then exits 1 with a zero auto sigma (see CHANGES.md).
+# search's scaling by 2**-665 underflow every other squared difference, which
+# the search reports as an underflow, exit 1; at 1e100 it reports none, so the
+# message is not among _NUMERICAL (test_a_distance_the_data_scale_erases_*).
 _CSV_TOKENS = st.sampled_from([
     "0", "1", "-1", "2.5", "-0.5", "0.0", "1e-300", "5e-324", "1e100", "-1e100", "1e400", "nan", "inf", "-inf",
     "", " ", "x", "a", "label", "f0", "0,1", "1 2", "0x1", "1_0", "\"1\"", "\"", "\ufeff1", "\udcff",

@@ -135,6 +135,22 @@ def test_neighbour_table_names_samples_whose_distance_overflows():
     assert np.isfinite(dist).all()
 
 
+def test_neighbour_table_rejects_zeros_that_the_common_scale_misranks():
+    # Scaled with 1e200, the last three samples, at most 2 apart, are each at
+    # distance 0 from the others. Sample 1's zeros, samples 2 and 3 in index
+    # order, lie 2 and 1 away; the table would rank them the wrong way round.
+    X = np.array([[1e200, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="samples 1 and 2 underflows at the data's scale"):
+        neighbour_table(X, 3)
+    # A row's single zero, which its unscaled distance keeps first, stands.
+    idx, dist = neighbour_table(X[:3], 2)
+    assert idx.tolist() == [[1, 2], [2, 0], [1, 0]]
+    assert dist[1:, 0].tolist() == [0.0, 0.0]
+    # Where the zeros fill the row, a sample outside the table may be nearer.
+    with pytest.raises(ValueError, match="samples 1 and 2 underflows at the data's scale"):
+        neighbour_table(X[:3], 1)
+
+
 def test_neighbour_table_builds_no_n_by_n_matrix():
     # One 3000 x 3000 float64 distance matrix takes 72 MB; blocks of rows
     # within the chunk budget and the (n, k) tables need well under 8 MB.

@@ -1,14 +1,20 @@
+import inspect
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from llrgraph import baselines, llr, runs
 from llrgraph.cli import main
-from llrgraph.data import InputError, LabeledDataset, save_csv, synth_union_of_subspaces
+from llrgraph.data import InputError, LabeledDataset, SyntheticSpec, load_csv, save_csv, synth_union_of_subspaces
+from llrgraph.graphio import read_labels, write_graph
 from llrgraph.llr import HyperParams, build_llr_graph
 from llrgraph.runs import (
     build_graph_by_method,
@@ -21,6 +27,7 @@ from llrgraph.runs import (
     resolve_d_dict,
     sweep_run,
 )
+from llrgraph.spectral import KMeansConfig
 
 
 def _rng(seed):
@@ -102,6 +109,53 @@ def test_graph_builder_checks_n_bounds_only_for_its_method():
         graph_builder("heat", None, lam=1.5)
     with pytest.raises(InputError, match="unknown graph method"):
         graph_builder("cosine", None)
+
+
+# -- the CLI's defaults are the library's ------------------------------------
+
+
+@pytest.mark.parametrize("method", ["llr", "heat", "lle"])
+def test_graph_commands_without_graph_flags_build_the_library_default_graph(tmp_path, method):
+    save_csv(tmp_path / "d.csv", _fig1(seed=2, per=20))
+    ds = load_csv(tmp_path / "d.csv", label_column="label")
+    data = ["--input", str(tmp_path / "d.csv"), "--label-column", "label", "--method", method]
+    assert main(["build-graph", *data, "--output", str(tmp_path / "cli.txt")]) == 0
+    assert main(["cluster", *data, "--clusters", "3", "--output", str(tmp_path / "cli-pred.txt")]) == 0
+    W = build_graph_by_method(ds.X, method)
+    write_graph(tmp_path / "lib.txt", W)
+    assert (tmp_path / "cli.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
+    pred = cluster_graph(W, 3, KMeansConfig.restarts, KMeansConfig.seed)
+    assert np.array_equal(read_labels(tmp_path / "cli-pred.txt"), pred)
+
+
+@pytest.mark.parametrize("method", ["npe", "lpp"])
+def test_embed_classify_with_only_its_required_flags_predicts_the_library_default(tmp_path, method):
+    save_csv(tmp_path / "c.csv", synth_union_of_subspaces(
+        SyntheticSpec(ambient_dim=6, subspaces=[(2, 15), (3, 15)], noise_sigma=0.01, seed=0)))
+    ds = load_csv(tmp_path / "c.csv", label_column="label")
+    assert main(["embed-classify", "--input", str(tmp_path / "c.csv"), "--label-column", "label", "--method", method,
+                 "--embed-dim", "3", "--pred-out", str(tmp_path / "pred.txt")]) == 0
+    assert np.array_equal(read_labels(tmp_path / "pred.txt"), classify_run(ds, method=method, embed_dim=3)["pred"])
+
+
+def test_every_cli_default_is_the_library_default():
+    """Each command's default equals the library's for the same parameter: a
+    pipeline keyword or a parameter object's field (lambda is lam, noise is noise_sigma)."""
+    from llrgraph.cli import COMMANDS
+
+    library = {"synth": [sweep_run], "build-graph": [graph_builder], "cluster": [graph_builder, KMeansConfig],
+               "embed-classify": [classify_run], "eval": [sweep_run, KMeansConfig]}
+    renamed = {"lambda": "lam", "noise": "noise_sigma"}
+    compared = set()
+    for name, targets in library.items():
+        for p in COMMANDS[name].params:
+            for target in targets:
+                keyword = inspect.signature(target).parameters.get(renamed.get(p.key, p.key))
+                if keyword is not None and keyword.default is not inspect.Parameter.empty:
+                    assert p.default == keyword.default, (name, p.key)
+                    compared.add(p.key)
+    assert compared >= {"lambda", "k_keep", "d_dict", "epsilon", "k_nn", "sigma", "restarts", "per_subspace",
+                        "noise", "train_fraction", "pca_energy"}
 
 
 def test_cluster_and_evaluate_on_clean_blocks():
@@ -344,6 +398,32 @@ def test_sweep_in_workers_raises_the_first_failing_seeds_exception(monkeypatch, 
     assert str(caught.value) == "cell failed at seed 3"
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads  # the pool's handler threads are gone
+
+
+def test_a_seed_worker_that_dies_fails_the_sweep():
+    """A worker that exits in the middle of a seed fails the sweep; the seed is
+    not waited for. Run in a child process, which a hang would not outlive."""
+    script = textwrap.dedent("""
+        import os
+        from llrgraph import runs
+
+        runs._seed_workers = lambda n_seeds: 2
+        real = runs.cluster_graph
+
+        def cluster_graph(W, k, restarts, seed):
+            if seed == 1:
+                os._exit(3)
+            return real(W, k, restarts, seed)
+
+        runs.cluster_graph = cluster_graph
+        runs.sweep_run(preset="fig1", per_subspace=10, n_clusters=3, methods=["heat"], lambdas=[], k_values=[4],
+                       seeds=[0, 1, 2, 3], restarts=2)
+    """)
+    src = str(Path(runs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "BrokenProcessPool" in done.stderr, done.stderr
 
 
 def test_a_workers_warning_reaches_the_caller(monkeypatch):
