@@ -171,12 +171,10 @@ def _fail(p: Param, raw: Any, expected: str) -> InputError:
 def _split_list(p: Param, raw: Any) -> list[Any]:
     if isinstance(raw, (list, tuple)):
         return list(raw)
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",")]
-        if any(not part for part in parts):
-            raise _fail(p, raw, "a comma-separated list")
-        return parts
-    raise _fail(p, raw, "a comma-separated list")
+    parts = [part.strip() for part in raw.split(",")] if isinstance(raw, str) else [""]
+    if not all(parts):
+        raise _fail(p, raw, "a comma-separated list")
+    return parts
 
 
 # Kinds that follow a base kind's rule: each word kind also takes one word,

@@ -134,15 +134,8 @@ class PcaModel:
 
 
 def _canonicalize_labels(raw: list[str]) -> tuple[np.ndarray, list[str]]:
-    names: list[str] = []
-    index: dict[str, int] = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, value in enumerate(raw):
-        if value not in index:
-            index[value] = len(names)
-            names.append(value)
-        out[i] = index[value]
-    return out, names
+    index: dict[str, int] = {}  # in order of first appearance
+    return np.array([index.setdefault(value, len(index)) for value in raw], dtype=np.int64), list(index)
 
 
 def load_csv(path: str | Path, label_column: str | int | None = None) -> LabeledDataset:
@@ -158,9 +151,13 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    rows, lines = _read_rows(path)
+    rows, plain = _read_rows(path)
     if not rows:
         raise InputError(f"{path}: empty file")
+    # A plain row is its line, split only where cells are read: the header, the cell-by-cell
+    # conversion, and the label cells, split from the end (where labels usually are) to the label.
+    cells = (lambda row: row.split(",")) if plain else (lambda row: row)
+    width = (lambda row: row.count(",") + 1) if plain else len
 
     def _is_number(cell: str) -> bool:
         try:
@@ -169,18 +166,18 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
             return False
         return True
 
-    has_header = not all(_is_number(c) for c in rows[0])
-    header = [c.strip() for c in rows[0]] if has_header else None
+    has_header = not all(_is_number(c) for c in cells(rows[0]))
+    header = [c.strip() for c in cells(rows[0])] if has_header else None
     data_rows = rows[1:] if has_header else rows
     first_row = 2 if has_header else 1
     if not data_rows:
         raise InputError(f"{path}: no data rows")
 
     # The header, checked last, must be as wide as the data rows.
-    arity = len(data_rows[0])
+    arity = width(data_rows[0])
     for number, row in [*enumerate(data_rows, start=first_row), (1, rows[0])]:
-        if len(row) != arity:
-            raise InputError(f"{path}: ragged row {number}: expected {arity} cells, got {len(row)}")
+        if width(row) != arity:
+            raise InputError(f"{path}: ragged row {number}: expected {arity} cells, got {width(row)}")
 
     label_idx: int | None = None
     if label_column is not None:
@@ -205,22 +202,24 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     # cell-by-cell conversion, which names the first bad cell.
     shape = (len(data_rows), len(feature_cols))
     try:
-        X = None if lines is None else np.loadtxt(lines[first_row - 1:], delimiter=",", usecols=feature_cols,
-                                                  comments=None, quotechar=None, ndmin=2)
+        X = np.loadtxt(data_rows, delimiter=",", usecols=feature_cols, comments=None, quotechar=None,
+                       ndmin=2) if plain else None
     except ValueError:
         X = None
     if X is None or X.shape != shape or not np.isfinite(X).all():
-        X = _parse_cells(path, data_rows, first_row, feature_cols)
+        X = _parse_cells(path, [cells(row) for row in data_rows], first_row, feature_cols)
 
     if label_idx is None:
         return LabeledDataset(X=X)
-    labels, names = _canonicalize_labels([row[label_idx].strip() for row in data_rows])
+    back = arity - label_idx  # the label column's place, counted from the end
+    raw = [row.rsplit(",", back)[-back] for row in data_rows] if plain else [row[label_idx] for row in data_rows]
+    labels, names = _canonicalize_labels([cell.strip() for cell in raw])
     return LabeledDataset(X=X, labels=labels, label_names=names)
 
 
-def _read_rows(path: Path) -> tuple[list[list[str]], list[str] | None]:
-    """The file's non-empty rows as csv.reader gives them, and the lines they
-    came from when each row is simply its line split at ",", else None.
+def _read_rows(path: Path) -> tuple[list[str] | list[list[str]], bool]:
+    """The file's non-empty lines and True when each is simply split at "," into
+    the row csv.reader gives, else csv.reader's non-empty rows and False.
 
     A line splits so when the text holds no quote, carriage return or NUL
     (which csv.reader refuses before Python 3.11), and no line is longer than
@@ -229,8 +228,8 @@ def _read_rows(path: Path) -> tuple[list[list[str]], list[str] | None]:
     text = read_text(path)
     lines = [line for line in text.split("\n") if line]
     if '"' in text or "\r" in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
-        return [row for row in csv.reader(io.StringIO(text, newline="")) if row], None
-    return [line.split(",") for line in lines], lines
+        return [row for row in csv.reader(io.StringIO(text, newline="")) if row], False
+    return lines, True
 
 
 def _parse_cells(path: Path, data_rows: list[list[str]], first_row: int, feature_cols: list[int]) -> np.ndarray:

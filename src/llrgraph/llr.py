@@ -29,6 +29,7 @@ W_ij = |C_ij| + |C_ji|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -97,17 +98,30 @@ class Dictionary:
     atoms: np.ndarray  # (m, d_dict)
 
 
-def _exact_distances(Q, R) -> np.ndarray:
-    """sqrt(sum_j (q_j - r_j)^2) over broadcast pairs, with Q and R given
-    column by column (iterables of m arrays). The squares are summed from
-    column 0 up, acc += (q_j - r_j)^2, the order and rounding of cdist's
-    Euclidean distance, so the results equal its bit for bit."""
-    acc = None
-    for q, r in zip(Q, R):
-        d = q - r
-        d *= d
-        acc = d if acc is None else np.add(acc, d, out=acc)
-    return np.sqrt(acc, out=acc)
+def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray | None = None) -> np.ndarray:
+    """Distances of each column i of Qt (m, q) to each column of Rt (m, n), or to
+    its columns sel[i] only. The squares are summed from column 0 up,
+    acc += (q_j - r_j)^2, the order and rounding of cdist's Euclidean distance,
+    so the results equal its bit for bit. A sum below 2^-900, whose squares may
+    have gone subnormal, is summed again with the pair's differences times the
+    2^-f that brings the largest into [0.5, 1), and its root times 2^f (Blue,
+    ACM TOMS 4(1), 1978); above it, m < 2^68 squares each off by less than
+    2^-1022 cannot move the sum by half an ulp."""
+
+    def diffs(qi, ri):  # q[qi] - r[ri] for each column pair (q, r), gathered one column at a time
+        return (q[qi] - r[ri] for q, r in zip(Qt, Rt))
+
+    def sum_of_squares(ds):  # from column 0 up, in place
+        return functools.reduce(lambda acc, d: np.add(acc, d, out=acc), (np.square(d, out=d) for d in ds))
+
+    acc = sum_of_squares(diffs(np.s_[:, None], np.s_[...] if sel is None else sel))
+    rows, cols = np.nonzero(acc < 2.0**-900)
+    np.sqrt(acc, out=acc)
+    if rows.size:
+        at = cols if sel is None else sel[rows, cols]
+        f = np.frexp(functools.reduce(np.maximum, map(np.abs, diffs(rows, at))))[1]
+        acc[rows, cols] = np.ldexp(np.sqrt(sum_of_squares(np.ldexp(d, -f) for d in diffs(rows, at))), f)
+    return acc
 
 
 def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) -> NeighbourTable:
@@ -116,14 +130,13 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     Without queries, the queries are the rows of X, each excluding itself. A
     row holds the first k entries of the whole row stably sorted by Euclidean
     distance (ties: smaller index), so a k-wide table is the first k columns
-    of any wider one. The distances are cdist's (scipy.spatial.distance), bit
-    for bit, taken on the data and queries scaled together by unit_scale and
-    scaled back: data above about 1e154 does not overflow, a distance that
-    leaves the float range raises ValueError, and data already in that range
-    keeps its scale, so its distances rank. Where the entries span too many
-    orders of magnitude, the common scale underflows the distance of rows that
-    differ to 0; where such zeros fill a row of the table, or their unscaled
-    distances would order the row otherwise, ValueError is raised too.
+    of any wider one. The distances are _exact_distances' on the data and
+    queries scaled together by unit_scale, scaled back: cdist's
+    (scipy.spatial.distance) bit for bit, but for pairs whose squares the
+    common scale would underflow, which are summed at their own scale. Data
+    above about 1e154 does not overflow, a distance that leaves the float range
+    raises ValueError, and data already in that range keeps its scale, so its
+    distances rank.
 
     A screen picks each row's k candidates from A = |r|^2 - 2 q.r, the squared
     distance less |q|^2 (the same along a row), one BLAS product per block of
@@ -144,11 +157,7 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     sort instead. No n x n matrix is built.
     """
     X, self_search = validate_data_matrix(X), queries is None
-    if self_search:
-        e, R = unit_scale(X)
-        Q = R
-    else:
-        e, R, Q = unit_scale(X, queries)
+    e, R, Q = unit_scale(X, X if self_search else queries)
     n, m = R.shape
     if not 1 <= k <= n - self_search:
         raise ValueError(f"k must lie in [1, {n - self_search}], got {k}")
@@ -179,7 +188,7 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
         rows_per = max(1, _CHUNK_VALUES // k)
         for a in range(0, nq, rows_per):
             sel = idx[a : a + rows_per]
-            near = _exact_distances(Qt[:, a : a + rows_per, None], (r[sel] for r in Rt))
+            near = _exact_distances(Qt[:, a : a + rows_per], Rt, sel)
             with np.errstate(over="ignore"):  # an overflowed row is searched in full, which reports it
                 np.ldexp(near, e, out=near)
             # The candidates are in index order, so a stable sort by distance puts ties in index order too.
@@ -191,7 +200,7 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     redo = np.flatnonzero(full)
     for a in range(0, redo.size, block):
         rows = redo[a : a + block]
-        D = _exact_distances(Qt[:, rows, None], Rt)
+        D = _exact_distances(Qt[:, rows], Rt)
         with np.errstate(over="ignore"):  # an overflowed neighbour is reported below
             np.ldexp(D, e, out=D)
         if self_search:
@@ -207,22 +216,6 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
             j = int(far[far != rows[r]][0])
             raise ValueError(f"distance between samples {rows[r]} and {j} is beyond the float range")
         idx[rows], dist[rows] = sel, near
-    # A selected distance of 0 between rows that are apart underflowed at the
-    # common scale, and such zeros are ranked by index. The table stands where
-    # their unscaled distances keep each row in order and the zeros do not
-    # fill it, which would leave out samples that may be nearer.
-    rows, cols = np.nonzero(dist == 0)
-    if rows.size:
-        unscaled = X if self_search else np.asarray(queries, dtype=float)
-        lost = _exact_distances(unscaled[rows].T, X[idx[rows, cols]].T)
-        true = dist.copy()
-        true[rows, cols] = lost
-        unranked = (dist[:, -1] == 0) | np.any(np.diff(true, axis=1) < 0, axis=1)
-        bad = np.flatnonzero((lost > 0) & unranked[rows])
-        if bad.size:
-            i, j = rows[bad[0]], idx[rows[bad[0]], cols[bad[0]]]
-            raise ValueError(f"distance between samples {i} and {j} underflows at the data's scale, so its "
-                             "neighbours cannot be ranked: the entries span too many orders of magnitude")
     return idx, dist
 
 
@@ -260,7 +253,7 @@ def distance_diagonal(X: np.ndarray, dic: Dictionary) -> np.ndarray:
     on unit_scale(X), then scaled back.
     """
     e, X = unit_scale(validate_data_matrix(X))
-    return np.ldexp(_exact_distances(X[dic.owner][:, None], X[dic.atom_indices].T), e)
+    return np.ldexp(_exact_distances(X[[dic.owner]].T, X.T, dic.atom_indices[None])[0], e)
 
 
 def _uses_low_rank(m: int, d: int, lam: float) -> bool:
@@ -271,15 +264,21 @@ def _ridge(trace: np.ndarray, epsilon: float, d: int) -> np.ndarray:
     return np.where(trace > 0, epsilon * (trace / d), epsilon)
 
 
+def scipy_linalg() -> Any:
+    """scipy.linalg, which the coefficient solves use, imported on first use to keep start-up light."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve(A, b, assume_a="pos") on a stack of systems. SciPy may
     round one 1 x 1 system differently from a stack of them (1.17 divides it
     out), so 1 x 1 systems are solved one at a time, each as a system of its own."""
-    import scipy.linalg  # imported on first use, to keep the CLI's start-up light
-
+    solve = scipy_linalg().solve
     if A.shape[-1] == 1:
-        return np.stack([scipy.linalg.solve(a, y, assume_a="pos") for a, y in zip(A, b)])
-    return scipy.linalg.solve(A, b, assume_a="pos")
+        return np.stack([solve(a, y, assume_a="pos") for a, y in zip(A, b)])
+    return solve(A, b, assume_a="pos")
 
 
 def _direct_solve(Bt: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:

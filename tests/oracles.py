@@ -145,6 +145,15 @@ def knn_indices(X: np.ndarray, i: int, k: int) -> list[int]:
     return [j for _, j in dists[:k]]
 
 
+def neighbour_table_math_dist(X: np.ndarray, k: int) -> tuple[list[list[int]], list[list[float]]]:
+    """The k nearest rows to each row of X, excluding itself, by math.dist on the
+    unscaled rows, stably sorted (ties: smaller index), with their distances."""
+    rows = np.asarray(X, dtype=float).tolist()
+    dist = [[math.dist(p, q) for q in rows] for p in rows]
+    idx = [sorted((j for j in range(len(rows)) if j != i), key=dist[i].__getitem__)[:k] for i in range(len(rows))]
+    return idx, [[dist[i][j] for j in row] for i, row in enumerate(idx)]
+
+
 def best_assignment(cost: np.ndarray) -> float:
     """Minimum-cost injective row-to-column assignment by brute force."""
     rows, cols = cost.shape

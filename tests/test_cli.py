@@ -21,6 +21,8 @@ from llrgraph.data import InputError, LabeledDataset, load_csv, save_csv
 from llrgraph.graphio import read_graph, read_labels
 from llrgraph.llr import neighbour_table
 
+from oracles import neighbour_table_math_dist
+
 
 def _synth(tmp_path, name="data.csv", per=10, seed=0, noise=0.01):
     path = tmp_path / name
@@ -137,6 +139,20 @@ def test_commands_without_solves_never_load_scipy(tmp_path, argv):
     code, modules = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert _scipy_modules(modules) == []
+
+
+@pytest.mark.parametrize("methods, loaded", [("heat", []), ("heat,lle", ["scipy.linalg"])], ids=["heat", "lle"])
+def test_a_preset_sweep_imports_scipy_linalg_in_the_parent_only_if_it_solves(tmp_path, methods, loaded):
+    """A sweep of llr or lle imports scipy.linalg before it forks its seed
+    workers, which share that one import; a sweep of heat alone loads no SciPy."""
+    argv = ["eval", "--preset", "fig1", "--per-subspace", "5", "--methods", methods, "--k-values", "2",
+            "--seeds", "0,1", "--restarts", "2"]
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert [m for m in loaded if m not in modules] == []
+    assert bool(_scipy_modules(modules)) == bool(loaded)
 
 
 def test_default_report_does_not_depend_on_the_core_count(tmp_path):
@@ -474,26 +490,21 @@ def test_distance_beyond_the_float_range_exits_one_naming_the_samples(tmp_path, 
     assert "distance between samples 0 and 1 is beyond the float range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell, codes", [("0.75", [0, 0]), ("1e100", [0, 1]), ("1e200", [1, 1])],
+@pytest.mark.parametrize("cell, codes", [("0.75", [0, 0]), ("1e100", [0, 1]), ("1e200", [0, 1])],
                          ids=["0.75", "1e100", "1e200"])
-def test_a_distance_the_data_scale_erases_is_an_error(tmp_path, monkeypatch, capsys, cell, codes):
+def test_a_distance_the_data_scale_would_erase_is_ranked(tmp_path, monkeypatch, capsys, cell, codes):
     """_FUZZ_CSV with row 3's 0.75 set to cell. At 1e200 the neighbour search's
     common scale, 2**-665, underflows the squared differences of the other
-    cells, near 1: 56 of the 60 distances of a 4-nearest table would be 0, the
-    llr graph would be built from neighbours in index order and the auto sigma
-    would be 0. The search raises instead; up to 1e100 it raises nothing (the
-    heat graph then isolates the far sample, a failure of its own)."""
+    cells, near 1, which would make 56 of the 60 distances of a 4-nearest
+    table 0. Such pairs are summed at their own scale, so the table is
+    math.dist's at every cell. From 1e100 the heat graph isolates the far
+    sample, a failure of its own."""
     monkeypatch.chdir(tmp_path)
     rows = list(_FUZZ_CSV)
     rows[3] = rows[3].replace("0.75", cell)
     Path("d.csv").write_text("\n".join(rows) + "\n")
     X = load_csv("d.csv", label_column="label").X
-    underflow = "distance between samples 0 and 1 underflows at the data's scale"
-    if cell == "1e200":
-        with pytest.raises(ValueError, match=underflow):
-            neighbour_table(X, 4)
-    else:
-        assert np.count_nonzero(neighbour_table(X, 4)[1] == 0) == 0
+    assert neighbour_table(X, 4)[0].tolist() == neighbour_table_math_dist(X, 4)[0]
     runs = [
         ["build-graph", "--method", "llr", "--k-keep", "4", "--pca-energy", "none", "--output", "g.txt"],
         ["cluster", "--method", "heat", "--clusters", "2", "--restarts", "2", "--k-nn", "4", "--output", "p.txt"],
@@ -501,7 +512,7 @@ def test_a_distance_the_data_scale_erases_is_an_error(tmp_path, monkeypatch, cap
     for argv, code in zip(runs, codes):
         capsys.readouterr()
         assert main(argv + ["--input", "d.csv", "--label-column", "label"]) == code
-        assert (underflow in capsys.readouterr().err) == (cell == "1e200")
+        assert code == 0 or "isolated vertices (zero degree): [2]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1350,13 +1361,13 @@ _FUZZ_CSV = [
     "0.1,1.0,0.0,1", "0.0,-0.75,0.1,1", "-0.1,1.25,0.0,1", "0.1,-1.5,-0.1,1", "0.0,0.5,0.1,1",
     "0.5,0.0,1.0,2", "-0.6,0.1,-1.25,2", "0.4,-0.1,0.75,2", "-0.75,0.0,-1.5,2", "0.25,0.1,0.5,2",
 ]
-# Magnitudes stay at or below 1e100 because of the data's dynamic range, not
-# its magnitude: one cell of 1e200 among cells near 1 makes the neighbour
-# search's scaling by 2**-665 underflow every other squared difference, which
-# the search reports as an underflow, exit 1; at 1e100 it reports none, so the
-# message is not among _NUMERICAL (test_a_distance_the_data_scale_erases_*).
+# 1e200 and -1e300 among cells near 1 span more orders of magnitude than the
+# neighbour search's common scale keeps in its squares (2**-665 and 2**-997):
+# the pairs it would underflow are summed at their own scale, so the search
+# ranks them (test_a_distance_the_data_scale_would_erase_is_ranked).
 _CSV_TOKENS = st.sampled_from([
-    "0", "1", "-1", "2.5", "-0.5", "0.0", "1e-300", "5e-324", "1e100", "-1e100", "1e400", "nan", "inf", "-inf",
+    "0", "1", "-1", "2.5", "-0.5", "0.0", "1e-300", "5e-324", "1e100", "-1e100", "1e200", "-1e300", "1e400", "nan",
+    "inf", "-inf",
     "", " ", "x", "a", "label", "f0", "0,1", "1 2", "0x1", "1_0", "\"1\"", "\"", "\ufeff1", "\udcff",
 ])
 _CSV_RUNS = [

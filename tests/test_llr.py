@@ -18,7 +18,7 @@ from llrgraph.llr import (
     symmetrize,
 )
 
-from oracles import knn_indices, nullspace_coefficients, pairwise_distances
+from oracles import knn_indices, neighbour_table_math_dist, nullspace_coefficients, pairwise_distances
 
 
 def _rng(seed):
@@ -135,20 +135,15 @@ def test_neighbour_table_names_samples_whose_distance_overflows():
     assert np.isfinite(dist).all()
 
 
-def test_neighbour_table_rejects_zeros_that_the_common_scale_misranks():
-    # Scaled with 1e200, the last three samples, at most 2 apart, are each at
-    # distance 0 from the others. Sample 1's zeros, samples 2 and 3 in index
-    # order, lie 2 and 1 away; the table would rank them the wrong way round.
+def test_neighbour_table_ranks_distances_the_common_scale_would_underflow():
+    # Scaled with 1e200, the squared differences of the last three samples, at
+    # most 2 apart, underflow to 0, which would rank them by index. Each such
+    # pair is summed at its own scale, so the table is math.dist's.
     X = np.array([[1e200, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="samples 1 and 2 underflows at the data's scale"):
-        neighbour_table(X, 3)
-    # A row's single zero, which its unscaled distance keeps first, stands.
-    idx, dist = neighbour_table(X[:3], 2)
-    assert idx.tolist() == [[1, 2], [2, 0], [1, 0]]
-    assert dist[1:, 0].tolist() == [0.0, 0.0]
-    # Where the zeros fill the row, a sample outside the table may be nearer.
-    with pytest.raises(ValueError, match="samples 1 and 2 underflows at the data's scale"):
-        neighbour_table(X[:3], 1)
+    for rows, k in ((4, 3), (3, 2), (3, 1)):
+        idx, dist = neighbour_table(X[:rows], k)
+        assert (idx.tolist(), dist.tolist()) == neighbour_table_math_dist(X[:rows], k), (rows, k)
+    assert neighbour_table(X, 3)[0].tolist() == [[1, 2, 3], [3, 2, 0], [3, 1, 0], [1, 2, 0]]
 
 
 def test_neighbour_table_builds_no_n_by_n_matrix():

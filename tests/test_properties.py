@@ -3,14 +3,21 @@ and bit-identity of the batched bodies with their one-at-a-time definitions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from llrgraph import llr, spectral
 from llrgraph.baselines import HeatKernelParams, heat_kernel_graph, lle_graph
 from llrgraph.embedding import nn_classify
-from llrgraph.llr import HyperParams, build_llr_coefficients, coefficient_table, neighbour_table, sparsify_table
+from llrgraph.llr import (
+    HyperParams,
+    build_llr_coefficients,
+    coefficient_table,
+    distance_diagonal,
+    neighbour_table,
+    sparsify_table,
+)
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
 from llrgraph.spectral import KMeansConfig, kmeans
 
@@ -22,6 +29,7 @@ from oracles import (
     lloyd_one,
     nearest_training_index,
     neighbour_table_full,
+    neighbour_table_math_dist,
     sparsify_table_loop,
 )
 
@@ -245,6 +253,37 @@ def test_neighbour_table_matches_the_full_sort_on_tight_clusters_far_out(inputs,
 @given(extreme_scale_inputs(), st.sampled_from([1, 64, 2**16]))
 def test_neighbour_table_matches_the_full_sort_at_extreme_scales(inputs, budget):
     _assert_matches_the_full_sort(*inputs, budget)
+
+
+@st.composite
+def wide_range_inputs(draw):
+    """Up to 12 points near 1 in up to 4 dimensions, one column of which is
+    +-10^p, p from 100 to 300, in one or two rows, and any k. At the common
+    scale the other points' squared differences are subnormal or 0; a second
+    far row puts one such pair among its row's screened candidates."""
+    n, m = draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    X = 1.0 + _seeded(draw, (n, m)) / 4
+    far = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    X[far, draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(100, 300))
+    return X, draw(st.integers(1, n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(wide_range_inputs(), st.sampled_from([1, 64, 2**16]))
+def test_neighbour_table_ranks_points_beside_a_far_larger_entry(inputs, budget):
+    # Pairs the common scale would underflow are summed at their own scale, so
+    # the table is the stable sort by math.dist of the unscaled rows wherever
+    # no two distances of a row lie within a few roundings of each other.
+    X, k = inputs
+    want_idx, want_dist = neighbour_table_math_dist(X, X.shape[0] - 1)
+    assume(all(b == a or b - a > 1e-12 * b for row in want_dist for a, b in zip(row, row[1:])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llr, "_CHUNK_VALUES", budget)
+        idx, dist = neighbour_table(X, k)
+        diagonals = [distance_diagonal(X, llr.Dictionary(i, idx[i], X[idx[i]].T)) for i in range(X.shape[0])]
+    assert idx.tolist() == [row[:k] for row in want_idx]
+    np.testing.assert_allclose(dist, [row[:k] for row in want_dist], rtol=1e-14, atol=0)
+    assert np.array(diagonals).tobytes() == dist.tobytes()
 
 
 @PROPERTY_SETTINGS
