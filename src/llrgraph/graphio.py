@@ -84,11 +84,7 @@ class CSR:
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         starts = np.flatnonzero(first)
         summed = vals[starts]
-        if starts.size < vals.size:  # add each run of repeats left to right
-            run = np.diff(starts, append=vals.size)
-            for k in range(1, int(run.max())):
-                more = run > k
-                summed[more] += vals[starts[more] + k]
+        np.add.at(summed, np.cumsum(first)[~first] - 1, vals[~first])  # each run of repeats, left to right
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[starts], minlength=m), out=indptr[1:])
         return cls(summed, cols[starts], indptr, shape)
@@ -142,11 +138,7 @@ class CSR:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         X = other.reshape(other.shape[0], -1)
         out = np.zeros((self.shape[0], X.shape[1]), dtype=np.result_type(self.data, X))
-        counts = np.diff(self.indptr)
-        for k in range(int(counts.max(initial=0))):
-            live = np.flatnonzero(counts > k)
-            at = self.indptr[live] + k
-            out[live] += self.data[at, None] * X[self.indices[at]]
+        np.add.at(out, self.entry_rows(), self.data[:, None] * X[self.indices])
         return out.reshape((self.shape[0],) + other.shape[1:])
 
     def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:

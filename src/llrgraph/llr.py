@@ -98,15 +98,14 @@ class Dictionary:
     atoms: np.ndarray  # (m, d_dict)
 
 
-def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray | None = None) -> np.ndarray:
-    """Distances of each column i of Qt (m, q) to each column of Rt (m, n), or to
-    its columns sel[i] only. The squares are summed from column 0 up,
-    acc += (q_j - r_j)^2, the order and rounding of cdist's Euclidean distance,
-    so the results equal its bit for bit. A sum below 2^-900, whose squares may
-    have gone subnormal, is summed again with the pair's differences times the
-    2^-f that brings the largest into [0.5, 1), and its root times 2^f (Blue,
-    ACM TOMS 4(1), 1978); above it, m < 2^68 squares each off by less than
-    2^-1022 cannot move the sum by half an ulp."""
+def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Distances of each column i of Qt (m, q) to the columns sel[i] of Rt (m, n).
+    The squares are summed from column 0 up, acc += (q_j - r_j)^2, the order and
+    rounding of cdist's Euclidean distance, so the results equal its bit for bit.
+    A sum below 2^-900, whose squares may have gone subnormal, is summed again
+    with the pair's differences times the 2^-f that brings the largest into
+    [0.5, 1), and its root times 2^f (Blue, ACM TOMS 4(1), 1978); above it,
+    m < 2^68 squares each off by less than 2^-1022 cannot move the sum by half an ulp."""
 
     def diffs(qi, ri):  # q[qi] - r[ri] for each column pair (q, r), gathered one column at a time
         return (q[qi] - r[ri] for q, r in zip(Qt, Rt))
@@ -114,14 +113,26 @@ def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray | None = No
     def sum_of_squares(ds):  # from column 0 up, in place
         return functools.reduce(lambda acc, d: np.add(acc, d, out=acc), (np.square(d, out=d) for d in ds))
 
-    acc = sum_of_squares(diffs(np.s_[:, None], np.s_[...] if sel is None else sel))
+    acc = sum_of_squares(diffs(np.s_[:, None], sel))
     rows, cols = np.nonzero(acc < 2.0**-900)
     np.sqrt(acc, out=acc)
     if rows.size:
-        at = cols if sel is None else sel[rows, cols]
+        at = sel[rows, cols]
         f = np.frexp(functools.reduce(np.maximum, map(np.abs, diffs(rows, at))))[1]
         acc[rows, cols] = np.ldexp(np.sqrt(sum_of_squares(np.ldexp(d, -f) for d in diffs(rows, at))), f)
     return acc
+
+
+def _ranked(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray, e: int) -> NeighbourTable:
+    """The columns sel[i] of Rt, given in index order, stably sorted by their
+    exact distance to column i of Qt (so ties stay in index order), with those
+    distances scaled back by 2^e; a distance beyond the float range is inf and
+    ranks last."""
+    near = _exact_distances(Qt, Rt, sel)
+    with np.errstate(over="ignore"):
+        np.ldexp(near, e, out=near)
+    order = np.argsort(near, axis=1, kind="stable")
+    return np.take_along_axis(sel, order, axis=1), np.take_along_axis(near, order, axis=1)
 
 
 def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) -> NeighbourTable:
@@ -148,13 +159,15 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
     twice what those bounds need (u = 2^-53), with room for underflow, even
     flushed to zero; so when no sample outside the k candidates has A within
     the margin of the k-th candidate's, every sample outside has an exact
-    distance strictly above every candidate's. Exact distances are then taken
-    for the (rows, k) candidates only, in index order, scaled back and stably
-    sorted. Rows that fail the screen (ties and near-ties at the k-th
-    candidate), rows whose k-th distance leaves the normal float range when
-    scaled back (where scaling could merge distances), and every row when k
-    covers all of X, get the exact distances of the whole row and a stable
-    sort instead. No n x n matrix is built.
+    distance strictly above every candidate's. When k covers every other
+    sample, the candidates are all of them and the screen always holds.
+
+    One exact pass then ranks a row's columns (_ranked): exact distances,
+    scaled back, stably sorted. It takes the k candidates of every row, and
+    then the whole row, every other sample, of the rows that fail the screen
+    (ties and near-ties at the k-th candidate) or whose k-th distance leaves
+    the normal float range when scaled back (where scaling could merge
+    distances), keeping the first k. No n x n matrix is built.
     """
     X, self_search = validate_data_matrix(X), queries is None
     e, R, Q = unit_scale(X, X if self_search else queries)
@@ -163,58 +176,40 @@ def neighbour_table(X: np.ndarray, k: int, queries: np.ndarray | None = None) ->
         raise ValueError(f"k must lie in [1, {n - self_search}], got {k}")
     nq = Q.shape[0]
     Rt, Qt = np.ascontiguousarray(R.T), np.ascontiguousarray(Q.T)
-    idx, dist = np.empty((nq, k), dtype=np.intp), np.empty((nq, k))
+    idx, full = np.empty((nq, k), dtype=np.intp), np.zeros(nq, dtype=bool)
+    r_sq = np.einsum("ij,ij->i", R, R)
+    q_sq = r_sq if self_search else np.einsum("ij,ij->i", Q, Q)
+    bound = (np.sqrt(q_sq) + np.sqrt(r_sq.max())) ** 2
+    margin = (8 * m + 64) * (np.ldexp(bound, -53) + np.finfo(float).tiny)
     block = max(1, _CHUNK_VALUES // n)
-    if k == n - self_search:
-        full = np.ones(nq, dtype=bool)  # every sample is a neighbour: nothing to screen
-    else:
-        full = np.zeros(nq, dtype=bool)
-        r_sq = np.einsum("ij,ij->i", R, R)
-        q_sq = r_sq if self_search else np.einsum("ij,ij->i", Q, Q)
-        bound = (np.sqrt(q_sq) + np.sqrt(r_sq.max())) ** 2
-        margin = (8 * m + 64) * (np.ldexp(bound, -53) + np.finfo(float).tiny)
-        for a in range(0, nq, block):
-            b = min(a + block, nq)
-            A = (-2.0 * Q[a:b]) @ Rt
-            A += r_sq  # |q|^2 is the same along the row, so it changes no comparison
-            rows = np.arange(b - a)
-            if self_search:
-                A[rows, a + rows] = np.inf
-            sel = np.argpartition(A, k - 1, axis=1)[:, :k]
-            kth = np.take_along_axis(A, sel, axis=1).max(axis=1)
-            full[a:b] = np.count_nonzero(A <= (kth + margin[a:b])[:, None], axis=1) > k
-            idx[a:b] = np.sort(sel, axis=1)
-        # Exact distances of the candidates, for chunks of rows within _CHUNK_VALUES.
-        rows_per = max(1, _CHUNK_VALUES // k)
-        for a in range(0, nq, rows_per):
-            sel = idx[a : a + rows_per]
-            near = _exact_distances(Qt[:, a : a + rows_per], Rt, sel)
-            with np.errstate(over="ignore"):  # an overflowed row is searched in full, which reports it
-                np.ldexp(near, e, out=near)
-            # The candidates are in index order, so a stable sort by distance puts ties in index order too.
-            order = np.argsort(near, axis=1, kind="stable")
-            idx[a : a + rows_per] = np.take_along_axis(sel, order, axis=1)
-            dist[a : a + rows_per] = np.take_along_axis(near, order, axis=1)
-        kth = dist[:, -1]
-        full |= ~(np.isfinite(kth) & ((kth >= np.finfo(float).tiny) | (e >= 0)))
-    redo = np.flatnonzero(full)
+    for a in range(0, nq, block):
+        b = min(a + block, nq)
+        A = (-2.0 * Q[a:b]) @ Rt
+        A += r_sq  # |q|^2 is the same along the row, so it changes no comparison
+        rows = np.arange(b - a)
+        if self_search:
+            A[rows, a + rows] = np.inf
+        sel = np.argpartition(A, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(A, sel, axis=1).max(axis=1)
+        full[a:b] = np.count_nonzero(A <= (kth + margin[a:b])[:, None], axis=1) > k
+        idx[a:b] = np.sort(sel, axis=1)
+    dist = np.empty((nq, k))
+    rows_per = max(1, _CHUNK_VALUES // k)
+    for a in range(0, nq, rows_per):  # the candidates, for chunks of rows within _CHUNK_VALUES
+        chunk = np.s_[a : a + rows_per]
+        idx[chunk], dist[chunk] = _ranked(Qt[:, chunk], Rt, idx[chunk], e)
+    kth = dist[:, -1]
+    full |= ~(np.isfinite(kth) & ((kth >= np.finfo(float).tiny) | (e >= 0)))
+    redo, others = np.flatnonzero(full), np.arange(n - self_search)
     for a in range(0, redo.size, block):
         rows = redo[a : a + block]
-        D = _exact_distances(Qt[:, rows], Rt)
-        with np.errstate(over="ignore"):  # an overflowed neighbour is reported below
-            np.ldexp(D, e, out=D)
-        if self_search:
-            D[np.arange(rows.size), rows] = np.inf
-        sel = np.argsort(D, axis=1, kind="stable")[:, :k]
-        near = np.take_along_axis(D, sel, axis=1)
-        overflowed = np.isinf(near).any(axis=1)
-        if overflowed.any():
-            # The diagonal is inf too, so an overflowed row may have selected
-            # its own sample; name an overflowed pair of two samples.
-            r = int(np.argmax(overflowed))
-            far = np.flatnonzero(np.isinf(D[r]))
-            j = int(far[far != rows[r]][0])
-            raise ValueError(f"distance between samples {rows[r]} and {j} is beyond the float range")
+        sel = others + (others >= rows[:, None]) if self_search else np.broadcast_to(others, (rows.size, n))
+        sel, near = (t[:, :k] for t in _ranked(Qt[:, rows], Rt, sel, e))
+        over = np.isinf(near)
+        if over.any():
+            # Infs rank last in index order, so a row's first is its smallest overflowed sample.
+            r = int(np.argmax(over.any(axis=1)))
+            raise ValueError(f"distance between samples {rows[r]} and {sel[r][over[r]][0]} is beyond the float range")
         idx[rows], dist[rows] = sel, near
     return idx, dist
 
@@ -264,18 +259,12 @@ def _ridge(trace: np.ndarray, epsilon: float, d: int) -> np.ndarray:
     return np.where(trace > 0, epsilon * (trace / d), epsilon)
 
 
-def scipy_linalg() -> Any:
-    """scipy.linalg, which the coefficient solves use, imported on first use to keep start-up light."""
-    import scipy.linalg
-
-    return scipy.linalg
-
-
 def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """scipy.linalg.solve(A, b, assume_a="pos") on a stack of systems. SciPy may
     round one 1 x 1 system differently from a stack of them (1.17 divides it
-    out), so 1 x 1 systems are solved one at a time, each as a system of its own."""
-    solve = scipy_linalg().solve
+    out), so 1 x 1 systems are solved one at a time, each as a system of its own.
+    SciPy is imported here, on first use, to keep start-up light."""
+    from scipy.linalg import solve
     if A.shape[-1] == 1:
         return np.stack([solve(a, y, assume_a="pos") for a, y in zip(A, b)])
     return solve(A, b, assume_a="pos")

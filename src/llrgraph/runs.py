@@ -34,7 +34,6 @@ from .llr import (
     build_llr_graph,
     coefficient_table,
     neighbour_table,
-    scipy_linalg,
     sparsify,  # noqa: F401  (perfbench/spans.py times calls at runs.sparsify)
     sparsify_table,
     symmetrize,
@@ -317,8 +316,6 @@ def sweep_run(
                 cells.append({"method": method, "lambda": lam, "k": k, "seed": seed, **m})
         return cells
 
-    if "llr" in methods or "lle" in methods:
-        scipy_linalg()  # imported once here, not once in each forked worker
     cells = [cell for per_seed in _map_seeds(seed_cells, seeds) for cell in per_seed]
 
     summary: dict[str, Any] = {}

@@ -13,6 +13,7 @@ from llrgraph.data import (
     save_csv,
     synth_union_of_subspaces,
     train_test_split,
+    validate_data_matrix,
 )
 
 from oracles import eig2, load_csv_cell_by_cell
@@ -319,3 +320,21 @@ def test_synth_spec_subspaces_cannot_change_after_the_checks():
         spec.subspaces[0] = (4, 5)
     with pytest.raises(TypeError):
         spec.subspaces[1][0] = 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pca_fit(np.ones((1, 3)), 0.9), "pca_fit needs at least 2 samples"),
+        (lambda: validate_data_matrix(np.ones(3), "Q"),
+         r"Q must be a 2-D matrix with n >= 1 and m >= 1, got shape \(3,\)"),
+        (lambda: validate_data_matrix(np.ones((0, 2))), r"got shape \(0, 2\)"),
+        (lambda: validate_data_matrix(np.ones((2, 0))), r"got shape \(2, 0\)"),
+        (lambda: validate_data_matrix(np.array([[1.0, np.nan]])), "X contains non-finite entries"),
+        (lambda: validate_data_matrix(np.array([[-np.inf, 1.0]])), "X contains non-finite entries"),
+    ],
+    ids=["pca one sample", "1-D", "no rows", "no columns", "nan", "inf"],
+)
+def test_data_input_checks_raise_their_own_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

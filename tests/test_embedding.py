@@ -343,3 +343,10 @@ def test_projection_roundtrip_exact(tmp_path):
     save_projection(path, P)
     back = load_projection(path)
     assert np.array_equal(back, P), "roundtrip must be bit-exact"
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5)])
+def test_lpp_embed_rejects_a_graph_of_another_size(shape):
+    X = _rng(12).standard_normal((4, 3))
+    with pytest.raises(ValueError, match=rf"graph shape \({shape[0]}, {shape[1]}\) does not match n=4"):
+        lpp_embed(X, np.zeros(shape), 2)

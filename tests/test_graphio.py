@@ -387,3 +387,18 @@ def test_graph_functions_take_scipy_and_dense_graphs(tmp_path):
         write_graph(tmp_path / "g.txt", form)
         assert np.array_equal(read_graph(tmp_path / "g.txt").toarray(), W.toarray())
         assert np.array_equal(intra_class_edge_mass(form, np.arange(9) % 2), intra_class_edge_mass(W, np.arange(9) % 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_csr(np.ones(3)), r"a graph must be a 2-D matrix, got shape \(3,\)"),
+        (lambda: CSR.from_triplets([0, 3], [1, 1], [1.0, 1.0], (3, 3)), r"triplet indices outside the shape \(3, 3\)"),
+        (lambda: CSR.from_triplets([0, 1], [-1, 1], [1.0, 1.0], (3, 3)), r"triplet indices outside the shape \(3, 3\)"),
+        (lambda: as_csr(np.eye(3)) @ np.ones((4, 2)), r"dimension mismatch: \(3, 3\) @ \(4, 2\)"),
+    ],
+    ids=["1-D graph", "row outside", "column outside", "matmul shapes"],
+)
+def test_csr_input_checks_raise_their_own_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from llrgraph import llr
 from llrgraph.data import InputError
 from llrgraph.llr import (
+    Dictionary,
     HyperParams,
     build_dictionary,
     build_llr_coefficients,
@@ -387,3 +388,28 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError, match="d_dict"):
         HyperParams(lam=0.5, k_keep=2, d_dict=10).validate(10)
     HyperParams(lam=0.0, k_keep=1, d_dict=9).validate(10)
+
+
+_X4 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+_DIC = Dictionary(owner=0, atom_indices=np.array([1, 2]), atoms=_X4[[1, 2]].T.copy())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: neighbour_table(_X4, 0), r"k must lie in \[1, 3\], got 0"),
+        (lambda: neighbour_table(_X4, 4), r"k must lie in \[1, 3\], got 4"),
+        (lambda: build_dictionary(_X4[:1], 0, 1), "need at least 2 samples to build a dictionary"),
+        (lambda: build_dictionary(_X4, -1, 2), "sample index -1 out of range for n=4"),
+        (lambda: build_dictionary(_X4, 4, 2), "sample index 4 out of range for n=4"),
+        (lambda: build_dictionary(_X4, 0, 4), r"d_dict must lie in \[1, n-1=3\], got 4"),
+        (lambda: solve_coefficients(_X4, _DIC, np.array([1.0, np.nan]), 0.5), "must be finite and nonnegative"),
+        (lambda: solve_coefficients(_X4, _DIC, np.array([1.0, -2.0]), 0.5), "must be finite and nonnegative"),
+        (lambda: solve_coefficients(_X4, _DIC, np.array([1.0, 2.0, 3.0]), 0.5), "length must match dictionary size"),
+    ],
+    ids=["k 0", "k n", "one sample", "index -1", "index n", "d_dict n", "nan distance", "negative distance",
+         "distance length"],
+)
+def test_llr_input_checks_raise_their_own_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -317,3 +317,9 @@ def test_spectral_cluster_deterministic():
     a = spectral_cluster(W, KMeansConfig(k=3, seed=4))
     b = spectral_cluster(W, KMeansConfig(k=3, seed=4))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_normalized_laplacian_embedding_rejects_k_outside_one_to_n(k):
+    with pytest.raises(ValueError, match=rf"k must lie in \[1, n=3\], got {k}"):
+        normalized_laplacian_embedding(np.ones((3, 3)) - np.eye(3), k)
