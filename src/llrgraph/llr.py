@@ -260,14 +260,13 @@ def _ridge(trace: np.ndarray, epsilon: float, d: int) -> np.ndarray:
 
 
 def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """scipy.linalg.solve(A, b, assume_a="pos") on a stack of systems. SciPy may
-    round one 1 x 1 system differently from a stack of them (1.17 divides it
-    out), so 1 x 1 systems are solved one at a time, each as a system of its own.
-    SciPy is imported here, on first use, to keep start-up light."""
-    from scipy.linalg import solve
-    if A.shape[-1] == 1:
-        return np.stack([solve(a, y, assume_a="pos") for a, y in zip(A, b)])
-    return solve(A, b, assume_a="pos")
+    """A^{-1} b for a stack of symmetric positive-definite systems: numpy's
+    Cholesky factor A = L L^T, then L y = b and L^T x = y. numpy's linalg
+    works on each matrix of a stack separately, so a stack rounds like its
+    systems solved one at a time. A matrix that is not positive-definite
+    raises LinAlgError."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, b))
 
 
 def _direct_solve(Bt: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
@@ -324,7 +323,7 @@ def _coefficient_rows(
     except np.linalg.LinAlgError as exc:
         if len(owners) == 1:
             raise ValueError(f"degenerate coefficient system for sample {owners[0]}: {exc}") from None
-        # A stacked LAPACK error names a slice, not a sample: solve the points
+        # A stacked solve's error does not name the sample: solve the points
         # one at a time so that the first failing one raises its own message.
         for i in range(len(owners)):
             _coefficient_rows(x[i : i + 1], atoms[i : i + 1], s[i : i + 1], lam, epsilon, owners[i : i + 1])

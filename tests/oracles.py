@@ -258,6 +258,12 @@ def _ridge_one(trace: float, epsilon: float, d: int) -> float:
     return epsilon * (trace / d) if trace > 0 else epsilon
 
 
+def _cholesky_solve_one(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b for one symmetric positive-definite A by its Cholesky factor A = L L^T."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
 def direct_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
     """u = M^{-1} 1 for one point by a Cholesky solve of the dense d x d M."""
     d = B.shape[1]
@@ -266,7 +272,7 @@ def direct_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -
     ridge = _ridge_one(float(np.trace(M)), epsilon, d)
     if ridge > 0:
         M[np.diag_indices(d)] += ridge
-    return scipy.linalg.solve(M, np.ones(d), assume_a="pos")
+    return _cholesky_solve_one(M, np.ones(d))
 
 
 def low_rank_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float) -> np.ndarray:
@@ -274,12 +280,12 @@ def low_rank_solve_one(B: np.ndarray, s: np.ndarray, lam: float, epsilon: float)
     m, d = B.shape
     delta = lam * s**2 + _ridge_one((1.0 - lam) * float(np.sum(B * B)) + lam * float(s @ s), epsilon, d)
     if not delta.min() > 0:
-        raise scipy.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
+        raise np.linalg.LinAlgError("zero distance with a zero ridge makes M singular")
     r = 1.0 / np.sqrt(delta)
     G = B * r
     K = G @ G.T
     K[np.diag_indices(m)] += 1.0 / (1.0 - lam)
-    y = scipy.linalg.solve(K, G @ r, assume_a="pos")
+    y = _cholesky_solve_one(K, G @ r)
     return r * (r - G.T @ y)
 
 

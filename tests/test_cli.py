@@ -51,9 +51,6 @@ def _load_report(path):
 
 # -- start-up -----------------------------------------------------------
 
-# SciPy subpackages no command loads: the neighbour search is llr's own.
-NEVER_LOADED = ("scipy.spatial",)
-
 _ADDED_BY_CLI = """
 import json, sys
 import numpy
@@ -81,7 +78,7 @@ def _fresh_env(**blas_threads):
 
 def test_cli_import_adds_no_heavy_scipy_subpackage():
     """A fresh process importing the CLI after numpy loads no SciPy module:
-    graphs are graphio.CSR values, and scipy.linalg is imported on first use."""
+    graphs are graphio.CSR values, and every solve is numpy's."""
     out = subprocess.run([sys.executable, "-c", _ADDED_BY_CLI], env=_fresh_env(), capture_output=True, text=True,
                          check=True)
     assert _scipy_modules(json.loads(out.stdout)) == []
@@ -99,52 +96,34 @@ print(json.dumps([code, sorted(sys.modules)]))
     "argv",
     [
         ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
-        ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp", "--embed-dim", "2"],
-        ["eval", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--seeds", "0",
-         "--methods", "heat,llr", "--k-values", "4", "--restarts", "2"],
-    ],
-    ids=["build-graph heat", "embed-classify lpp", "eval"],
-)
-def test_commands_that_search_neighbours_never_load_scipy_spatial(tmp_path, argv):
-    _synth(tmp_path, per=12)
-    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
-                         capture_output=True, text=True, check=True)
-    code, modules = json.loads(out.stdout.splitlines()[-1])
-    assert code == 0
-    assert [m for m in modules if any(m == p or m.startswith(p + ".") for p in NEVER_LOADED)] == []
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
+        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "llr", "--output", "g.txt"],
+        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "lle", "--output", "g.txt"],
         ["cluster", "--graph", "g.txt", "--truth-labels", "labels.txt", "--clusters", "3", "--output", "p.txt",
+         "--report", "r.json"],
+        ["cluster", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--output", "p.txt",
          "--report", "r.json"],
         ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp", "--embed-dim", "2",
          "--pred-out", "p.txt", "--report", "r.json"],
+        ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "npe", "--embed-dim", "2",
+         "--pred-out", "p.txt", "--report", "r.json"],
+        ["eval", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--seeds", "0",
+         "--methods", "llr,heat,lle", "--k-values", "4", "--restarts", "2"],
+        ["eval", "--preset", "fig1", "--per-subspace", "5", "--methods", "heat", "--k-values", "2",
+         "--seeds", "0,1", "--restarts", "2"],
     ],
-    ids=["build-graph heat", "cluster graph", "embed-classify lpp"],
+    ids=["build-graph heat", "build-graph llr", "build-graph lle", "cluster graph", "cluster input",
+         "embed-classify lpp", "embed-classify npe", "eval", "eval preset heat"],
 )
-def test_commands_without_solves_never_load_scipy(tmp_path, argv):
-    """Reading, writing, clustering and scoring a graph need no SciPy, and
-    neither does LPP, whose generalized eigensolve is numpy's Cholesky
-    reduction: a process that runs only them ends with no scipy module loaded.
-    The per-point coefficient solves (llr, lle, npe) still load scipy.linalg."""
+def test_no_command_loads_scipy(tmp_path, argv):
+    """No command needs SciPy: the neighbour search is llr's own, graphs are
+    graphio.CSR values, the coefficient solves run on numpy's Cholesky factor
+    and LPP's and NPE's generalized eigensolve is numpy's Cholesky reduction.
+    A process that runs any one of them ends with no scipy module loaded. With
+    one seed, eval solves in this process, not in forked workers."""
     data = _synth(tmp_path, per=12)
     assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
                  "--output", str(tmp_path / "g.txt")]) == 0
     (tmp_path / "labels.txt").write_text("".join(f"{i // 12}\n" for i in range(36)))  # the generator's layout
-    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
-                         capture_output=True, text=True, check=True)
-    code, modules = json.loads(out.stdout.splitlines()[-1])
-    assert code == 0
-    assert _scipy_modules(modules) == []
-
-
-def test_a_preset_sweep_of_heat_alone_loads_no_scipy(tmp_path):
-    """A sweep with no coefficient solves, heat alone over two seeds, ends with no scipy module loaded."""
-    argv = ["eval", "--preset", "fig1", "--per-subspace", "5", "--methods", "heat", "--k-values", "2",
-            "--seeds", "0,1", "--restarts", "2"]
     out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
                          capture_output=True, text=True, check=True)
     code, modules = json.loads(out.stdout.splitlines()[-1])

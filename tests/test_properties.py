@@ -3,7 +3,7 @@ and bit-identity of the batched bodies with their one-at-a-time definitions."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -303,9 +303,14 @@ def test_nn_classify_matches_the_first_argmin_of_cdist(n_train, n_test, m, grid,
 
 @PROPERTY_SETTINGS
 @given(graph_inputs(), st.sampled_from([0.0, 5e-4]) | st.floats(1e-3, 0.99), budgets)
+@example(inputs=(np.array([[0.0], [0.25], [1.0], [1.5], [3.0], [-2.0]]), {"k_keep": 2, "d_dict": 3}), lam=0.5,
+         budget=2**16)
+@example(inputs=(np.array([[0.0, 1.0], [0.25, 0.5], [1.0, -1.0], [1.5, 2.0], [-2.0, 0.0]]), {"k_keep": 1, "d_dict": 1}),
+         lam=0.0, budget=2**16)
 def test_coefficient_table_matches_one_point_at_a_time(inputs, lam, budget):
     # lam < LOW_RANK_MIN_LAMBDA takes the direct path; above it, m < d_dict
-    # takes the low-rank path.
+    # takes the low-rank path. The examples stack 1 x 1 systems: the low-rank
+    # K at m = 1, and the direct M at d_dict = 1.
     X, p = inputs
     params = HyperParams(lam=lam, k_keep=p["k_keep"], d_dict=p["d_dict"])
     with pytest.MonkeyPatch.context() as mp:
