@@ -85,25 +85,62 @@ def test_cli_import_adds_no_heavy_scipy_subpackage():
 
 
 _MODULES_AFTER_COMMAND = """
-import json, sys
+import importlib, json, sys
 from llrgraph.cli import main
-code = main(sys.argv[1:])
+preload, argv = sys.argv[1].split(","), sys.argv[2:]
+for name in filter(None, preload):
+    importlib.import_module(name)
+code = main(argv)
 print(json.dumps([code, sorted(sys.modules)]))
 """
+
+
+def _modules_after_command(tmp_path, argv, preload=()):
+    """Run one command in a fresh process, after importing the modules named
+    in preload, and return the names of every module loaded at its end."""
+    data = _synth(tmp_path, per=12)
+    assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
+                 "--output", str(tmp_path / "g.txt")]) == 0
+    (tmp_path / "labels.txt").write_text("".join(f"{i // 12}\n" for i in range(36)))  # the generator's layout
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, ",".join(preload), *argv], cwd=tmp_path,
+                         env=_fresh_env(), capture_output=True, text=True, check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    return modules
+
+
+_HEAT_GRAPH = ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"]
+_LPP_EMBEDDING = ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp",
+                  "--embed-dim", "2", "--pred-out", "p.txt", "--report", "r.json"]
+
+
+@pytest.mark.parametrize("argv", [_HEAT_GRAPH, _LPP_EMBEDDING], ids=["build-graph heat", "embed-classify lpp"])
+def test_commands_without_solves_never_load_scipy(tmp_path, argv):
+    """A heat graph and an LPP embedding solve no coefficient system, and
+    LPP's generalized eigensolve is numpy's Cholesky reduction: a process that
+    runs only them ends with no scipy module loaded."""
+    assert _scipy_modules(_modules_after_command(tmp_path, argv)) == []
+
+
+@pytest.mark.parametrize("argv", [_HEAT_GRAPH, _LPP_EMBEDDING], ids=["build-graph heat", "embed-classify lpp"])
+def test_commands_that_search_neighbours_never_load_scipy_spatial(tmp_path, argv):
+    """The neighbour search is llr's own even where SciPy is at hand: a
+    process that has already imported scipy.sparse and scipy.linalg, as a
+    caller of CSR.to_scipy() has, loads no scipy.spatial module to run it."""
+    modules = _modules_after_command(tmp_path, argv, preload=("scipy.sparse", "scipy.linalg"))
+    assert "scipy.sparse" in modules
+    assert [m for m in modules if m == "scipy.spatial" or m.startswith("scipy.spatial.")] == []
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "heat", "--output", "g.txt"],
         ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "llr", "--output", "g.txt"],
         ["build-graph", "--input", "data.csv", "--label-column", "label", "--method", "lle", "--output", "g.txt"],
         ["cluster", "--graph", "g.txt", "--truth-labels", "labels.txt", "--clusters", "3", "--output", "p.txt",
          "--report", "r.json"],
         ["cluster", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--output", "p.txt",
          "--report", "r.json"],
-        ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "lpp", "--embed-dim", "2",
-         "--pred-out", "p.txt", "--report", "r.json"],
         ["embed-classify", "--input", "data.csv", "--label-column", "label", "--method", "npe", "--embed-dim", "2",
          "--pred-out", "p.txt", "--report", "r.json"],
         ["eval", "--input", "data.csv", "--label-column", "label", "--clusters", "3", "--seeds", "0",
@@ -111,24 +148,16 @@ print(json.dumps([code, sorted(sys.modules)]))
         ["eval", "--preset", "fig1", "--per-subspace", "5", "--methods", "heat", "--k-values", "2",
          "--seeds", "0,1", "--restarts", "2"],
     ],
-    ids=["build-graph heat", "build-graph llr", "build-graph lle", "cluster graph", "cluster input",
-         "embed-classify lpp", "embed-classify npe", "eval", "eval preset heat"],
+    ids=["build-graph llr", "build-graph lle", "cluster graph", "cluster input", "embed-classify npe", "eval",
+         "eval preset heat"],
 )
 def test_no_command_loads_scipy(tmp_path, argv):
-    """No command needs SciPy: the neighbour search is llr's own, graphs are
-    graphio.CSR values, the coefficient solves run on numpy's Cholesky factor
-    and LPP's and NPE's generalized eigensolve is numpy's Cholesky reduction.
-    A process that runs any one of them ends with no scipy module loaded. With
-    one seed, eval solves in this process, not in forked workers."""
-    data = _synth(tmp_path, per=12)
-    assert main(["build-graph", "--input", str(data), "--label-column", "label", "--method", "heat",
-                 "--output", str(tmp_path / "g.txt")]) == 0
-    (tmp_path / "labels.txt").write_text("".join(f"{i // 12}\n" for i in range(36)))  # the generator's layout
-    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMAND, *argv], cwd=tmp_path, env=_fresh_env(),
-                         capture_output=True, text=True, check=True)
-    code, modules = json.loads(out.stdout.splitlines()[-1])
-    assert code == 0
-    assert _scipy_modules(modules) == []
+    """No command needs SciPy: graphs are graphio.CSR values, the coefficient
+    solves run on numpy's Cholesky factor and NPE's generalized eigensolve is
+    numpy's Cholesky reduction. A process that runs any one of them ends with
+    no scipy module loaded (heat and LPP are checked above). With one seed,
+    eval solves in this process, not in forked workers."""
+    assert _scipy_modules(_modules_after_command(tmp_path, argv)) == []
 
 
 def test_default_report_does_not_depend_on_the_core_count(tmp_path):
