@@ -12,8 +12,10 @@ Conventions
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +51,13 @@ def unit_scale(*arrays: np.ndarray) -> tuple:
     scale comes back exactly (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 2.1)."""
     e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
     return (e, *(np.ldexp(a, -e) for a in arrays))
+
+
+def sum_of_squares(diffs: Iterable[np.ndarray]) -> np.ndarray:
+    """d_0^2 + d_1^2 + ... over the arrays diffs yields, added from the first up, acc += d_j^2:
+    the one summation order of every squared distance. Each array is squared in place and
+    the first is the result, so diffs must yield fresh arrays."""
+    return functools.reduce(lambda acc, d: np.add(acc, d, out=acc), (np.square(d, out=d) for d in diffs))
 
 
 def validate_data_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:

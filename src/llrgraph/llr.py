@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import InputError, unit_scale, validate_data_matrix
+from .data import InputError, sum_of_squares, unit_scale, validate_data_matrix
 from .graphio import CSR, as_csr
 
 #: Row-sum tolerance below which a coefficient normalization is degenerate.
@@ -100,7 +100,7 @@ class Dictionary:
 
 def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Distances of each column i of Qt (m, q) to the columns sel[i] of Rt (m, n).
-    The squares are summed from column 0 up, acc += (q_j - r_j)^2, the order and
+    The squares are summed by sum_of_squares, from column 0 up, the order and
     rounding of cdist's Euclidean distance, so the results equal its bit for bit.
     A sum below 2^-900, whose squares may have gone subnormal, is summed again
     with the pair's differences times the 2^-f that brings the largest into
@@ -109,9 +109,6 @@ def _exact_distances(Qt: np.ndarray, Rt: np.ndarray, sel: np.ndarray) -> np.ndar
 
     def diffs(qi, ri):  # q[qi] - r[ri] for each column pair (q, r), gathered one column at a time
         return (q[qi] - r[ri] for q, r in zip(Qt, Rt))
-
-    def sum_of_squares(ds):  # from column 0 up, in place
-        return functools.reduce(lambda acc, d: np.add(acc, d, out=acc), (np.square(d, out=d) for d in ds))
 
     acc = sum_of_squares(diffs(np.s_[:, None], sel))
     rows, cols = np.nonzero(acc < 2.0**-900)

@@ -375,33 +375,44 @@ def _run_seed(seed: int) -> tuple[Any, list[tuple], BaseException | None]:
 def _map_seeds(task: Callable[[int], Any], seeds: list[int]) -> list[Any]:
     """[task(seed) for seed in seeds], in forked workers where _seed_workers allows.
 
-    Results come in seed order. Each seed's warnings are re-emitted here, in
-    order, under this process's filters and once-per-location registries, so
-    stderr reads as in-process; the first failing seed's exception is raised.
+    At most one seed per worker is in flight: the next starts when any
+    finishes, and none after a failure. Results come in seed order. Each
+    seed's warnings are re-emitted here, in order, under this process's
+    filters and once-per-location registries, so stderr reads as in-process;
+    the first failing seed's exception is raised.
     """
     workers = _seed_workers(len(seeds))
     if workers < 2:
         return [task(seed) for seed in seeds]
     import multiprocessing  # here only: importing llrgraph does not load it
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    results = []
+    futures, running = [], set()
     # A worker that dies breaks the executor, which then raises for its seed
     # where a multiprocessing Pool would wait forever. With fork it starts
     # every worker before a thread of its own, as _seed_workers requires.
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker, initargs=(task,)) as pool:
-        for result, caught, error in pool.map(_run_seed, seeds):
-            for message, category, filename, lineno in caught:
-                module = modules.get(filename)
-                where = {} if module is None else {
-                    "module": module.__name__,
-                    "registry": vars(module).setdefault("__warningregistry__", {}),
-                    "module_globals": vars(module),
-                }
-                warnings.warn_explicit(message, category, filename, lineno, **where)
-            if error is not None:
-                raise error
-            results.append(result)
+        for seed in seeds:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() is not None or f.result()[2] is not None for f in done):
+                    break
+            futures.append(pool.submit(_run_seed, seed))
+            running.add(futures[-1])
+    results = []
+    for future in futures:
+        result, caught, error = future.result()
+        for message, category, filename, lineno in caught:
+            module = modules.get(filename)
+            where = {} if module is None else {
+                "module": module.__name__,
+                "registry": vars(module).setdefault("__warningregistry__", {}),
+                "module_globals": vars(module),
+            }
+            warnings.warn_explicit(message, category, filename, lineno, **where)
+        if error is not None:
+            raise error
+        results.append(result)
     return results

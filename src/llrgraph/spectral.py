@@ -9,7 +9,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import InputError, _rng
+from .data import InputError, _rng, sum_of_squares
 from .graphio import CSR, as_csr, as_graph
 
 #: Largest n * max(k, dim) * restarts of one group of k-means restarts that
@@ -185,16 +185,16 @@ def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(g, n) squared distances from every point to each of g centers."""
-    diff = points - centers[:, None, :]
-    return np.sum(np.square(diff, out=diff), axis=2)
+    return sum_of_squares(col - c[:, None] for col, c in zip(points.T, centers.T))
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, seeds: range) -> np.ndarray:
     """k-means++ starts of a group of restarts, as (g, k, dim) centers; restart
     r draws from _rng(seeds[r]). The first center is integers(n); each later
     one replicates Generator.choice(n, p=d2 / total), one random() searched
-    (side="right") in the normalized cumulative sum, or is integers(n) when
-    every point already is a center (total 0)."""
+    (side="right", as a count of the entries at or below it) in the
+    normalized cumulative sum, or is integers(n) when every point already is
+    a center (total 0)."""
     n = points.shape[0]
     rngs = [_rng(seed) for seed in seeds]
     choice = np.array([rng.integers(n) for rng in rngs])
@@ -208,8 +208,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, seeds: range) -> np.ndarray:
         live = np.flatnonzero(total > 0)
         cdf = np.cumsum(d2[live] / total[live, None], axis=1)
         cdf /= cdf[:, -1:]
-        for r, row in zip(live, cdf):
-            choice[r] = row.searchsorted(rngs[r].random(), side="right")
+        u = np.array([rngs[r].random() for r in live])
+        choice[live] = np.count_nonzero(cdf <= u[:, None], axis=1)
         for r in np.flatnonzero(total == 0):
             choice[r] = rngs[r].integers(n)
         centers[:, t] = points[choice]
@@ -234,17 +234,10 @@ def _repair_empty(d2: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> Non
 
 def _centroids(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Member means of every cluster of a group of restarts; empty clusters keep
-    their center. Sums run over members in index order, as in a per-cluster
-    points[members].mean(axis=0)."""
+    their center. Sums run over members in index order."""
     g, k, dim = centers.shape
     new = centers.copy()
     filled = counts > 0
-    if dim == 1:
-        # A one-column points[members].mean(axis=0) sums pairwise, not in
-        # index order as bincount does, so 1-D points keep it.
-        for r, c in zip(*np.nonzero(filled)):
-            new[r, c] = points[assign[r] == c].mean(axis=0)
-        return new
     bins = (np.arange(g)[:, None] * k + assign).ravel()
     sums = np.stack(
         [np.bincount(bins, weights=np.tile(points[:, j], g), minlength=g * k) for j in range(dim)], axis=1
@@ -266,18 +259,15 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     for _ in range(_MAX_ITER):
         a = active.size
         old = centers[active]
-        d2 = np.empty((a, n, k))
-        for c in range(k):
-            d2[:, :, c] = _sq_dists(points, old[:, c])
+        d2 = np.stack([_sq_dists(points, old[:, c]) for c in range(k)], axis=2)
         labels = np.argmin(d2, axis=2)  # ties resolve to the smaller centroid index
         counts = np.bincount((np.arange(a)[:, None] * k + labels).ravel(), minlength=a * k).reshape(a, k)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
             _repair_empty(d2[r], labels[r], counts[r])
-        del d2  # freed before the objective's (a, n, dim) buffer
+        del d2  # freed before the objective's (a, n, dim) centroids
         new = _centroids(points, labels, counts, old)
-        diff = new[np.arange(a)[:, None], labels]
-        np.subtract(points, diff, out=diff)
-        obj = np.sum(np.square(diff, out=diff), axis=(1, 2))
+        own = new[np.arange(a)[:, None], labels]
+        obj = sum_of_squares(col - c for col, c in zip(points.T, np.moveaxis(own, 2, 0))).sum(axis=1)
         prev = objective[active]
         # Lloyd objective is non-increasing up to floating-point noise.
         up = obj > prev + 1e-9 * (1.0 + np.abs(prev))
@@ -299,7 +289,9 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     """Restarted k-means++ / Lloyd. Restart r uses seed config.seed + r; the
     restart with the lowest within-cluster sum of squares wins (ties by
     lowest restart index). Restarts iterate together in groups whose
-    per-group arrays hold at most _GROUP_VALUES values."""
+    per-group arrays hold at most _GROUP_VALUES values. On k distinct unit
+    vectors e_j (how c = k components embed) every restart ends at the
+    partition by vector with objective 0; restart 0 wins, so only it runs."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < config.k:
         raise ValueError(f"need at least k={config.k} points, got shape {points.shape}")
@@ -307,10 +299,13 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     if bad.size:
         raise ValueError(f"k-means points must be finite; rows {bad.tolist()} are not")
 
-    group = max(1, _GROUP_VALUES // (points.shape[0] * max(config.k, points.shape[1])))
+    n, hot = points.shape[0], np.argmax(points, axis=1)
+    units = np.count_nonzero(points) == n and np.all(points[np.arange(n), hot] == 1.0)
+    restarts = 1 if units and np.unique(hot).size == config.k else config.restarts
+    group = max(1, _GROUP_VALUES // (n * max(config.k, points.shape[1])))
     best_labels, best_obj = None, np.inf
-    for first in range(0, config.restarts, group):
-        seeds = range(config.seed + first, config.seed + min(first + group, config.restarts))
+    for first in range(0, restarts, group):
+        seeds = range(config.seed + first, config.seed + min(first + group, restarts))
         centers = _kmeanspp_init(points, config.k, seeds)
         labels, obj = _lloyd(points, centers)
         r = int(np.argmin(obj))  # first of equal objectives: the lowest restart

@@ -359,7 +359,7 @@ def kmeanspp_init_one(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = np.cumsum((points - centers[0]) ** 2, axis=-1)[..., -1]
     for t in range(1, k):
         total = float(d2.sum())
         if total > 0:
@@ -367,7 +367,7 @@ def kmeanspp_init_one(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         else:
             choice = int(rng.integers(n))
         centers[t] = points[choice]
-        d2 = np.minimum(d2, np.sum((points - centers[t]) ** 2, axis=1))
+        d2 = np.minimum(d2, np.cumsum((points - centers[t]) ** 2, axis=-1)[..., -1])
     return centers
 
 
@@ -377,7 +377,7 @@ def lloyd_one(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
     prev_obj = np.inf
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = np.cumsum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1)[..., -1]
         assign = np.argmin(d2, axis=1)
         counts = np.bincount(assign, minlength=k)
         for c in np.flatnonzero(counts == 0):
@@ -393,8 +393,8 @@ def lloyd_one(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
         for c in range(k):
             members = assign == c
             if members.any():
-                new_centers[c] = points[members].mean(axis=0)
-        obj = float(np.sum((points - new_centers[assign]) ** 2))
+                new_centers[c] = np.cumsum(points[members], axis=0)[-1] / members.sum()
+        obj = float(np.sum(np.cumsum((points - new_centers[assign]) ** 2, axis=-1)[..., -1]))
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         prev_obj = obj

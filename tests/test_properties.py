@@ -387,6 +387,23 @@ def test_kmeans_repairs_empty_clusters_like_one_restart_at_a_time(monkeypatch):
     assert repairs
 
 
+def test_kmeans_runs_restart_0_alone_on_k_distinct_unit_vectors(monkeypatch):
+    # Every k-means++ start takes one point of each of the k unit vectors, so
+    # every restart ends at objective 0 and restart 0 wins the tie. With one
+    # vector more than k, the points are no such case and all restarts run.
+    rng = np.random.Generator(np.random.PCG64(5))
+    points = np.eye(6)[[1, 3, 4, 5]][rng.permutation(np.arange(60) % 4)]
+    calls = []
+    init = spectral._kmeanspp_init
+    monkeypatch.setattr(spectral, "_kmeanspp_init", lambda p, k, seeds: calls.append(seeds) or init(p, k, seeds))
+    for k, ran in [(4, 1), (3, 20)]:
+        for seed in range(3):
+            labels = kmeans(points, KMeansConfig(k=k, restarts=20, seed=seed))
+            assert calls == [range(seed, seed + ran)]
+            assert np.array_equal(labels, kmeans_loop(points, k, 20, seed))
+            calls.clear()
+
+
 @pytest.mark.parametrize("points", ["gaussian", "two locations", "one location"])
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_kmeanspp_starts_match_rng_choice_restart_by_restart(monkeypatch, dim, points):
@@ -431,10 +448,12 @@ def test_kmeanspp_draw_on_a_cdf_breakpoint_matches_rng_choice(monkeypatch):
         assert np.array_equal(start, want)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 12])
 def test_lloyd_objectives_match_restart_at_a_time(dim):
     # Every restart's objective, not only the winner's labels, rounds like a
     # restart run alone; a last-bit change in a centroid shows here first.
+    # From 8 columns on, a sum in numpy's order would run pairwise, not from
+    # column 0 up.
     rng = np.random.Generator(np.random.PCG64(dim))
     points = rng.standard_normal((200, dim))
     starts = [kmeanspp_init_one(points, 4, np.random.Generator(np.random.PCG64(r))) for r in range(6)]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -398,6 +399,26 @@ def test_sweep_in_workers_raises_the_first_failing_seeds_exception(monkeypatch, 
     assert str(caught.value) == "cell failed at seed 3"
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads  # the pool's handler threads are gone
+
+
+def test_no_seed_starts_after_a_failure_is_seen(monkeypatch, tmp_path):
+    """Two workers, eight seeds, and seed 0 fails at once: seed 1 holds the
+    other worker until then, and no third seed starts."""
+
+    def task(seed):
+        (tmp_path / str(seed)).touch()
+        if seed == 0:
+            raise SeedFailure("seed 0 failed")
+        while not (tmp_path / "0").exists():
+            time.sleep(0.01)
+        time.sleep(0.5)
+        return seed
+
+    _workers(monkeypatch, 2)
+    with pytest.raises(SeedFailure):
+        runs._map_seeds(task, list(range(8)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_seed_worker_that_dies_fails_the_sweep():
