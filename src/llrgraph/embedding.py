@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import _fix_column_signs, read_text, unit_scale, validate_data_matrix
+from .data import _fix_column_signs, load_csv, unit_scale, validate_data_matrix
 from .graphio import as_csr, as_graph
 from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
@@ -162,9 +162,5 @@ def save_projection(path: str | Path, P: np.ndarray) -> None:
 
 
 def load_projection(path: str | Path) -> np.ndarray:
-    rows = [
-        [float(cell) for cell in line.split(",")]
-        for line in read_text(path).splitlines()
-        if line.strip()
-    ]
-    return np.asarray(rows, dtype=float)
+    """Read a projection matrix written by save_projection."""
+    return load_csv(path).X

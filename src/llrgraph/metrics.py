@@ -102,7 +102,7 @@ def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def _entropy(p: np.ndarray) -> float:
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    return -math.fsum((p * np.log(p)).tolist())
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -110,20 +110,23 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
 
     Natural-log entropies from the contingency table; 0 log 0 = 0. If either
     marginal entropy is zero the value is 1 when the two partitions are
-    identical as set partitions and 0 otherwise.
+    identical as set partitions and 0 otherwise. The marginals are integer
+    counts over n, and every sum is exactly rounded (math.fsum), so the value
+    is a function of the two partitions: renumbering either, or swapping
+    them, leaves every bit.
     """
     counts = contingency_table(pred, truth)
-    n = counts.sum()
-    pij = counts / n
-    pr = pij.sum(axis=1)
-    pc = pij.sum(axis=0)
+    n = int(counts.sum())
+    pr = counts.sum(axis=1) / n
+    pc = counts.sum(axis=0) / n
     h_pred = _entropy(pr)
     h_truth = _entropy(pc)
     if h_pred == 0.0 or h_truth == 0.0:
         same = np.all((counts > 0).sum(axis=1) <= 1) and np.all((counts > 0).sum(axis=0) <= 1)
         return 1.0 if same else 0.0
-    nz = pij > 0
-    mi = float((pij[nz] * np.log(pij[nz] / (np.outer(pr, pc)[nz]))).sum())
+    nz = counts > 0
+    pij = counts[nz] / n
+    mi = math.fsum((pij * np.log(pij / np.outer(pr, pc)[nz])).tolist())
     value = mi / np.sqrt(h_pred * h_truth)
     return float(min(max(value, 0.0), 1.0))
 

@@ -188,32 +188,25 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sum_of_squares(col - c[:, None] for col, c in zip(points.T, centers.T))
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, seeds: range) -> np.ndarray:
-    """k-means++ starts of a group of restarts, as (g, k, dim) centers; restart
-    r draws from _rng(seeds[r]). The first center is integers(n); each later
-    one replicates Generator.choice(n, p=d2 / total), one random() searched
-    (side="right", as a count of the entries at or below it) in the
-    normalized cumulative sum, or is integers(n) when every point already is
-    a center (total 0)."""
-    n = points.shape[0]
-    rngs = [_rng(seed) for seed in seeds]
-    choice = np.array([rng.integers(n) for rng in rngs])
-    centers = np.empty((len(rngs), k, points.shape[1]))
-    centers[:, 0] = points[choice]
-    d2 = _sq_dists(points, centers[:, 0])
-    for t in range(1, k):
-        total = d2.sum(axis=1)
-        if not np.all(np.isfinite(total)):
+def _kmeanspp_init(points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k-means++ starts of a group of restarts, as (g, k, dim) centers, from
+    their (g, k) table of uniforms. Restart r takes as center t the point
+    whose slice of the normalized cumulative weights holds u[r, t], found as
+    the count of cumulative weights at or below it. A point's weight is 1 for
+    the first center and when every point already is a center, else its
+    squared distance to the nearest center."""
+    g, k = u.shape
+    centers = np.empty((g, k, points.shape[1]))
+    d2 = np.full((g, points.shape[0]), np.inf)
+    w = np.ones_like(d2)
+    for t in range(k):
+        cdf = np.cumsum(w, axis=1)
+        if not np.all(np.isfinite(cdf[:, -1])):
             raise ValueError("k-means++ squared distances overflowed; rescale the points")
-        live = np.flatnonzero(total > 0)
-        cdf = np.cumsum(d2[live] / total[live, None], axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([rngs[r].random() for r in live])
-        choice[live] = np.count_nonzero(cdf <= u[:, None], axis=1)
-        for r in np.flatnonzero(total == 0):
-            choice[r] = rngs[r].integers(n)
-        centers[:, t] = points[choice]
+        centers[:, t] = points[np.count_nonzero(cdf <= u[:, t, None], axis=1)]
         d2 = np.minimum(d2, _sq_dists(points, centers[:, t]))
+        w = np.where(d2.any(axis=1, keepdims=True), d2, 1.0)
     return centers
 
 
@@ -286,9 +279,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
-    """Restarted k-means++ / Lloyd. Restart r uses seed config.seed + r; the
-    restart with the lowest within-cluster sum of squares wins (ties by
-    lowest restart index). Restarts iterate together in groups whose
+    """Restarted k-means++ / Lloyd. One (restarts, k) table of uniforms is
+    drawn from _rng(config.seed), and restart r takes its k-means++ centers
+    by row r (_kmeanspp_init), so row r does not depend on the restart
+    count. The restart with the lowest within-cluster sum of squares wins
+    (ties by lowest restart index). Restarts iterate together in groups whose
     per-group arrays hold at most _GROUP_VALUES values. On k distinct unit
     vectors e_j (how c = k components embed) every restart ends at the
     partition by vector with objective 0; restart 0 wins, so only it runs."""
@@ -302,11 +297,11 @@ def kmeans(points: np.ndarray, config: KMeansConfig) -> np.ndarray:
     n, hot = points.shape[0], np.argmax(points, axis=1)
     units = np.count_nonzero(points) == n and np.all(points[np.arange(n), hot] == 1.0)
     restarts = 1 if units and np.unique(hot).size == config.k else config.restarts
+    u = _rng(config.seed).random((restarts, config.k))
     group = max(1, _GROUP_VALUES // (n * max(config.k, points.shape[1])))
     best_labels, best_obj = None, np.inf
     for first in range(0, restarts, group):
-        seeds = range(config.seed + first, config.seed + min(first + group, restarts))
-        centers = _kmeanspp_init(points, config.k, seeds)
+        centers = _kmeanspp_init(points, u[first : first + group])
         labels, obj = _lloyd(points, centers)
         r = int(np.argmin(obj))  # first of equal objectives: the lowest restart
         if best_labels is None or obj[r] < best_obj:

@@ -354,20 +354,21 @@ def csr_from_triplets(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: i
     return C
 
 
-def kmeanspp_init_one(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def kmeanspp_init_one(points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k-means++ start of one restart from its k uniforms: center t is the
+    point at np.searchsorted(side="right") of u[t] in the normalized
+    cumulative weights, where a point weighs 1 for the first center and when
+    every point already is a center, else its squared distance to the
+    nearest center."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.cumsum((points - centers[0]) ** 2, axis=-1)[..., -1]
-    for t in range(1, k):
-        total = float(d2.sum())
-        if total > 0:
-            choice = int(rng.choice(n, p=d2 / total))
-        else:
-            choice = int(rng.integers(n))
-        centers[t] = points[choice]
-        d2 = np.minimum(d2, np.cumsum((points - centers[t]) ** 2, axis=-1)[..., -1])
+    centers = np.empty((len(u), points.shape[1]))
+    w = np.ones(n)
+    for t, draw in enumerate(u):
+        cdf = np.cumsum(w)
+        centers[t] = points[np.searchsorted(cdf / cdf[-1], draw, side="right")]
+        sq = np.cumsum((points - centers[t]) ** 2, axis=-1)[..., -1]
+        d2 = sq if t == 0 else np.minimum(d2, sq)
+        w = d2 if d2.any() else np.ones(n)
     return centers
 
 
@@ -405,11 +406,12 @@ def lloyd_one(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
 
 def kmeans_loop(points: np.ndarray, k: int, restarts: int, seed: int, max_iter: int = 300, tol: float = 1e-8):
     """Labels of restarted k-means++ / Lloyd, one restart at a time; restart r
-    seeds PCG64(seed + r) and the lowest objective wins, ties by lowest restart."""
+    starts from row r of one (restarts, k) table of PCG64(seed) uniforms and
+    the lowest objective wins, ties by lowest restart."""
+    u = np.random.Generator(np.random.PCG64(seed)).random((restarts, k))
     best, best_obj = None, math.inf
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.PCG64(seed + r))
-        labels, obj = lloyd_one(points, kmeanspp_init_one(points, k, rng), max_iter, tol)
+    for row in u:
+        labels, obj = lloyd_one(points, kmeanspp_init_one(points, row), max_iter, tol)
         if best is None or obj < best_obj:
             best, best_obj = labels, obj
     return best

@@ -154,6 +154,11 @@ def test_nmi_zero_entropy_conventions():
     # single cluster vs genuine split: no information
     assert nmi(ones, split) == 0.0
     assert nmi(split, ones) == 0.0
+    # counts over n whose float sum is not exactly 1 must not leave a
+    # single cluster a nonzero entropy (7 in 3 parts read 2e-8, 9 in 7 NaN)
+    for n, parts in [(7, 3), (9, 7)]:
+        assert nmi(np.zeros(n, dtype=int), np.arange(n) % parts) == 0.0
+        assert nmi(np.arange(n) % parts, np.zeros(n, dtype=int)) == 0.0
 
 
 def test_classification_accuracy_direct_comparison():

@@ -18,6 +18,7 @@ from llrgraph.llr import (
     neighbour_table,
     sparsify_table,
 )
+from llrgraph.metrics import nmi
 from llrgraph.runs import GRAPH_METHODS, build_graph_by_method
 from llrgraph.spectral import KMeansConfig, kmeans
 
@@ -395,11 +396,11 @@ def test_kmeans_runs_restart_0_alone_on_k_distinct_unit_vectors(monkeypatch):
     points = np.eye(6)[[1, 3, 4, 5]][rng.permutation(np.arange(60) % 4)]
     calls = []
     init = spectral._kmeanspp_init
-    monkeypatch.setattr(spectral, "_kmeanspp_init", lambda p, k, seeds: calls.append(seeds) or init(p, k, seeds))
+    monkeypatch.setattr(spectral, "_kmeanspp_init", lambda p, u: calls.append(len(u)) or init(p, u))
     for k, ran in [(4, 1), (3, 20)]:
         for seed in range(3):
             labels = kmeans(points, KMeansConfig(k=k, restarts=20, seed=seed))
-            assert calls == [range(seed, seed + ran)]
+            assert calls == [ran]
             assert np.array_equal(labels, kmeans_loop(points, k, 20, seed))
             calls.clear()
 
@@ -407,10 +408,12 @@ def test_kmeans_runs_restart_0_alone_on_k_distinct_unit_vectors(monkeypatch):
 @pytest.mark.parametrize("points", ["gaussian", "two locations", "one location"])
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_kmeanspp_starts_match_rng_choice_restart_by_restart(monkeypatch, dim, points):
+    # Each restart's start is the one-at-a-time rule's on its row of the
+    # table, which searches as Generator.choice does (side="right").
     # n = 300 runs past numpy's 128-element pairwise-sum block. Points at two
     # locations leave total 0 from the third center on, and at one location
-    # from the second, so those draws take the integers(n) fallback. The group
-    # budget splits the seven restarts into groups of 3, 3 and 1.
+    # from the second, so those draws weigh every point 1. The group budget
+    # splits the seven restarts into groups of 3, 3 and 1.
     n, k, restarts, seed = 300, 4, 7, 11
     rng = np.random.Generator(np.random.PCG64(dim))
     X = rng.standard_normal((n, dim))
@@ -421,31 +424,34 @@ def test_kmeanspp_starts_match_rng_choice_restart_by_restart(monkeypatch, dim, p
     monkeypatch.setattr(spectral, "_GROUP_VALUES", 3 * n * max(k, dim))
     monkeypatch.setattr(spectral, "_MAX_ITER", 1)
     kmeans(X, KMeansConfig(k=k, restarts=restarts, seed=seed))
+    u = np.random.Generator(np.random.PCG64(seed)).random((restarts, k))
     assert len(starts) == restarts
-    for r, start in enumerate(starts):
-        assert np.array_equal(start, kmeanspp_init_one(X, k, np.random.Generator(np.random.PCG64(seed + r))))
+    for row, start in zip(u, starts):
+        assert np.array_equal(start, kmeanspp_init_one(X, row))
 
 
-class _OnTheBreakpoint(np.random.Generator):
-    """Draws the first point, then 0.5 from every random() call."""
+def test_consecutive_seeds_share_no_kmeanspp_start(monkeypatch):
+    # Seed s + 1 draws its own table, not the restarts of seed s moved by one.
+    X = np.random.Generator(np.random.PCG64(3)).standard_normal((200, 3))
+    starts = {0: [], 1: []}
+    lloyd = spectral._lloyd
+    for seed, kept in starts.items():
+        monkeypatch.setattr(spectral, "_lloyd", lambda p, centers: kept.extend(centers.copy()) or lloyd(p, centers))
+        kmeans(X, KMeansConfig(k=4, restarts=20, seed=seed))
+    assert len(starts[0]) == len(starts[1]) == 20
+    assert not any(np.array_equal(a, b) for a in starts[1] for b in starts[0])
 
-    def integers(self, *args, **kwargs):
-        return 0
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        return 0.5 if size is None else np.full(size, 0.5)
-
-
-def test_kmeanspp_draw_on_a_cdf_breakpoint_matches_rng_choice(monkeypatch):
-    # With the first center at 0, points -1 and 1 weigh 1/2 each: the CDF is
-    # [0, 0.5, 1] and a draw of exactly 0.5 sits on a breakpoint, where
-    # Generator.choice (searchsorted side="right") takes point 1, not -1.
+def test_kmeanspp_draw_on_a_cdf_breakpoint_matches_rng_choice():
+    # A draw of 0.0 takes point 0 first. Points -1 and 1 then weigh 1/2
+    # each: the CDF is [0, 0.5, 1] and a draw of exactly 0.5 sits on a
+    # breakpoint, where searchsorted(side="right"), as Generator.choice
+    # searches, takes point 1, not -1.
     X = np.array([[0.0], [-1.0], [1.0]])
-    monkeypatch.setattr(spectral, "_rng", lambda seed: _OnTheBreakpoint(np.random.PCG64(seed)))
-    want = kmeanspp_init_one(X, 2, _OnTheBreakpoint(np.random.PCG64(0)))
+    u = np.array([[0.0, 0.5]])
+    want = kmeanspp_init_one(X, u[0])
     assert want[1, 0] == 1.0
-    for start in spectral._kmeanspp_init(X, 2, range(2)):
-        assert np.array_equal(start, want)
+    assert np.array_equal(spectral._kmeanspp_init(X, u)[0], want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 12])
@@ -456,9 +462,30 @@ def test_lloyd_objectives_match_restart_at_a_time(dim):
     # column 0 up.
     rng = np.random.Generator(np.random.PCG64(dim))
     points = rng.standard_normal((200, dim))
-    starts = [kmeanspp_init_one(points, 4, np.random.Generator(np.random.PCG64(r))) for r in range(6)]
+    starts = [kmeanspp_init_one(points, row) for row in rng.random((6, 4))]
     labels, objectives = spectral._lloyd(points, np.stack(starts))
     for r, start in enumerate(starts):
         want_labels, want_objective = lloyd_one(points, start, spectral._MAX_ITER, spectral._SHIFT_TOL)
         assert np.array_equal(labels[r], want_labels)
         assert objectives[r] == want_objective
+
+
+@st.composite
+def relabelled_partitions(draw):
+    """Two label vectors of up to 60 points in up to 6 clusters, and each
+    renumbered by a permutation of the cluster numbers."""
+    n = draw(st.integers(2, 60))
+    pred, truth = (draw(arrays(np.int64, n, elements=st.integers(0, 5))) for _ in range(2))
+    pred_map, truth_map = (np.array(draw(st.permutations(range(6)))) for _ in range(2))
+    return pred, truth, pred_map[pred], truth_map[truth]
+
+
+@PROPERTY_SETTINGS
+@given(relabelled_partitions())
+def test_nmi_is_a_function_of_the_two_partitions(partitions):
+    # Renumbering either partition, or swapping the two, must leave every
+    # bit of NMI: a k-means renumbering is no change of score.
+    pred, truth, pred_renumbered, truth_renumbered = partitions
+    value = nmi(pred, truth)
+    for same in (nmi(pred_renumbered, truth), nmi(pred, truth_renumbered), nmi(truth, pred)):
+        assert same.hex() == value.hex()
