@@ -74,12 +74,14 @@ class LabeledDataset:
     """A data matrix with optional per-sample class labels.
 
     labels, when present, are canonical integers 0..K-1; label_names maps
-    the canonical integer back to the original label string.
+    the canonical integer back to the original label string. header holds
+    the stripped names of the header row load_csv took, None without one.
     """
 
     X: np.ndarray
     labels: np.ndarray | None = None
     label_names: list[str] | None = None
+    header: list[str] | None = None
 
     @property
     def n(self) -> int:
@@ -162,7 +164,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
 
     rows, plain = _read_rows(path)
     if not rows:
-        raise InputError(f"{path}: empty file")
+        raise InputError(f"{path}:1: empty file")
     # A plain row is its line, split only where cells are read: the header, the cell-by-cell
     # conversion, and the label cells, split from the end (where labels usually are) to the label.
     cells = (lambda row: row.split(",")) if plain else (lambda row: row)
@@ -219,11 +221,11 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
         X = _parse_cells(path, [cells(row) for row in data_rows], first_row, feature_cols)
 
     if label_idx is None:
-        return LabeledDataset(X=X)
+        return LabeledDataset(X=X, header=header)
     back = arity - label_idx  # the label column's place, counted from the end
     raw = [row.rsplit(",", back)[-back] for row in data_rows] if plain else [row[label_idx] for row in data_rows]
     labels, names = _canonicalize_labels([cell.strip() for cell in raw])
-    return LabeledDataset(X=X, labels=labels, label_names=names)
+    return LabeledDataset(X=X, labels=labels, label_names=names, header=header)
 
 
 def _read_rows(path: Path) -> tuple[list[str] | list[list[str]], bool]:

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import _fix_column_signs, load_csv, unit_scale, validate_data_matrix
+from .data import InputError, _fix_column_signs, load_csv, unit_scale, validate_data_matrix
 from .graphio import as_csr, as_graph
 from .llr import DEGENERATE_TOL, _ridge, neighbour_table
 from .llr import symmetrize  # noqa: F401  (perfbench/spans.py times calls at this name)
@@ -162,5 +162,8 @@ def save_projection(path: str | Path, P: np.ndarray) -> None:
 
 
 def load_projection(path: str | Path) -> np.ndarray:
-    """Read a projection matrix written by save_projection."""
-    return load_csv(path).X
+    """Read a projection matrix written by save_projection, which writes no header row."""
+    ds = load_csv(path)
+    if ds.header is not None:
+        raise InputError(f"{path}:1: a projection file has no header row, got {ds.header}")
+    return ds.X

@@ -275,17 +275,12 @@ def sweep_run(
         # the loosest spec: one line.
         SyntheticSpec(ambient_dim=1, subspaces=[(1, per_subspace)], noise_sigma=noise_sigma, seed=0)
         n = dataset.n
-    # Every cell against n before the first seed's data: llr cells span
-    # lambdas x k_values, heat and lle cells k_values. Heat and lle ignore
-    # lambda but are given each one, so that every lambda is range-checked.
-    # The heat and lle cells are then built by the builders it returns.
-    lam_grid = [{"lam": lam} for lam in lambdas] or [{}]
-    builders = {}
-    for method in methods:
-        for lam_kw in lam_grid:
-            for k in k_values:
-                builders[method, k], _ = graph_builder(method, n, **lam_kw, k_keep=k, k_nn=k, d_dict=d_dict,
-                                                       epsilon=epsilon, sigma=sigma)
+    # Every cell against n before the first seed's data: each lambda on its own
+    # range, each (method, k) by graph_builder, whose builders build heat and lle.
+    for lam in lambdas:
+        HyperParams(lam=lam, d_dict=1)
+    builders = {(method, k): graph_builder(method, n, k_keep=k, k_nn=k, d_dict=d_dict, epsilon=epsilon,
+                                           sigma=sigma)[0] for method in methods for k in k_values}
     for seed in seeds:
         KMeansConfig(k=n_clusters, restarts=restarts, seed=seed).validate(n)
     dd = resolve_d_dict(d_dict, n)

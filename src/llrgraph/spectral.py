@@ -18,6 +18,9 @@ _GROUP_VALUES = 2**16
 #: Lloyd iterations per restart, at most, and the center shift that stops one.
 _MAX_ITER = 300
 _SHIFT_TOL = 1e-8
+#: Most vertices of a graph with more components than clusters (c > k), whose
+#: embedding forms n x n matrices; a larger one raises ValueError before any.
+DENSE_MAX_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,8 @@ def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
     order, components numbered by smallest vertex) and the remaining k - c
     come from eigensolves of the components' own blocks, so no n x n matrix
     is formed; with c = k no eigensolve runs. When c > k, the dense n x n
-    eigensolve picks k vectors from the degenerate eigenspace.
+    eigensolve picks k vectors from the degenerate eigenspace; n above
+    DENSE_MAX_VERTICES raises ValueError.
 
     W is a CSR, SciPy or dense matrix, through as_graph; repeated entries are added first.
     """
@@ -164,6 +168,11 @@ def normalized_laplacian_embedding(W: Any, k: int) -> np.ndarray:
     c, labels = _components(W)
     if c <= k:
         coords = _component_embedding(W, degrees, c, labels, k)
+    elif n > DENSE_MAX_VERTICES:
+        raise ValueError(
+            f"the c > k embedding (c={c} components, k={k} clusters) is dense and allows at most "
+            f"{DENSE_MAX_VERTICES} vertices, got n={n}: one n x n matrix takes {8 * n * n / 2**30:.2f} GiB"
+        )
     else:
         inv_sqrt = 1.0 / np.sqrt(degrees)
         A = inv_sqrt[:, None] * W.toarray() * inv_sqrt[None, :]
@@ -212,13 +221,12 @@ def _kmeanspp_init(points: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _repair_empty(d2: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> None:
     """Give each empty cluster, in place, the point farthest from its centroid,
-    stealing only from clusters that keep at least one member."""
+    stealing only from clusters that keep at least one member. kmeans refuses
+    n < k, so while a cluster is empty some other cluster holds two points."""
     n = assign.size
     for c in np.flatnonzero(counts == 0):
         own_d2 = d2[np.arange(n), assign]
         candidates = np.flatnonzero(counts[assign] >= 2)
-        if candidates.size == 0:
-            break
         farthest = candidates[np.argmax(own_d2[candidates])]
         counts[assign[farthest]] -= 1
         assign[farthest] = c

@@ -69,7 +69,7 @@ def load_csv_cell_by_cell(path, label_column=None):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError(f"{path}:1: empty file")
 
     def is_number(cell):
         try:

@@ -275,6 +275,13 @@ def test_synth_usage_errors(tmp_path, capsys):
     assert main(["synth", "--preset", "fig1", "--seed", "one", "--output", out]) == 2
 
 
+def test_synth_config_with_no_subspaces_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": []}))
+    assert main(["synth", "--ambient-dim", "3", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+    assert "at least one subspace is required" in capsys.readouterr().err
+
+
 def test_no_command_and_unknown_command(tmp_path):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

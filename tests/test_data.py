@@ -74,6 +74,19 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(p, label_column="c")
 
 
+def test_load_csv_names_line_1_of_an_empty_file(tmp_path):
+    p = tmp_path / "d.csv"
+    for text in ("", "\ufeff", "\n\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=r"d\.csv:1: empty file"):
+            load_csv(p)
+
+
+def test_n_classes_of_an_unlabelled_dataset_raises():
+    with pytest.raises(ValueError, match="dataset has no labels"):
+        LabeledDataset(X=np.zeros((2, 1))).n_classes
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from llrgraph import llr
+from llrgraph.data import InputError
 from llrgraph.embedding import (
     generalized_sym_eig,
     load_projection,
@@ -343,6 +344,10 @@ def test_projection_roundtrip_exact(tmp_path):
     save_projection(path, P)
     back = load_projection(path)
     assert np.array_equal(back, P), "roundtrip must be bit-exact"
+    # save_projection writes no header, so a first row with a non-numeric cell is refused
+    path.write_text("0.5,x,1.0\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(InputError, match=r"proj\.csv:1: "):
+        load_projection(path)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5)])

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 
 from llrgraph import spectral
 from llrgraph.data import InputError
+from llrgraph.graphio import CSR
 from llrgraph.metrics import clustering_accuracy
 from llrgraph.spectral import (
     KMeansConfig,
@@ -222,6 +223,22 @@ def test_more_components_than_k_keeps_dense_eigensolve():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = normalized_laplacian_embedding(W, k)
         assert np.array_equal(got, want / norms[:, None]), f"sizes={sizes} k={k}"
+
+
+def test_more_components_than_k_above_the_dense_bound_raises_before_densifying(monkeypatch):
+    """4097 disjoint edges (n = 8194, c = 4097 > k = 3) name n, c, k and the
+    GiB of one n x n matrix, and no dense matrix is made."""
+    def refuse(*args):
+        raise AssertionError("no dense matrix may be formed above DENSE_MAX_VERTICES")
+
+    monkeypatch.setattr(CSR, "toarray", refuse)
+    monkeypatch.setattr(CSR, "block", refuse)
+    edges = 4097
+    heads = 2 * np.arange(edges)
+    W = CSR.from_triplets(np.r_[heads, heads + 1], np.r_[heads + 1, heads], np.ones(2 * edges), (2 * edges, 2 * edges))
+    with pytest.raises(ValueError, match=r"c=4097 components, k=3 clusters.* at most 4096 vertices, got n=8194: "
+                                         r"one n x n matrix takes 0\.50 GiB"):
+        normalized_laplacian_embedding(W, 3)
 
 
 def test_kmeans_recovers_separated_blobs():
