@@ -156,13 +156,14 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     containing any cell that does not parse as a number; it must be as wide
     as the data rows. label_column selects the label column by header name
     or by 0-based column index.
-    Cell positions in error messages are 1-based (file row, column).
+    Cell positions in error messages are 1-based (file line, column); a row
+    is named by the line it starts on, blank lines counted.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    rows, plain = _read_rows(path)
+    rows, lines, plain = _read_rows(path)
     if not rows:
         raise InputError(f"{path}:1: empty file")
     # A plain row is its line, split only where cells are read: the header, the cell-by-cell
@@ -179,14 +180,13 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
 
     has_header = not all(_is_number(c) for c in cells(rows[0]))
     header = [c.strip() for c in cells(rows[0])] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    first_row = 2 if has_header else 1
+    data_rows, data_lines = (rows[1:], lines[1:]) if has_header else (rows, lines)
     if not data_rows:
         raise InputError(f"{path}: no data rows")
 
     # The header, checked last, must be as wide as the data rows.
     arity = width(data_rows[0])
-    for number, row in [*enumerate(data_rows, start=first_row), (1, rows[0])]:
+    for number, row in [*zip(data_lines, data_rows), (lines[0], rows[0])]:
         if width(row) != arity:
             raise InputError(f"{path}: ragged row {number}: expected {arity} cells, got {width(row)}")
 
@@ -218,7 +218,7 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     except ValueError:
         X = None
     if X is None or X.shape != shape or not np.isfinite(X).all():
-        X = _parse_cells(path, [cells(row) for row in data_rows], first_row, feature_cols)
+        X = _parse_cells(path, [cells(row) for row in data_rows], data_lines, feature_cols)
 
     if label_idx is None:
         return LabeledDataset(X=X, header=header)
@@ -228,36 +228,48 @@ def load_csv(path: str | Path, label_column: str | int | None = None) -> Labeled
     return LabeledDataset(X=X, labels=labels, label_names=names, header=header)
 
 
-def _read_rows(path: Path) -> tuple[list[str] | list[list[str]], bool]:
-    """The file's non-empty lines and True when each is simply split at "," into
-    the row csv.reader gives, else csv.reader's non-empty rows and False.
+def _read_rows(path: Path) -> tuple[list[str] | list[list[str]], list[int], bool]:
+    """The file's non-empty lines, the file line of each, and True when each is
+    simply split at "," into the row csv.reader gives; else csv.reader's
+    non-empty rows, the line each starts on, and False.
 
     A line splits so when the text holds no quote, carriage return or NUL
     (which csv.reader refuses before Python 3.11), and no line is longer than
-    csv's field size limit.
+    csv's field size limit. A row csv.reader refuses raises InputError naming
+    the file and line.
     """
     text = read_text(path)
-    lines = [line for line in text.split("\n") if line]
+    lines = text.split("\n")
     if '"' in text or "\r" in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
-        return [row for row in csv.reader(io.StringIO(text, newline="")) if row], False
-    return lines, True
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows, numbers, start = [], [], 1
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    numbers.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+        return rows, numbers, False
+    return [line for line in lines if line], [number for number, line in enumerate(lines, start=1) if line], True
 
 
-def _parse_cells(path: Path, data_rows: list[list[str]], first_row: int, feature_cols: list[int]) -> np.ndarray:
+def _parse_cells(path: Path, data_rows: list[list[str]], data_lines: list[int], feature_cols: list[int]) -> np.ndarray:
     """load_csv's feature cells converted one at a time; raises InputError at the first bad cell."""
     X = np.empty((len(data_rows), len(feature_cols)), dtype=float)
-    for r, row in enumerate(data_rows):
+    for r, (row, number) in enumerate(zip(data_rows, data_lines)):
         for out_j, j in enumerate(feature_cols):
             cell = row[j].strip()
             try:
                 value = float(cell)
             except ValueError:
                 raise InputError(
-                    f"{path}: non-numeric cell at row {first_row + r}, column {j + 1}: {cell!r}"
+                    f"{path}: non-numeric cell at row {number}, column {j + 1}: {cell!r}"
                 ) from None
             if not math.isfinite(value):
                 raise InputError(
-                    f"{path}: non-finite cell at row {first_row + r}, column {j + 1}: {cell!r}"
+                    f"{path}: non-finite cell at row {number}, column {j + 1}: {cell!r}"
                 )
             X[r, out_j] = value
     return X

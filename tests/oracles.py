@@ -61,13 +61,22 @@ def nullspace_coefficients(
 
 
 def load_csv_cell_by_cell(path, label_column=None):
-    """load_csv as its docstring states it: csv.reader's non-empty rows, a
-    header when the first row holds a cell float() rejects, and float() of
-    each stripped feature cell, one at a time. Returns (X, labels, names),
-    labels None without a label column; raises ValueError with load_csv's
-    messages."""
+    """load_csv as its docstring states it: csv.reader's non-empty rows, each
+    named by the file line it starts on, a header when the first row holds a
+    cell float() rejects, and float() of each stripped feature cell, one at a
+    time. Returns (X, labels, names), labels None without a label column;
+    raises ValueError with load_csv's messages."""
+    rows, lines, start = [], [], 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}:1: empty file")
 
@@ -79,12 +88,12 @@ def load_csv_cell_by_cell(path, label_column=None):
         return True
 
     header = None if all(is_number(cell) for cell in rows[0]) else [cell.strip() for cell in rows[0]]
-    first = 1 if header is None else 2
-    data = rows[first - 1:]
+    first = 0 if header is None else 1
+    data, data_lines = rows[first:], lines[first:]
     if not data:
         raise ValueError(f"{path}: no data rows")
     width = len(data[0])
-    for number, row in list(enumerate(data, start=first)) + [(1, rows[0])]:
+    for number, row in list(zip(data_lines, data)) + [(lines[0], rows[0])]:
         if len(row) != width:
             raise ValueError(f"{path}: ragged row {number}: expected {width} cells, got {len(row)}")
 
@@ -103,7 +112,7 @@ def load_csv_cell_by_cell(path, label_column=None):
         raise ValueError("no feature columns left after removing the label column")
 
     X = []
-    for number, row in enumerate(data, start=first):
+    for number, row in zip(data_lines, data):
         values = []
         for j, cell in enumerate(row):
             if j == label:

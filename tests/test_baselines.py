@@ -63,7 +63,7 @@ def test_heat_kernel_auto_sigma_is_median_retained_distance():
     iu, ju = np.nonzero(np.triu(W_auto.toarray() != 0, k=1))
     sigma = float(np.median(D[iu, ju]))
     W_explicit = heat_kernel_graph(X, HeatKernelParams(k_nn=4, sigma=sigma))
-    assert np.abs((W_auto - W_explicit).toarray()).max() == 0.0
+    assert np.abs(W_auto.toarray() - W_explicit.toarray()).max() == 0.0
 
 
 def test_heat_kernel_names_samples_whose_distance_overflows():

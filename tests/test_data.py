@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +67,46 @@ def test_load_csv_non_numeric_cell_reports_position(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2\n3,oops\n")
     with pytest.raises(ValueError, match="row 2, column 2"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b,label\n\n\n1,2,0\n3,x,1\n", "non-numeric cell at row 5, column 2: 'x'"),
+        ("a,b,label\r\n\r\n\r\n1,2,0\r\n3,x,1\r\n", "non-numeric cell at row 5, column 2: 'x'"),
+        ('a,b\n"1\n",2\n\n3,x\n', "non-numeric cell at row 5, column 2: 'x'"),
+        ('a,b\n1,2\n"x\ny",2\n', r"non-numeric cell at row 3, column 1: 'x\\ny'"),
+        ("a,b,label\n\n1,2,0\n\n3,1\n", "ragged row 5: expected 3 cells, got 2"),
+        ("\n\na,b\n1,2,3\n", "ragged row 3: expected 3 cells, got 2"),
+    ],
+    ids=["plain", "crlf", "multi-line row before", "multi-line row", "ragged", "ragged header"],
+)
+def test_load_csv_names_the_file_line_blank_lines_counted(tmp_path, text, message):
+    """A row is named by the file line it starts on, whichever way the file is
+    parsed, not by its count among the non-blank rows."""
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(InputError, match=re.escape(f"{p}: ") + message):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_load_csv_names_file_and_line_of_a_field_past_the_csv_limit(tmp_path, quote):
+    """A field longer than csv's field size limit is an InputError at its
+    line, not csv.Error."""
+    p = tmp_path / "d.csv"
+    p.write_text(f"a,b\n1,2\n{quote}{'1' * (csv.field_size_limit() + 1)}{quote},3\n")
+    with pytest.raises(InputError, match=re.escape(f"{p}:3: field larger than field limit")):
+        load_csv(p)
+
+
+def test_load_csv_rejects_a_nul_byte_as_input(tmp_path):
+    """csv.reader refuses a NUL byte before Python 3.11 and reads it as a cell
+    from 3.11 on: either way it is an InputError at its line."""
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n1,2\n3,\0\n")
+    with pytest.raises(InputError, match=re.escape(f"{p}") + r"(:3: line contains NUL|: non-numeric cell at row 3, column 2)"):
         load_csv(p)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import time
 import warnings
 
@@ -57,6 +58,15 @@ def test_sym_eig_contract_on_random_matrices():
         assert np.abs(A @ evecs - evecs * evals).max() <= 1e-6 * scale
         assert np.abs(evecs.T @ evecs - np.eye(m)).max() <= 1e-6
         assert np.all(np.diff(evals) >= -1e-12), "eigenvalues must ascend"
+
+
+def test_sym_eig_enforces_its_residual_contract(monkeypatch):
+    """Eigenvectors that miss A V = V diag(mu) by more than 1e-8 (1 + max|A|)
+    raise, also under python -O."""
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: (eigh(A)[0], eigh(A)[1] + 1e-6))
+    with pytest.raises(RuntimeError, match=r"eigendecomposition residual \S+ exceeds contract"):
+        sym_eig(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_sym_eig_rejects_bad_input():
@@ -298,6 +308,16 @@ def test_kmeans_validation():
         kmeans(np.zeros((2, 2)), KMeansConfig(k=3))
     with pytest.raises(ValueError, match="restarts"):
         KMeansConfig(k=2, restarts=0)
+
+
+def test_kmeans_raises_when_the_lloyd_objective_increases(monkeypatch):
+    """Lloyd steps never raise the objective; centroids moved further away at
+    every step raise, naming both objectives, also under python -O."""
+    centroids, steps = spectral._centroids, itertools.count(1)
+    monkeypatch.setattr(spectral, "_centroids", lambda *args: centroids(*args) + 10.0 * next(steps))
+    points = _rng(4).standard_normal((20, 2))
+    with pytest.raises(RuntimeError, match=r"k-means objective increased from \S+ to \S+"):
+        kmeans(points, KMeansConfig(k=2, restarts=2))
 
 
 def test_kmeans_rejects_non_finite_points():
